@@ -7,8 +7,8 @@ byte-identical files.  Built-in presets reproduce the standard parameter
 sets (absorbing sphere of background constant 5, radius 2 c/omega0, in
 air), differing in the local-field cavity radius.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 numeric failure.
+Exit codes: 0 success, 1 configuration error, 2 verification failure
+(including a check that fails numerically), 3 numeric failure of the sweep.
 """
 
 from __future__ import annotations
@@ -200,6 +200,27 @@ def _parse_columns(text: str):
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# section -> key -> converter; [medium] keys are LorentzMedium fields, the
+# others SweepConfig fields
+_CONFIG_SCHEMA = {
+    "medium": {"eps_b": float, "Omega": float, "gamma": float},
+    "geometry": {"eps_ext": complex, "sphere_radius": float,
+                 "onsager_fraction": float, "lambda_reference": str.strip,
+                 "rm_mode": str.strip, "rm_value": float},
+    "sweep": {"omega_min": float, "omega_max": float, "omega_count": int},
+    "output": {"columns": _parse_columns, "verify": _parse_bool},
+}
+
+
 def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
     """Read a key = value configuration file over an optional base config.
 
@@ -215,61 +236,29 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
         raise ConfigError(f"cannot read config file {path!r}")
     updates = {}
     medium_updates = {}
-
-    def take(section, key, conv, target, name=None):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+    for section in parser.sections():
+        if section not in _CONFIG_SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        schema = _CONFIG_SCHEMA[section]
+        # configparser lower-cases keys; map them back to field names
+        names = {name.lower(): name for name in schema}
+        target = medium_updates if section == "medium" else updates
+        for key, raw in parser.items(section):
+            if key not in names:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name = names[key]
             try:
-                value = conv(raw)
+                target[name] = schema[name](raw)
             except ValueError as exc:
                 raise ConfigError(
-                    f"[{section}] {key} = {raw!r}: {exc}") from None
-            target[name or key] = value
+                    f"[{section}] {name} = {raw!r}: {exc}") from None
 
-    take("medium", "eps_b", float, medium_updates)
-    take("medium", "Omega", float, medium_updates)
-    take("medium", "gamma", float, medium_updates)
-    take("geometry", "eps_ext", complex, updates)
-    take("geometry", "sphere_radius", float, updates)
-    take("geometry", "onsager_fraction", float, updates)
-    take("geometry", "lambda_reference", str.strip, updates)
-    take("geometry", "rm_mode", str.strip, updates)
-    take("geometry", "rm_value", float, updates)
-    take("sweep", "omega_min", float, updates)
-    take("sweep", "omega_max", float, updates)
-    take("sweep", "omega_count", int, updates)
-    take("output", "columns", _parse_columns, updates)
-    take("output", "verify", _parse_bool, updates)
-
-    for section in parser.sections():
-        if section not in ("medium", "geometry", "sweep", "output"):
-            raise ConfigError(f"unknown config section [{section}]")
-        known = {
-            "medium": {"eps_b", "Omega", "gamma"},
-            "geometry": {"eps_ext", "sphere_radius", "onsager_fraction",
-                         "lambda_reference", "rm_mode", "rm_value"},
-            "sweep": {"omega_min", "omega_max", "omega_count"},
-            "output": {"columns", "verify"},
-        }[section]
-        for key in parser.options(section):
-            if key not in {k.lower() for k in known}:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    if medium_updates:
-        updates["medium"] = replace(base.medium, **medium_updates)
     try:
+        if medium_updates:
+            updates["medium"] = replace(base.medium, **medium_updates)
         return replace(base, **updates)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def build_config(args) -> SweepConfig:

@@ -67,15 +67,12 @@ def _adaptive_simpson(fn, a: float, b: float, quad: QuadratureSpec) -> float:
     return recurse(a, fa, m, fm, b, fb, whole, budget, 1)
 
 
-def flux_through_sphere(fields, r: float, k0: float,
-                        quad: QuadratureSpec | None = None) -> float:
+def flux_through_sphere(fields, r: float, k0: float) -> float:
     """Power crossing the sphere of radius r, in units of W_free.
 
     Integrates r**2 r_hat . P over the full solid angle, with
     P = c/(8 pi) Re[E x B*]; the radial component reduces to
-    Re[E_theta B_phi*] for the axisymmetric dipole field.  The quadrature
-    spec is accepted for interface symmetry; the angular rule is already
-    exact for the dipole pattern.
+    Re[E_theta B_phi*] for the axisymmetric dipole field.
     """
     if r <= 0:
         raise DomainError("r must be positive")
@@ -121,7 +118,7 @@ def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
     Power entering at r_inner either leaves at r_outer or is absorbed in
     between; returns |flux(out) + absorbed - flux(in)| / flux(in).
     """
-    w_in = flux_through_sphere(fields, r_inner, k0, quad)
-    w_out = flux_through_sphere(fields, r_outer, k0, quad)
+    w_in = flux_through_sphere(fields, r_inner, k0)
+    w_out = flux_through_sphere(fields, r_outer, k0)
     w_abs = absorbed_power(fields, r_inner, r_outer, eps_local, k0, quad)
     return abs(w_out + w_abs - w_in) / abs(w_in)

@@ -210,28 +210,26 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
     return factor * (gamma_sc_hat - correction)
 
 
-def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float, k0: float,
-                 check_identity: bool = True) -> float:
-    """Cavity-induced rate with real-cavity local-field corrections.
-
-    Computed directly as Re[9 eps^{5/2}/(2 eps + 1)**2 c1] for the bare
-    sphere.  The algebraically identical form built from the bare rate and
-    shift is evaluated alongside as a sanity check.
-    """
+def _gamma_sc_loc_of_c1(eps: complex, c1: complex) -> float:
+    """Re[9 eps^{5/2}/(2 eps + 1)**2 c1] for the bare-sphere amplitude c1."""
     eps = complex(eps)
     den = 2 * eps + 1
     if abs(den) < _ONSAGER_POLE_TOL:
         raise DomainError("local-field factor has a pole at eps = -1/2")
+    return (9 * eps_pow_5_2(eps) / (den * den) * c1).real
+
+
+def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
+                 k0: float) -> float:
+    """Cavity-induced rate with real-cavity local-field corrections.
+
+    Computed directly as Re[9 eps^{5/2}/(2 eps + 1)**2 c1] for the bare
+    sphere.  gamma_sc_loc_from_bare is the algebraically identical form,
+    built from the bare rate and shift, that the verification battery
+    checks this one against.
+    """
     coeffs = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
-    direct = (9 * eps_pow_5_2(eps) / (den * den) * coeffs.c1).real
-    if check_identity:
-        root_c1 = sqrt_eps(eps) * coeffs.c1
-        alt = gamma_sc_loc_from_bare(eps, root_c1.real, 0.5 * root_c1.imag)
-        scale = max(1.0, abs(direct), abs(alt))
-        if abs(direct - alt) > 1e-9 * scale:
-            raise ArithmeticError(
-                f"cavity-rate forms disagree: {direct!r} vs {alt!r}")
-    return direct
+    return _gamma_sc_loc_of_c1(eps, coeffs.c1)
 
 
 def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
@@ -352,7 +350,7 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     root_c1 = sqrt_eps(eps) * coeffs.c1
     g_sc = root_c1.real
     d_sc = 0.5 * root_c1.imag
-    g_sc_loc = gamma_sc_loc(eps, eps_ext, radius, k0)
+    g_sc_loc = _gamma_sc_loc_of_c1(eps, coeffs.c1)
     g0 = gamma0_macroscopic(eps, k0, r_m)
     g0_loc = gamma0_loc(eps, k0, r_c)
     p_ext = eps / eps_ext * coeffs.c_outer

@@ -117,18 +117,3 @@ def riccati_h2(z: complex) -> complex:
     z = _check_hankel_arg(z)
     return cmath.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))
 
-
-_RICCATI = {"j1": riccati_j1, "h1": riccati_h1, "h2": riccati_h2}
-
-
-def riccati_deriv(kind: str, z: complex) -> complex:
-    """d/dz [z f(z)] for f among the order-1 functions.
-
-    kind is one of 'j1', 'h1', 'h2' (the latter two meaning first- and
-    second-kind spherical Hankel functions of order 1).
-    """
-    try:
-        fn = _RICCATI[kind]
-    except KeyError:
-        raise DomainError(f"unknown function kind {kind!r}") from None
-    return fn(z)

@@ -183,7 +183,7 @@ def check_cavity_rate_forms(rng, samples=500) -> CheckResult:
         k0 = rng.uniform(0.5, 2.0)
         coeffs = ml.coeffs_two_layer(eps, 1.0, radius, k0)
         root_c1 = sqrt_eps(eps) * coeffs.c1
-        direct = rates.gamma_sc_loc(eps, 1.0, radius, k0, check_identity=False)
+        direct = rates.gamma_sc_loc(eps, 1.0, radius, k0)
         alt = rates.gamma_sc_loc_from_bare(eps, root_c1.real,
                                            0.5 * root_c1.imag)
         worst = max(worst, abs(direct - alt) / max(1.0, abs(direct)))
@@ -298,7 +298,8 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
 
     config (a SweepConfig) supplies the medium and geometry for the
     system-specific checks; without one, the reference sphere (eps obtained
-    at the absorption resonance of the standard oscillator) is used.
+    at the absorption resonance of the standard oscillator) is used.  A
+    check that fails numerically is recorded as a failed check in its place.
     """
     rng = np.random.default_rng(seed)
     reference_eps = 5 + 2.5j
@@ -322,16 +323,14 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     eps_orders = eps if abs(eps.imag) > 0.05 * abs(eps) else reference_eps
 
     checks: list[CheckResult] = []
-    numeric_failures: list[CheckResult] = []
 
     def run(fn, *args):
         try:
             result = fn(*args)
         except (QuadratureFailure, IllConditioned, SingularDenominator) as exc:
-            numeric_failures.append(CheckResult(
+            result = CheckResult(
                 name=fn.__name__, passed=False, measured=math.inf,
-                tolerance=0.0, detail=f"numeric failure: {exc}"))
-            return
+                tolerance=0.0, detail=f"numeric failure: {exc}")
         if isinstance(result, list):
             checks.extend(result)
         else:
@@ -350,8 +349,4 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     run(check_external_scaling, eps, radius, k0)
     run(check_green_restatement, eps, eps_ext, radius, k0)
     run(check_quadrature_convergence, eps_orders, k0)
-
-    if numeric_failures:
-        raise QuadratureFailure(
-            "; ".join(c.detail for c in numeric_failures))
     return VerificationReport(checks=tuple(checks))

@@ -159,8 +159,7 @@ def test_criterion_05_algebraic_identities(rng):
         radius, k0 = rng.uniform(0.5, 4.0), rng.uniform(0.5, 2.0)
         coeffs = ml.coeffs_two_layer(eps, 1.0, radius, k0)
         root_c1 = sqrt_eps(eps) * coeffs.c1
-        direct = rates.gamma_sc_loc(eps, 1.0, radius, k0,
-                                    check_identity=False)
+        direct = rates.gamma_sc_loc(eps, 1.0, radius, k0)
         alt = rates.gamma_sc_loc_from_bare(eps, root_c1.real,
                                            0.5 * root_c1.imag)
         worst_forms = max(worst_forms, abs(direct - alt))

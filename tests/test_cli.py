@@ -6,6 +6,7 @@ import pytest
 
 from cavrate import cli
 from cavrate import multilayer as ml
+from cavrate import oracle, rates
 from cavrate import verify as verify_mod
 from cavrate.errors import ConfigError, ExpansionRangeWarning, QuadratureFailure
 
@@ -101,6 +102,18 @@ class TestSweep:
         assert mid["naive_loc_hat"] \
             == pytest.approx(mid["onsager_factor"] * mid["gamma_hat"],
                              rel=1e-15)
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_every_row_satisfies_corrected_rate_identity(self, preset):
+        # the corrected cavity rate, taken straight from c1, against the
+        # form built from the bare rate and shift of the same row
+        for row in cli.run_sweep(cli.get_preset(preset)):
+            eps = complex(row["eps_re"], row["eps_im"])
+            direct = row["gamma_sc_loc_hat"]
+            alt = rates.gamma_sc_loc_from_bare(eps, row["gamma_sc_hat"],
+                                               row["delta_sc_hat"])
+            assert abs(direct - alt) <= 1e-12 * max(1.0, abs(direct),
+                                                   abs(alt)), row["omega"]
 
     def test_rows_ordered_and_complete(self):
         config = quick_config()
@@ -237,6 +250,14 @@ verify = false
         with pytest.raises(ConfigError, match="omega_min"):
             cli.load_config_file(str(path))
 
+    def test_bad_medium_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[medium]\ngamma = -1\n")
+        with pytest.raises(ConfigError, match="gamma"):
+            cli.load_config_file(str(path))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestVerifyBattery:
     def test_default_battery_passes(self):
@@ -257,6 +278,26 @@ class TestVerifyBattery:
         assert not report.all_passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "solver_matches_closed_forms" in failed
+
+    def test_numeric_failure_keeps_other_verdicts(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise QuadratureFailure("synthetic")
+
+        monkeypatch.setattr(oracle, "absorbed_power", boom)
+        report = verify_mod.run_battery(None)
+        oracle_checks = {"check_oracle_power", "check_energy_balance",
+                         "check_quadrature_convergence"}
+        failed = [c for c in report.checks if c.name in oracle_checks]
+        others = [c for c in report.checks if c.name not in oracle_checks]
+        assert {c.name for c in failed} == oracle_checks
+        assert not any(c.passed for c in failed)
+        assert all("synthetic" in c.detail for c in failed)
+        assert len(others) == 13
+        assert all(c.passed for c in others), "\n".join(report.lines())
+        assert cli.main(["verify"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 17
+        assert out[-1] == "16 checks, 3 failed"
 
     def test_lossless_config_battery_passes(self):
         from cavrate.dielectric import LorentzMedium

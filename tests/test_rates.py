@@ -222,8 +222,7 @@ class TestCavityRates:
             radius, k0 = rng.uniform(0.5, 4), rng.uniform(0.5, 2)
             coeffs = ml.coeffs_two_layer(eps, 1.0, radius, k0)
             root_c1 = sqrt_eps(eps) * coeffs.c1
-            direct = rates.gamma_sc_loc(eps, 1.0, radius, k0,
-                                        check_identity=False)
+            direct = rates.gamma_sc_loc(eps, 1.0, radius, k0)
             alt = rates.gamma_sc_loc_from_bare(eps, root_c1.real,
                                                0.5 * root_c1.imag)
             assert abs(direct - alt) <= 1e-12 * max(1.0, abs(direct))
@@ -395,6 +394,18 @@ class TestRateReport:
                       report.gamma_sc_loc_hat, report.gamma_loc_hat,
                       report.w_ext_hat, report.w_ext_loc_hat):
             assert math.isfinite(value)
+
+    def test_one_two_layer_solve_per_report(self, monkeypatch):
+        calls = []
+        true_fn = ml.coeffs_two_layer
+
+        def counted(*args):
+            calls.append(args)
+            return true_fn(*args)
+
+        monkeypatch.setattr(ml, "coeffs_two_layer", counted)
+        rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
+        assert len(calls) == 1
 
     def test_lossless_external_factor(self):
         report = rates.rate_report(5.0, 1.0, 2.0, 0.05, 0.05, 1.0)

@@ -117,7 +117,6 @@ def test_riccati_matches_finite_difference(kind, fn):
         fd = ((z + h) * base(z + h) - (z - h) * base(z - h)) / (2 * h)
         exact = fn(z)
         assert abs(exact - fd) <= 1e-6 * abs(exact)
-        assert sf.riccati_deriv(kind, z) == exact
 
 
 def test_riccati_j1_closed_form_identity(rng):
@@ -133,8 +132,6 @@ def test_domain_errors():
                sf.riccati_h1, sf.riccati_h2):
         with pytest.raises(DomainError):
             fn(0)
-    with pytest.raises(DomainError):
-        sf.riccati_deriv("h7", 1.0)
 
 
 def test_overflow_guard():
