@@ -21,6 +21,8 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import verify as verify_mod
 from .dielectric import LorentzMedium, eval_lorentz
 from .errors import (ConfigError, DomainError, ExpansionRangeWarning,
@@ -139,8 +141,9 @@ def get_preset(name: str) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def sweep_row(config: SweepConfig, omega: float) -> dict[str, float]:
-    """All reportable quantities at one frequency."""
+def sweep_row(config: SweepConfig, omega):
+    """All reportable quantities at one frequency, or as columns over an
+    array of frequencies."""
     perm = eval_lorentz(config.medium, omega)
     k0 = omega  # lengths in c/omega0, frequencies in omega0
     report = rate_report(perm.eps, config.eps_ext, config.sphere_radius,
@@ -170,21 +173,27 @@ def sweep_row(config: SweepConfig, omega: float) -> dict[str, float]:
 def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
     """One row per grid frequency, in increasing frequency order."""
     with warnings.catch_warnings():
-        # the config-level warning already covers the expansion range;
-        # do not repeat it for each of the grid points
+        # the config-level warning already covers the expansion range
         warnings.simplefilter("ignore", ExpansionRangeWarning)
-        return [sweep_row(config, omega) for omega in config.omega_grid()]
+        columns = sweep_row(config, np.array(config.omega_grid()))
+    values = [column.tolist() for column in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
+# every float is written with 17 significant digits, enough to round-trip
+_NUMBER_FORMAT = "%.17g"
 
 
 def format_value(value: float) -> str:
-    return format(float(value), ".17g")
+    return _NUMBER_FORMAT % value
 
 
 def write_csv(rows, config: SweepConfig, stream) -> None:
-    stream.write(",".join(config.columns) + "\n")
-    for row in rows:
-        stream.write(",".join(format_value(row[c]) for c in config.columns)
-                     + "\n")
+    columns = config.columns
+    stream.write(",".join(columns) + "\n")
+    template = ",".join([_NUMBER_FORMAT] * len(columns)) + "\n"
+    stream.writelines(template % tuple(map(row.__getitem__, columns))
+                      for row in rows)
 
 
 def write_json(rows, config: SweepConfig, stream) -> None:

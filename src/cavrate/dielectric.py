@@ -8,31 +8,27 @@ The complex refractive index is the principal square root of eps, which
 for passive media (Im eps >= 0) has a non-negative imaginary part.  That
 branch makes outgoing waves e^{ikr} decay, as they must in an absorbing
 medium.  Fractional powers eps^{3/2} and eps^{5/2} are built from the same
-root so frequency sweeps never jump across a branch cut.
+root so frequency sweeps never jump across a branch cut.  Permittivities
+and frequencies may be numpy arrays: a whole grid is evaluated at once.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
+from ._elementwise import elementwise, smallest
 from .errors import DomainError
 
 
-def sqrt_eps(eps: complex) -> complex:
+@elementwise(pole="square root branch undefined at eps = 0")
+def sqrt_eps(eps, m):
     """Complex refractive index: principal square root of eps.
 
     The real part is the refraction coefficient eta, the imaginary part
     the extinction coefficient kappa; (eta + i kappa)**2 reconstructs eps.
     For real positive eps the positive real root is returned.
     """
-    eps = complex(eps)
-    if eps == 0:
-        raise DomainError("square root branch undefined at eps = 0")
-    root = cmath.sqrt(eps)
-    # principal branch maps Im eps >= 0 to the first quadrant, except for
-    # the negative real axis where cmath already returns +i sqrt(|eps|)
-    return root
+    return m.sqrt(eps)
 
 
 def eta_kappa(eps: complex) -> tuple[float, float]:
@@ -43,13 +39,11 @@ def eta_kappa(eps: complex) -> tuple[float, float]:
 
 def eps_pow_3_2(eps: complex) -> complex:
     """eps^{3/2} through the passive square-root branch."""
-    eps = complex(eps)
     return eps * sqrt_eps(eps)
 
 
 def eps_pow_5_2(eps: complex) -> complex:
     """eps^{5/2} through the passive square-root branch."""
-    eps = complex(eps)
     return eps * eps * sqrt_eps(eps)
 
 
@@ -64,11 +58,11 @@ class ComplexPermittivity:
     @classmethod
     def from_eps(cls, eps: complex) -> "ComplexPermittivity":
         eta, kappa = eta_kappa(eps)
-        return cls(eps=complex(eps), eta=eta, kappa=kappa)
+        return cls(eps=eps, eta=eta, kappa=kappa)
 
     def wavenumber(self, k0: float) -> complex:
         """Complex wavenumber sqrt(eps) * k0."""
-        return complex(self.eta, self.kappa) * k0
+        return (self.eta + 1j * self.kappa) * k0
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,10 @@ def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
     """Oscillator permittivity at a (positive) frequency.
 
     Im eps is strictly positive for every omega > 0 whenever Omega > 0,
-    so the model is passive at all frequencies.
+    so the model is passive at all frequencies.  omega may be an array.
     """
-    if omega <= 0:
-        raise DomainError(f"omega = {omega:g} must be > 0")
+    if smallest(omega) <= 0:
+        raise DomainError(f"omega = {smallest(omega):g} must be > 0")
     den = medium.omega0 ** 2 - omega ** 2 - 1j * omega * medium.gamma
     eps = medium.eps_b + medium.Omega ** 2 / den
     return ComplexPermittivity.from_eps(eps)

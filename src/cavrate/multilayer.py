@@ -11,7 +11,8 @@ where the l = 1 scattered part collapses to c_1 j1(k_1 r) by regularity at
 the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
 interface.  Closed forms are provided for N = 2 and N = 3; any N is handled
-by a dense linear solve of the same continuity conditions.
+by a dense linear solve of the same continuity conditions.  The closed forms
+also take numpy arrays, one entry per frequency.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun as sf
+from ._elementwise import smallest
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -111,26 +113,27 @@ def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
 
     Parameters
     ----------
-    eps1, eps2 : complex
+    eps1, eps2 : complex or complex array
         Permittivity of the central sphere and of the surrounding medium.
     r1 : float
         Sphere radius.
-    k0 : float
-        Vacuum wavenumber omega/c.
+    k0 : float or float array
+        Vacuum wavenumber omega/c; arrays broadcast with eps1 and eps2.
 
     Returns
     -------
     WaveCoefficients with the central reflection amplitude c1 and the
     transmitted outgoing amplitude in the host.
     """
-    if r1 <= 0 or k0 <= 0:
+    if smallest(r1) <= 0 or smallest(k0) <= 0:
         raise DomainError("r1 and k0 must be positive")
     k1, k2 = _wavenumbers((eps1, eps2), k0)
     z1, z2 = k1 * r1, k2 * r1
     den = eps1 * sf.sph_j1(z1) * sf.riccati_h1(z2) \
         - eps2 * sf.sph_h1_1(z2) * sf.riccati_j1(z1)
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise SingularDenominator(f"two-layer determinant |D| = {abs(den):g}")
+    small = smallest(abs(den))
+    if small < _DENOMINATOR_FLOOR:
+        raise SingularDenominator(f"two-layer determinant |D| = {small:g}")
     c1 = (eps2 * sf.sph_h1_1(z2) * sf.riccati_h1(z1)
           - eps1 * sf.sph_h1_1(z1) * sf.riccati_h1(z2)) / den
     c2p = 1j * eps2 / (z1 * den)
@@ -169,16 +172,17 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     """Closed-form amplitudes for sphere / shell / host at radii r1 < r2."""
     if not 0 < r1 < r2:
         raise DomainError(f"need 0 < r1 < r2, got r1 = {r1:g}, r2 = {r2:g}")
-    if k0 <= 0:
+    if smallest(k0) <= 0:
         raise DomainError("k0 must be positive")
     k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)
     z11, z21, z22 = k1 * r1, k2 * r1, k2 * r2
     (a1, a2), (b1, b2) = three_layer_interface_terms(
         eps1, eps2, eps3, r1, r2, k0)
     den = a1 * b2 - a2 * b1
-    if abs(den) < _DENOMINATOR_FLOOR:
+    small = smallest(abs(den))
+    if small < _DENOMINATOR_FLOOR:
         raise SingularDenominator(
-            f"three-layer determinant |a1 b2 - a2 b1| = {abs(den):g}")
+            f"three-layer determinant |a1 b2 - a2 b1| = {small:g}")
     c1 = ((b2 * sf.sph_h1_1(z21) - b1 * sf.sph_h2_1(z21)) / den
           - sf.sph_h1_1(z11)) / sf.sph_j1(z11)
     c2p = b2 / den

@@ -11,11 +11,12 @@ spontaneous-emission rate.  Two local-field pictures appear throughout:
 
 The real-cavity results carry the correction factor |3 eps/(2 eps + 1)|**2
 plus absorption terms that survive even as r_c -> 0.
+
+The rate functions also take numpy arrays, one entry per frequency.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
+from ._elementwise import exp, largest, smallest
 from .dielectric import eps_pow_3_2, eps_pow_5_2, eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -34,24 +36,23 @@ _ONSAGER_POLE_TOL = 1e-12
 
 def lorentz_factor(eps: complex) -> float:
     """Virtual-cavity local-field factor |(eps + 2)/3|**2."""
-    eps = complex(eps)
     return abs((eps + 2) / 3) ** 2
 
 
 def onsager_factor(eps: complex) -> float:
     """Real-cavity local-field factor |3 eps/(2 eps + 1)|**2."""
-    eps = complex(eps)
     den = 2 * eps + 1
-    if abs(den) < _ONSAGER_POLE_TOL:
+    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
         raise DomainError("real-cavity factor has a pole at eps = -1/2")
     return abs(3 * eps / den) ** 2
 
 
 def _expansion_guard(k0: float, r_c: float, what: str) -> float:
     x = k0 * r_c
-    if x >= EXPANSION_LIMIT:
+    x_max = largest(x)
+    if x_max >= EXPANSION_LIMIT:
         warnings.warn(
-            f"{what}: k0*r_c = {x:.3g} is outside the small-cavity range "
+            f"{what}: k0*r_c = {x_max:.3g} is outside the small-cavity range "
             f"(< {EXPANSION_LIMIT:g}); omitted orders may reach percents",
             ExpansionRangeWarning, stacklevel=3)
     return x
@@ -59,14 +60,12 @@ def _expansion_guard(k0: float, r_c: float, what: str) -> float:
 
 def nonradiative_nearfield(eps: complex, k0: float, r_m: float) -> float:
     """Macroscopic near-field transfer rate, (3/2)(eps''/|eps|^2)(k0 r_m)^-3."""
-    eps = complex(eps)
     return 1.5 * eps.imag / abs(eps) ** 2 / (k0 * r_m) ** 3
 
 
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
-    eps = complex(eps)
     return eps.imag / abs(eps) ** 2 / (k0 * r_c) ** 3
 
 
@@ -76,7 +75,7 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    if r_m <= 0:
+    if smallest(r_m) <= 0:
         raise DomainError("r_m must be positive")
     eta, _ = eta_kappa(eps)
     return nonradiative_nearfield(eps, k0, r_m) + eta
@@ -88,13 +87,12 @@ def _power_beyond(eps: complex, k0: float, r: float) -> float:
     Equals the flux through the sphere of radius r, or equivalently the
     total power dissipated beyond r (flux out plus downstream absorption).
     """
-    eps = complex(eps)
     eta, kappa = eta_kappa(eps)
-    k = complex(eta, kappa) * k0
+    k = (eta + 1j * kappa) * k0
     x = k0 * r
-    envelope = abs((1 - 1j * k * r) * cmath.exp(1j * k * r)) ** 2
+    envelope = abs((1 - 1j * k * r) * exp(1j * k * r)) ** 2
     absorption = eps.imag / abs(eps) ** 2 * envelope / x ** 3
-    radiation = eta * math.exp(-2 * kappa * x)
+    radiation = eta * exp(-2 * kappa * x).real
     return absorption + radiation
 
 
@@ -104,7 +102,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    if r_c <= 0:
+    if smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
     return _power_beyond(eps, k0, r_c)
 
@@ -116,10 +114,9 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    if r_c <= 0:
+    if smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "w0_expanded")
-    eps = complex(eps)
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
         - (2 / 3) * (eta * eps.imag + kappa * eps.real)
@@ -133,10 +130,9 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    if r_c <= 0:
+    if smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "gamma0_loc")
-    eps = complex(eps)
     factor = onsager_factor(eps)
     eta, kappa = eta_kappa(eps)
     abs2 = abs(eps) ** 2
@@ -154,12 +150,11 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    if r_c <= 0:
+    if smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "p_eff_expansion")
-    eps = complex(eps)
     den = 2 * eps + 1
-    if abs(den) < _ONSAGER_POLE_TOL:
+    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
         raise DomainError("expansion has a pole at eps = -1/2")
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
     cubic = (2 / 3) * eps_pow_3_2(eps) * (eps - 1) / den
@@ -201,7 +196,6 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
     the infinite-medium rate, with the radiative rate replaced by the bare
     cavity rate and the extinction coefficient by twice the bare shift.
     """
-    eps = complex(eps)
     factor = onsager_factor(eps)
     den2 = abs(2 * eps + 1) ** 2
     correction = 2 * eps.imag / abs(eps) ** 2 * (
@@ -212,9 +206,8 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
 
 def _gamma_sc_loc_of_c1(eps: complex, c1: complex) -> float:
     """Re[9 eps^{5/2}/(2 eps + 1)**2 c1] for the bare-sphere amplitude c1."""
-    eps = complex(eps)
     den = 2 * eps + 1
-    if abs(den) < _ONSAGER_POLE_TOL:
+    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
         raise DomainError("local-field factor has a pole at eps = -1/2")
     return (9 * eps_pow_5_2(eps) / (den * den) * c1).real
 
@@ -239,9 +232,8 @@ def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
     minus an absorption correction; the two expressions are algebraically
     identical and are returned for verification.
     """
-    eps = complex(eps)
     den = 2 * eps + 1
-    if abs(den) < _ONSAGER_POLE_TOL:
+    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
         raise DomainError("identity has a pole at eps = -1/2")
     lhs = (9 * eps_pow_5_2(eps) / (den * den)).real
     eta, kappa = eta_kappa(eps)
@@ -307,7 +299,6 @@ def approx_rates(eps: complex, gamma_sc_hat: float, k0: float, r_c: float,
     corrections are small; 'intermediate' adds the near-field term, for
     cavity radii where nonradiative and radiative losses are comparable.
     """
-    eps = complex(eps)
     eta, _ = eta_kappa(eps)
     factor = onsager_factor(eps)
     if mode == "resonance":

@@ -3,12 +3,11 @@
 Only the closed forms needed by the electric-dipole problem are provided,
 together with d/dz [z f(z)] (the combination entering the tangential-field
 boundary conditions).  The j1 ratios j1(z)/z and [z j1(z)]'/z are continued
-analytically through z = 0.  All functions are pure and thread-safe.
+analytically through z = 0.  Every function takes a complex scalar or a
+numpy array of arguments.  All functions are pure and thread-safe.
 """
 
-import cmath
-
-from .errors import DomainError
+from ._elementwise import elementwise
 
 # e^{|Im z|} overflows double precision near |Im z| ~ 709.
 IM_GUARD = 700.0
@@ -22,15 +21,8 @@ _J1_OVER_Z = (1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
 _RICCATI_J1_OVER_Z = (2 / 3, -2 / 15, 1 / 140, -1 / 5670, 1 / 399168,
                       -1 / 43243200, 1 / 6671808000)
 
-
-def _check_hankel_arg(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
-        raise DomainError("Hankel functions have a pole at z = 0")
-    if abs(z.imag) > IM_GUARD:
-        raise OverflowError(
-            f"|Im z| = {abs(z.imag):g} exceeds the overflow guard {IM_GUARD:g}")
-    return z
+_hankel = elementwise(pole="Hankel functions have a pole at z = 0",
+                      im_limit=IM_GUARD)
 
 
 def _even_series(coeffs, z: complex) -> complex:
@@ -41,79 +33,67 @@ def _even_series(coeffs, z: complex) -> complex:
     return acc
 
 
-def sph_j0(z: complex) -> complex:
+@elementwise(lambda z: 1 - z * z / 6 * (1 - z * z / 20), 1e-4)
+def sph_j0(z, m):
     """j0(z) = sin(z)/z, with j0(0) = 1."""
-    z = complex(z)
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1 - z2 / 6 * (1 - z2 / 20)
-    return cmath.sin(z) / z
+    return m.sin(z) / z
 
 
-def sph_j1(z: complex) -> complex:
+@elementwise(lambda z: z * _even_series(_J1_OVER_Z, z), _SERIES_RADIUS)
+def sph_j1(z, m):
     """j1(z) = sin(z)/z**2 - cos(z)/z, with j1(0) = 0."""
-    z = complex(z)
-    if abs(z) < _SERIES_RADIUS:
-        return z * _even_series(_J1_OVER_Z, z)
-    return cmath.sin(z) / (z * z) - cmath.cos(z) / z
+    return m.sin(z) / (z * z) - m.cos(z) / z
 
 
-def j1_over_z(z: complex) -> complex:
+@elementwise(lambda z: _even_series(_J1_OVER_Z, z), _SERIES_RADIUS)
+def j1_over_z(z, m):
     """j1(z)/z, finite at the origin (limit 1/3)."""
-    z = complex(z)
-    if abs(z) < _SERIES_RADIUS:
-        return _even_series(_J1_OVER_Z, z)
     return sph_j1(z) / z
 
 
-def sph_h1_0(z: complex) -> complex:
+@_hankel
+def sph_h1_0(z, m):
     """h0(z) of the first kind: -i e^{iz}/z."""
-    z = _check_hankel_arg(z)
-    return -1j * cmath.exp(1j * z) / z
+    return -1j * m.exp(1j * z) / z
 
 
-def sph_h1_1(z: complex) -> complex:
+@_hankel
+def sph_h1_1(z, m):
     """h1(z) of the first kind: -(e^{iz}/z)(1 + i/z)."""
-    z = _check_hankel_arg(z)
-    return -(cmath.exp(1j * z) / z) * (1 + 1j / z)
+    return -(m.exp(1j * z) / z) * (1 + 1j / z)
 
 
-def sph_h2_0(z: complex) -> complex:
+@_hankel
+def sph_h2_0(z, m):
     """h0(z) of the second kind: +i e^{-iz}/z."""
-    z = _check_hankel_arg(z)
-    return 1j * cmath.exp(-1j * z) / z
+    return 1j * m.exp(-1j * z) / z
 
 
-def sph_h2_1(z: complex) -> complex:
+@_hankel
+def sph_h2_1(z, m):
     """h1(z) of the second kind: -(e^{-iz}/z)(1 - i/z)."""
-    z = _check_hankel_arg(z)
-    return -(cmath.exp(-1j * z) / z) * (1 - 1j / z)
+    return -(m.exp(-1j * z) / z) * (1 - 1j / z)
 
 
-def riccati_j1(z: complex) -> complex:
+@elementwise(lambda z: z * _even_series(_RICCATI_J1_OVER_Z, z), _SERIES_RADIUS)
+def riccati_j1(z, m):
     """d/dz [z j1(z)], evaluated in closed form (z j0(z) - j1(z))."""
-    z = complex(z)
-    if abs(z) < _SERIES_RADIUS:
-        return z * _even_series(_RICCATI_J1_OVER_Z, z)
-    return cmath.sin(z) - sph_j1(z)
+    return m.sin(z) - sph_j1(z)
 
 
-def riccati_j1_over_z(z: complex) -> complex:
+@elementwise(lambda z: _even_series(_RICCATI_J1_OVER_Z, z), _SERIES_RADIUS)
+def riccati_j1_over_z(z, m):
     """d/dz [z j1(z)] divided by z, finite at the origin (limit 2/3)."""
-    z = complex(z)
-    if abs(z) < _SERIES_RADIUS:
-        return _even_series(_RICCATI_J1_OVER_Z, z)
     return riccati_j1(z) / z
 
 
-def riccati_h1(z: complex) -> complex:
+@_hankel
+def riccati_h1(z, m):
     """d/dz [z h1^(1)(z)] = e^{iz} (-i + 1/z + i/z**2)."""
-    z = _check_hankel_arg(z)
-    return cmath.exp(1j * z) * (-1j + 1 / z + 1j / (z * z))
+    return m.exp(1j * z) * (-1j + 1 / z + 1j / (z * z))
 
 
-def riccati_h2(z: complex) -> complex:
+@_hankel
+def riccati_h2(z, m):
     """d/dz [z h1^(2)(z)] = e^{-iz} (i + 1/z - i/z**2)."""
-    z = _check_hankel_arg(z)
-    return cmath.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))
-
+    return m.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from cavrate import cli
 from cavrate import multilayer as ml
 from cavrate import oracle, rates
 from cavrate import verify as verify_mod
+from cavrate.dielectric import eval_lorentz
 from cavrate.errors import ConfigError, ExpansionRangeWarning, QuadratureFailure
 
 
@@ -15,6 +18,18 @@ def quick_config(**overrides):
     kwargs = {"omega_min": 0.5, "omega_max": 1.5, "omega_count": 5}
     kwargs.update(overrides)
     return cli.SweepConfig(**kwargs)
+
+
+def scalar_row(config, omega):
+    """One sweep row from scalar eval_lorentz and rate_report calls."""
+    perm = eval_lorentz(config.medium, omega)
+    report = rates.rate_report(perm.eps, config.eps_ext, config.sphere_radius,
+                               config.onsager_radius(omega),
+                               config.rm_radius(omega), omega)
+    return dict(vars(report), omega=omega, eps_re=perm.eps.real,
+                eps_im=perm.eps.imag, eta=perm.eta, kappa=perm.kappa,
+                gamma_hat=report.gamma_hat,
+                naive_loc_hat=report.onsager_factor * report.gamma_hat)
 
 
 class TestSweepConfig:
@@ -129,9 +144,26 @@ class TestSweep:
         cli.write_csv(cli.run_sweep(config), config, b)
         assert a.getvalue() == b.getvalue()
 
-    def test_refinement_keeps_existing_rows(self):
-        coarse = quick_config(omega_count=6)
-        fine = quick_config(omega_count=11)
+    @pytest.mark.parametrize("count", [601, 2401])
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_rows_match_the_scalar_route(self, preset, count):
+        # the array pass may differ from one rate_report per frequency in
+        # the last ulps only: FMA complex products and SIMD abs
+        config = replace(cli.get_preset(preset), omega_count=count)
+        rows = cli.run_sweep(config)
+        for row, omega in zip(rows, config.omega_grid(), strict=True):
+            assert all(type(v) is float for v in row.values())
+            ref = scalar_row(config, omega)
+            for c in cli.COLUMNS:
+                a, b = row[c], ref[c]
+                assert abs(a - b) <= 1e-13 * max(1, abs(a), abs(b)), (omega, c)
+
+    # the longer grids put the same frequencies in the vectorized body and
+    # in the remainder loop of numpy's SIMD kernels
+    @pytest.mark.parametrize("n_coarse,n_fine", [(6, 11), (601, 1201)])
+    def test_refinement_keeps_existing_rows(self, n_coarse, n_fine):
+        coarse = quick_config(omega_count=n_coarse)
+        fine = quick_config(omega_count=n_fine)
         a, b = io.StringIO(), io.StringIO()
         cli.write_csv(cli.run_sweep(coarse), coarse, a)
         cli.write_csv(cli.run_sweep(fine), fine, b)
@@ -159,6 +191,20 @@ class TestSweep:
 
     def test_csv_has_17_significant_digits(self):
         assert cli.format_value(1 / 3) == "0.33333333333333331"
+
+    @pytest.mark.parametrize("columns", [cli.COLUMNS, ("kappa",)])
+    def test_csv_rows_match_per_value_format(self, columns):
+        config = quick_config(omega_count=7, columns=columns)
+        rows = cli.run_sweep(config)
+        rows.append(dict.fromkeys(cli.COLUMNS, -0.0) | {
+            "omega": math.inf, "eps_re": math.nan, "eps_im": 1e-310,
+            "eta": 5e-324, "kappa": 1.7976931348623157e308})
+        out = io.StringIO()
+        cli.write_csv(rows, config, out)
+        expected = [",".join(columns)] + [
+            ",".join(format(float(row[c]), ".17g") for c in columns)
+            for row in rows]
+        assert out.getvalue() == "\n".join(expected) + "\n"
 
     def test_off_resonance_amplitude_scaling(self):
         # where absorption is negligible, the corrected cavity rate is the
@@ -348,6 +394,16 @@ class TestMain:
 
     def test_bad_config_file_is_config_error(self):
         assert cli.main(["sweep", "--config", "/nope.cfg"]) == 1
+
+    def test_overflowing_sphere_is_numeric_failure(self, tmp_path, capsys):
+        # near resonance |Im k R| passes the double range at R = 1400: the
+        # sweep must stop with exit 3 and write no row
+        path = tmp_path / "big.cfg"
+        path.write_text("[geometry]\nsphere_radius = 1400\n")
+        assert cli.main(["sweep", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "numeric failure" in captured.err
+        assert captured.out == ""
 
     def test_verify_failure_exit_code(self, monkeypatch):
         failing = verify_mod.VerificationReport(checks=(

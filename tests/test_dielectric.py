@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,3 +109,18 @@ def test_constant_medium_rejects_gain():
     with pytest.raises(DomainError):
         dl.constant_medium(2 - 0.1j)
     assert dl.constant_medium(2.0).eps == 2.0
+
+
+def test_arrays_follow_the_scalar_route():
+    medium = dl.LorentzMedium(eps_b=5.0, omega0=1.0, Omega=0.5, gamma=0.1)
+    omegas = np.array([0.2, 0.99, 1.0, 3.7])
+    perm = dl.eval_lorentz(medium, omegas)
+    for i, omega in enumerate(omegas.tolist()):
+        ref = dl.eval_lorentz(medium, omega)
+        assert abs(perm.eps[i] - ref.eps) <= 1e-15 * abs(ref.eps)
+        assert abs(perm.eta[i] - ref.eta) <= 1e-15 * ref.eta
+        assert abs(perm.kappa[i] - ref.kappa) <= 1e-15 * ref.eta
+    with pytest.raises(DomainError):
+        dl.eval_lorentz(medium, np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        dl.sqrt_eps(np.array([1.0, 0.0]))

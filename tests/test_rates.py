@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import mpref
 from cavrate import multilayer as ml
 from cavrate import oracle, rates
-from cavrate.errors import DomainError, ExpansionRangeWarning
+from cavrate.errors import (DomainError, ExpansionRangeWarning,
+                            SingularDenominator)
 from conftest import passive_eps_samples
 
 EPS_RES = 5 + 2.5j  # oscillator medium at its absorption resonance
@@ -406,6 +407,46 @@ class TestRateReport:
         monkeypatch.setattr(ml, "coeffs_two_layer", counted)
         rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
         assert len(calls) == 1
+
+    def test_scalar_report_holds_python_numbers(self):
+        report = rates.rate_report(EPS_RES, 1.0, 2.0, 0.2, 0.2, 1.0)
+        assert all(type(v) is float for v in vars(report).values())
+        coeffs = ml.coeffs_two_layer(EPS_RES, 1.0, 2.0, 1.0)
+        assert type(coeffs.c1) is complex
+        assert type(coeffs.c_outer) is complex
+
+    @pytest.mark.parametrize("fn,args", [
+        (rates.gamma0_macroscopic, (0.2,)), (rates.gamma0_loc, (0.2,)),
+        (rates.w0_cutoff, (0.2,)), (rates.w0_expanded, (0.2,)),
+        (rates.p_eff_expansion, (0.2,)),
+        (lambda e, k: rates.gamma_sc(e, 1.0, 2.0, k), ()),
+        (lambda e, k: rates.delta_sc(e, 1.0, 2.0, k), ()),
+        (lambda e, k: rates.gamma_sc_loc(e, 1.0, 2.0, k), ()),
+        (lambda e, k: ml.coeffs_three_layer(1.0, e, 1.0, 0.3, 2.0, k).c1, ()),
+        (lambda e, k: vars(rates.rate_report(e, 1.5, 2.0, 0.2, 0.3, k)), ()),
+    ])
+    def test_functions_take_frequency_arrays(self, fn, args):
+        eps = [EPS_RES, 2 + 0.1j, -1 + 3j, 4 + 0j]
+        k0 = [0.5, 1.0, 1.3, 2.0]
+        arrays = fn(np.array(eps), np.array(k0), *args)
+        for i, (e, k) in enumerate(zip(eps, k0)):
+            ref = fn(e, k, *args)
+            pairs = ([(arrays[f][i], ref[f]) for f in ref]
+                     if isinstance(ref, dict) else [(arrays[i], ref)])
+            for a, b in pairs:
+                assert abs(a - b) <= 1e-14 * max(1, abs(b))
+
+    def test_array_guards_reject_any_bad_element(self, monkeypatch):
+        eps = np.array([EPS_RES, EPS_RES])
+        with pytest.raises(DomainError):
+            rates.onsager_factor(np.array([1.0, -0.5]))
+        with pytest.raises(DomainError):
+            rates.gamma0_loc(eps, 1.0, np.array([0.1, 0.0]))
+        with pytest.raises(DomainError):
+            rates.rate_report(eps, 1.0, 2.0, 0.2, 0.2, np.array([1.0, -1.0]))
+        monkeypatch.setattr(ml, "_DENOMINATOR_FLOOR", 1e300)
+        with pytest.raises(SingularDenominator):
+            ml.coeffs_two_layer(eps, 1.0, 2.0, np.array([1.0, 1.1]))
 
     def test_lossless_external_factor(self):
         report = rates.rate_report(5.0, 1.0, 2.0, 0.05, 0.05, 1.0)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import mpref
@@ -141,3 +142,31 @@ def test_overflow_guard():
         sf.riccati_h2(1 - 800j)
     # just inside the guard still evaluates
     sf.sph_h2_1(1 - 699j)
+
+
+def test_arrays_follow_the_scalar_route():
+    # both sides of the series switch, the origin and a large argument
+    zs = np.array([0, 1e-5 + 1e-5j, 0.3 - 0.2j, 0.5, 1 + 0.5j, -1.5 + 1j,
+                   7 - 3j, 20 + 0.1j])
+    regular = (sf.sph_j0, sf.sph_j1, sf.j1_over_z, sf.riccati_j1,
+               sf.riccati_j1_over_z)
+    singular = (sf.sph_h1_0, sf.sph_h1_1, sf.sph_h2_0, sf.sph_h2_1,
+                sf.riccati_h1, sf.riccati_h2)
+    for fns, args in ((regular, zs), (singular, zs[1:])):
+        for fn in fns:
+            values = fn(args)
+            assert values.shape == args.shape
+            for z, value in zip(args, values):
+                ref = fn(complex(z))
+                assert abs(value - ref) <= 1e-14 * abs(ref), (fn, z)
+
+
+def test_array_guards_reject_any_bad_element():
+    with pytest.raises(DomainError):
+        sf.sph_h1_1(np.array([1.0, 0.0]))
+    with pytest.raises(OverflowError):
+        sf.riccati_h2(np.array([1.0, 1 - 800j]))
+    # the closed form of j1 leaves the double range as cmath does
+    for z in (1 + 800j, np.array([1.0, 1 + 800j])):
+        with pytest.raises(OverflowError):
+            sf.sph_j1(z)
