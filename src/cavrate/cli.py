@@ -92,8 +92,9 @@ class SweepConfig:
         if complex(self.eps_ext).imag < 0:
             raise ConfigError(f"eps_ext = {self.eps_ext} is not passive")
         unknown = [c for c in self.columns if c not in COLUMNS]
-        if unknown:
-            raise ConfigError(f"unknown output columns: {', '.join(unknown)}")
+        if unknown or not self.columns:
+            raise ConfigError(f"unknown output columns: {', '.join(unknown)}"
+                              if unknown else "no output columns selected")
 
     def omega_grid(self) -> list[float]:
         """Strictly increasing grid; refinement to 2n-1 points keeps the

@@ -14,7 +14,7 @@ class SingularDenominator(ArithmeticError):
 
 
 class IllConditioned(ArithmeticError):
-    """Boundary-condition linear solve produced an untrustworthy result."""
+    """The general-N layer recursion produced an untrustworthy result."""
 
 
 class QuadratureFailure(RuntimeError):

@@ -11,8 +11,9 @@ where the l = 1 scattered part collapses to c_1 j1(k_1 r) by regularity at
 the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
 interface.  Closed forms are provided for N = 2 and N = 3; any N is handled
-by a dense linear solve of the same continuity conditions.  The closed forms
-also take numpy arrays, one entry per frequency.
+by an O(N) recursion over the interfaces that imposes the same continuity
+conditions.  The closed forms also take numpy arrays, one entry per
+frequency.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
@@ -192,75 +193,73 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
 
 
 def coeffs_general_n(stack: LayerStack, k0: float) -> WaveCoefficients:
-    """Amplitudes for any layer count from the continuity conditions.
+    """Amplitudes for any layer count by an O(N) recursion over interfaces.
 
-    Assembles the 2(N-1)-dimensional complex linear system expressing
-    continuity of f and [r f(r)]'/eps at every interface, with the source
-    wave of the central layer on the right-hand side, and solves it with
-    partial pivoting.  The backward-error residual of the solve is stored
-    on the result and must stay below 1e-8.
+    Inward from rho_N = 0, matching f and [r f(r)]'/eps at each interface
+    gives rho_l = c_{l-}/c_{l+} of the layer inside, and finally c1; outward,
+    continuity gives each c_{l+}, and c_{l-} = rho_l c_{l+}.  The residual
+    |A c - b| / (|A| |c| + |b|) (infinity norms) of the 2(N-1) continuity
+    equations A c = b is stored and must stay below 1e-8.
     """
     if k0 <= 0:
         raise DomainError("k0 must be positive")
-    n_layers = stack.n_layers
     ks = _wavenumbers(stack.eps, k0)
-    n = 2 * (n_layers - 1)
-    mat = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-
-    def col(layer: int, incoming: bool) -> int:
-        # unknown order: c1, c2+, c2-, c3+, c3-, ..., cN+
-        if layer == 1:
-            return 0
-        return 1 + 2 * (layer - 2) + (1 if incoming else 0)
-
+    last = len(stack.radii) - 1
+    # per interface, each wave as (f, [z f]'/eps): the inner layer's lead
+    # wave a (h1; the source in layer 1) and wave b (h2; j1 in layer 1),
+    # the outer layer's h1 wave p and h2 wave q (none in the outermost)
+    waves = []
     for i, r in enumerate(stack.radii):
-        lin, lout = i + 1, i + 2
-        zin, zout = ks[lin - 1] * r, ks[lout - 1] * r
-        ein, eout = stack.eps[lin - 1], stack.eps[lout - 1]
-        row_f, row_d = 2 * i, 2 * i + 1
-        if lin == 1:
-            mat[row_f, 0] = sf.sph_j1(zin)
-            mat[row_d, 0] = sf.riccati_j1(zin) / ein
-            rhs[row_f] = -sf.sph_h1_1(zin)
-            rhs[row_d] = -sf.riccati_h1(zin) / ein
-        else:
-            mat[row_f, col(lin, False)] = sf.sph_h1_1(zin)
-            mat[row_f, col(lin, True)] = sf.sph_h2_1(zin)
-            mat[row_d, col(lin, False)] = sf.riccati_h1(zin) / ein
-            mat[row_d, col(lin, True)] = sf.riccati_h2(zin) / ein
-        mat[row_f, col(lout, False)] -= sf.sph_h1_1(zout)
-        mat[row_d, col(lout, False)] -= sf.riccati_h1(zout) / eout
-        if lout != n_layers:
-            mat[row_f, col(lout, True)] -= sf.sph_h2_1(zout)
-            mat[row_d, col(lout, True)] -= sf.riccati_h2(zout) / eout
+        zin, zout = ks[i] * r, ks[i + 1] * r
+        ein, eout = stack.eps[i:i + 2]
+        waves.append((
+            (sf.sph_h1_1(zin), sf.riccati_h1(zin) / ein),
+            (sf.sph_j1(zin), sf.riccati_j1(zin) / ein) if i == 0 else
+            (sf.sph_h2_1(zin), sf.riccati_h2(zin) / ein),
+            (sf.sph_h1_1(zout), sf.riccati_h1(zout) / eout),
+            (0j, 0j) if i == last else
+            (sf.sph_h2_1(zout), sf.riccati_h2(zout) / eout)))
 
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"boundary-condition solve failed: {exc}") from exc
+    # inward: the outer profile p + rho q per unit c_{l+} fixes the ratio
+    # of the inner layer's b to a amplitudes (its rho, and c1 last)
+    rho, ratios, profiles = 0j, [0j] * (last + 1), [None] * (last + 1)
+    for i in range(last, -1, -1):
+        (af, ad), (bf, bd), (pf, pd), (qf, qd) = waves[i]
+        f, d = profiles[i] = pf + rho * qf, pd + rho * qd
+        den = bf * d - bd * f
+        if abs(den) < _DENOMINATOR_FLOOR:
+            raise IllConditioned(f"recursion denominator |D| = {abs(den):g}")
+        rho = ratios[i] = (ad * f - af * d) / den
 
-    defect = mat @ sol - rhs
-    scale = np.linalg.norm(mat, np.inf) * np.linalg.norm(sol, np.inf) \
-        + np.linalg.norm(rhs, np.inf)
-    residual = float(np.linalg.norm(defect, np.inf) / scale) if scale else 0.0
+    # outward: continuity of the larger of f and [r f]'/eps gives c_{l+};
+    # the row defects and row sums of A c = b come along
+    cp, cm, c_plus, c_minus = 1 + 0j, ratios[0], [], []
+    defect = norm_a = 0.0
+    for i, ((af, ad), (bf, bd), (pf, pd), (qf, qd)) in enumerate(waves):
+        gf, gd = cp * af + cm * bf, cp * ad + cm * bd
+        f, d = profiles[i]
+        cp = gf / f if abs(f) >= abs(d) else gd / d
+        cm = ratios[i + 1] * cp if i < last else 0j
+        defect = max(defect, abs(gf - cp * pf - cm * qf),
+                     abs(gd - cp * pd - cm * qd))
+        # the source terms of the first interface belong to b, not A
+        norm_a = max(norm_a, (i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
+                     (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+        c_plus.append(cp)
+        c_minus.append(cm)
+
+    scale = norm_a * max(map(abs, (ratios[0], *c_plus, *c_minus))) \
+        + max(map(abs, waves[0][0]))
+    residual = defect / scale if scale else 0.0
     if residual > _RESIDUAL_LIMIT:
         raise IllConditioned(
-            f"solve residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-
-    c_plus = []
-    c_minus = []
-    for layer in range(2, n_layers):
-        c_plus.append(complex(sol[col(layer, False)]))
-        c_minus.append(complex(sol[col(layer, True)]))
-    c_plus.append(complex(sol[col(n_layers, False)]))
-    c_minus.append(0j)
-    return WaveCoefficients(c1=complex(sol[0]), c_plus=tuple(c_plus),
+            f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
+    return WaveCoefficients(c1=ratios[0], c_plus=tuple(c_plus),
                             c_minus=tuple(c_minus), residual=residual)
 
 
 def coefficients(stack: LayerStack, k0: float) -> WaveCoefficients:
-    """Amplitudes for a stack, closed forms for N = 2, 3 and solver beyond."""
+    """Amplitudes for a stack: closed forms for N = 2, 3, recursion beyond."""
     if stack.n_layers == 2:
         return coeffs_two_layer(stack.eps[0], stack.eps[1],
                                 stack.radii[0], k0)

@@ -1,9 +1,9 @@
 """Built-in invariant battery: runs every cross-check the library rests on.
 
 Each check compares an analytic expression against an independent route
-(numerical quadrature, a linear solve, an algebraic identity, a limit) and
-records the worst measured error against its tolerance.  The battery is
-deterministic: random samples come from a seeded generator.
+(numerical quadrature, the layer recursion, an algebraic identity, a limit)
+and records the worst measured error against its tolerance.  The battery
+is deterministic: random samples come from a seeded generator.
 """
 
 from __future__ import annotations

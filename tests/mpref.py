@@ -77,6 +77,44 @@ def three_layer(eps1, eps2, eps3, r1, r2, k0):
     return c1, b2 / den, -b1 / den, -I * eps3 / z22 * 2 / den, b1, b2
 
 
+def general_n(eps, radii, k0):
+    """(c1, [c_l+], [c_l-]) of any layered stack, l = 2..N.
+
+    Assembles the 2(N-1) continuity equations of f and [r f(r)]'/eps at
+    every interface as one dense system, unknowns ordered c1, c2+, c2-,
+    ..., cN+, with the source wave of the central layer on the right-hand
+    side, and solves it by LU decomposition.
+    """
+    eps = [to_mpc(e) for e in eps]
+    ks = [sqrt_eps(e) * k0 for e in eps]
+    n = 2 * (len(eps) - 1)
+    mat, rhs = mp.matrix(n, n), mp.matrix(n, 1)
+
+    def col(layer, incoming):
+        return 0 if layer == 1 else 2 * layer - 3 + incoming
+
+    for i, r in enumerate(radii):
+        zin, zout = ks[i] * r, ks[i + 1] * r
+        ein, eout = eps[i], eps[i + 1]
+        if i == 0:
+            mat[0, 0], mat[1, 0] = j1(zin), rj1(zin) / ein
+            rhs[0], rhs[1] = -h1_1(zin), -rh1(zin) / ein
+        else:
+            mat[2 * i, col(i + 1, 0)] = h1_1(zin)
+            mat[2 * i, col(i + 1, 1)] = h2_1(zin)
+            mat[2 * i + 1, col(i + 1, 0)] = rh1(zin) / ein
+            mat[2 * i + 1, col(i + 1, 1)] = rh2(zin) / ein
+        mat[2 * i, col(i + 2, 0)] = -h1_1(zout)
+        mat[2 * i + 1, col(i + 2, 0)] = -rh1(zout) / eout
+        if i + 2 < len(eps):
+            mat[2 * i, col(i + 2, 1)] = -h2_1(zout)
+            mat[2 * i + 1, col(i + 2, 1)] = -rh2(zout) / eout
+    sol = mp.lu_solve(mat, rhs)
+    c_plus = [sol[col(layer, 0)] for layer in range(2, len(eps) + 1)]
+    c_minus = [sol[col(layer, 1)] for layer in range(2, len(eps))] + [0]
+    return sol[0], c_plus, c_minus
+
+
 def onsager_factor(eps):
     eps = to_mpc(eps)
     return abs(3 * eps / (2 * eps + 1)) ** 2

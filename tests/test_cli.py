@@ -296,6 +296,20 @@ verify = false
         with pytest.raises(ConfigError, match="omega_min"):
             cli.load_config_file(str(path))
 
+    def test_empty_columns_are_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="no output columns"):
+            quick_config(columns=())
+        path = tmp_path / "empty.cfg"
+        path.write_text("[output]\ncolumns =\n")
+        with pytest.raises(ConfigError, match="no output columns"):
+            cli.load_config_file(str(path))
+        for args in (["--preset", "fig3", "--columns", ","],
+                     ["--config", str(path)]):
+            assert cli.main(["sweep", *args]) == 1
+            captured = capsys.readouterr()
+            assert "configuration error" in captured.err
+            assert captured.out == ""
+
     def test_bad_medium_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[medium]\ngamma = -1\n")

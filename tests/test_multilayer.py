@@ -6,11 +6,30 @@ import pytest
 import mpref
 from cavrate import multilayer as ml
 from cavrate import rates
-from cavrate.errors import DomainError
+from cavrate.errors import DomainError, IllConditioned
 
 
 def random_passive(rng, lo=0.5, hi=8.0, loss=4.0):
     return complex(rng.uniform(lo, hi), rng.uniform(0, loss))
+
+
+def graded_stack(n_layers, eps=5 + 2.5j, eps_ext=1.5 + 0.2j):
+    """Empty cavity, n_layers - 2 shells graded towards eps, then a host."""
+    grading = np.linspace(0.2, 1.0, n_layers - 2)
+    radii = np.linspace(0.1, 2.5, n_layers - 1)
+    return ml.LayerStack(radii, (1.0, *(1 + (eps - 1) * grading), eps_ext))
+
+
+def assert_continuous(stack, coeffs, k0, theta=0.7):
+    """Tangential E and B, the two continuity conditions, agree on both
+    sides of every interface."""
+    for i, radius in enumerate(stack.radii):
+        inner = ml.field_in_layer(stack, coeffs, radius, theta, k0,
+                                  layer=i + 1)
+        outer = ml.field_in_layer(stack, coeffs, radius, theta, k0,
+                                  layer=i + 2)
+        assert abs(inner[1] - outer[1]) <= 1e-10 * abs(inner[1])
+        assert abs(inner[2] - outer[2]) <= 1e-10 * abs(inner[2])
 
 
 def coeff_pairs(a: ml.WaveCoefficients, b: ml.WaveCoefficients):
@@ -170,6 +189,37 @@ class TestGeneralSolver:
             assert abs(cm) < 1e-11
         assert coeffs.residual < 1e-12
 
+    @pytest.mark.parametrize("n_layers, count", [(4, 3), (8, 3), (16, 3),
+                                                 (32, 1)])
+    def test_matches_dense_mp_solve(self, n_layers, count):
+        """The recursion against the 2(N-1) continuity system, solved
+        densely in 50-digit arithmetic."""
+        rng = np.random.default_rng(n_layers)
+        for _ in range(count):
+            eps = [random_passive(rng) for _ in range(n_layers)]
+            radii = np.sort(rng.uniform(0.05, 3.0, n_layers - 1))
+            k0 = rng.uniform(0.3, 2.5)
+            ours = ml.coeffs_general_n(ml.LayerStack(radii, eps), k0)
+            c1, c_plus, c_minus = mpref.general_n(eps, radii, k0)
+            got = np.array([ours.c1, *ours.c_plus, *ours.c_minus])
+            ref = np.array([complex(c) for c in (c1, *c_plus, *c_minus)])
+            assert np.max(abs(got - ref)) <= 1e-12 * np.max(abs(ref))
+
+    @pytest.mark.parametrize("n_layers", [8, 32])
+    def test_graded_stack_satisfies_continuity(self, n_layers):
+        stack, k0 = graded_stack(n_layers), 1.1
+        coeffs = ml.coeffs_general_n(stack, k0)
+        assert_continuous(stack, coeffs, k0)
+        amplitudes = (coeffs.c1, *coeffs.c_plus, *coeffs.c_minus)
+        assert all(type(c) is complex for c in amplitudes)
+
+    @pytest.mark.parametrize("guard, value", [("_RESIDUAL_LIMIT", 0.0),
+                                              ("_DENOMINATOR_FLOOR", math.inf)])
+    def test_guards_raise_ill_conditioned(self, monkeypatch, guard, value):
+        monkeypatch.setattr(ml, guard, value)
+        with pytest.raises(IllConditioned):
+            ml.coeffs_general_n(graded_stack(8), 1.1)
+
     def test_closed_forms_satisfy_continuity(self, rng):
         """Substituting the closed forms back into the boundary conditions."""
         for _ in range(10):
@@ -177,15 +227,7 @@ class TestGeneralSolver:
             r = (rng.uniform(0.1, 0.8), rng.uniform(1.0, 3.0))
             k0 = 1.0
             stack = ml.LayerStack(r, e)
-            coeffs = ml.coeffs_three_layer(*e, *r, k0)
-            for i, radius in enumerate(r):
-                inner = ml.field_in_layer(stack, coeffs, radius, 0.7, k0,
-                                          layer=i + 1)
-                outer = ml.field_in_layer(stack, coeffs, radius, 0.7, k0,
-                                          layer=i + 2)
-                # tangential E and B are the two continuity conditions
-                assert abs(inner[1] - outer[1]) <= 1e-10 * abs(inner[1])
-                assert abs(inner[2] - outer[2]) <= 1e-10 * abs(inner[2])
+            assert_continuous(stack, ml.coeffs_three_layer(*e, *r, k0), k0)
 
 
 class TestFields:
