@@ -73,11 +73,6 @@ class SweepConfig:
             raise ConfigError(
                 f"onsager_fraction = {self.onsager_fraction:g} must lie in "
                 f"(0, {_FRACTION_LIMIT:g})")
-        if self.onsager_fraction > _FRACTION_WARN:
-            warnings.warn(
-                f"onsager_fraction = {self.onsager_fraction:g} puts k0*R_c "
-                f"above 0.3; small-cavity expansions lose accuracy",
-                ExpansionRangeWarning, stacklevel=2)
         if self.lambda_reference not in ("transition", "resonance"):
             raise ConfigError(
                 f"lambda_reference = {self.lambda_reference!r} must be "
@@ -95,6 +90,12 @@ class SweepConfig:
         if unknown or not self.columns:
             raise ConfigError(f"unknown output columns: {', '.join(unknown)}"
                               if unknown else "no output columns selected")
+        if self.onsager_fraction > _FRACTION_WARN:
+            # past the generated __init__ (or build_config) to its caller
+            warnings.warn(
+                f"onsager_fraction = {self.onsager_fraction:g} puts k0*R_c "
+                f"above 0.3; small-cavity expansions lose accuracy",
+                ExpansionRangeWarning, stacklevel=3)
 
     def omega_grid(self) -> list[float]:
         """Strictly increasing grid; refinement to 2n-1 points keeps the
@@ -198,9 +199,19 @@ def write_csv(rows, config: SweepConfig, stream) -> None:
 
 
 def write_json(rows, config: SweepConfig, stream) -> None:
-    data = [{c: row[c] for c in config.columns} for row in rows]
-    json.dump(data, stream, indent=1)
-    stream.write("\n")
+    """Write the bytes of json.dump(rows, indent=1) and a newline."""
+    columns = config.columns
+    members = ",\n".join(f"  {json.dumps(c)}: %s" for c in columns)
+    template = "%s {\n" + members + "\n }"
+    separator = "[\n"
+    for row in rows:
+        values = map(float.__repr__, map(row.__getitem__, columns))
+        text = template % (separator, *values)
+        # repr writes the non-finite floats nan, inf, -inf; json NaN, Infinity
+        stream.write(text.replace(": nan", ": NaN").replace(
+            ": inf", ": Infinity").replace(": -inf", ": -Infinity"))
+        separator = ",\n"
+    stream.write("\n]\n" if rows else "[]\n")
 
 
 def _parse_columns(text: str):
@@ -272,19 +283,20 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
 
 
 def build_config(args) -> SweepConfig:
-    base = None
-    if args.preset:
-        base = get_preset(args.preset)
-    if args.config:
-        base = load_config_file(args.config, base)
-    if base is None:
-        base = SweepConfig()
-    overrides = {}
-    if getattr(args, "columns", None):
-        overrides["columns"] = _parse_columns(args.columns)
-    if getattr(args, "verify", False):
-        overrides["verify"] = True
-    return replace(base, **overrides) if overrides else base
+    # build quietly, then validate the final configuration with its warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExpansionRangeWarning)
+        base = get_preset(args.preset) if args.preset else SweepConfig()
+        if args.config:
+            base = load_config_file(args.config, base)
+        overrides = {}
+        if getattr(args, "columns", None):
+            overrides["columns"] = _parse_columns(args.columns)
+        if getattr(args, "verify", False):
+            overrides["verify"] = True
+        config = replace(base, **overrides) if overrides else base
+    config.__post_init__()
+    return config
 
 
 def _emit(rows, config, out_path) -> None:

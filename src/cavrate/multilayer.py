@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import smallest
+from ._elementwise import largest, smallest
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -288,22 +288,25 @@ def _radial_profile(stack, coeffs, layer, z, include_source):
     return f, df
 
 
-def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r: float,
+def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
                    theta, k0: float, include_source: bool = True,
                    layer: int | None = None):
     """Dipole field at (r, theta): spherical components (E_r, E_theta, B_phi).
 
-    theta may be a numpy array; the components then share its shape.  In the
+    r and theta may be numpy arrays; the components then take their
+    broadcast shape, and all radii must lie inside one layer.  In the
     central layer the source wave is included unless include_source is
     False (useful for isolating the scattered field near the origin, where
     the j1-based part stays finite).  layer overrides the automatic layer
     lookup, which lets both sides of an interface be evaluated at exactly
     the same radius.
     """
-    if r <= 0:
+    if smallest(r) <= 0:
         raise DomainError("r must be positive (use field_center_limit at 0)")
     if layer is None:
-        layer = stack.layer_at(r)
+        layer = stack.layer_at(smallest(r))
+        if stack.layer_at(largest(r)) != layer:
+            raise DomainError("radii span an interface")
     elif not 1 <= layer <= stack.n_layers:
         raise DomainError(f"layer {layer} outside 1..{stack.n_layers}")
     eps1 = stack.eps[0]
@@ -344,8 +347,8 @@ def homogeneous_field(eps: complex, k0: float):
     coeffs = WaveCoefficients(c1=0j, c_plus=(1 + 0j,), c_minus=(0j,))
 
     def fields(r, theta):
-        layer = 2 if r >= 1.0 else 1
-        return field_in_layer(stack, coeffs, r, theta, k0, layer=layer)
+        # layer 2 (h1) gives the bits of layer 1 (0 j1 + h1) at any radius
+        return field_in_layer(stack, coeffs, r, theta, k0, layer=2)
 
     return fields
 

@@ -8,8 +8,9 @@ ohmic dissipation omega eps''/(8 pi) |E|**2 over shells.
 The configuration is axisymmetric, so the azimuthal integral is the exact
 factor 2 pi, and the polar integrand is a low-degree polynomial in
 cos(theta), which fixed-order Gauss-Legendre integrates exactly.  Only the
-radial integration is adaptive.  Results are in units of the free-space
-radiated power W_free = c k0**4 / 3 of the unit dipole.
+radial integration is adaptive, with one field call per bisection level
+on the 16- and 32-node rules of every open panel.  Results are in units
+of the free-space radiated power W_free = c k0**4 / 3 of the unit dipole.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ from .errors import DomainError, QuadratureFailure
 _GAUSS_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 _GL_THETA = np.arccos(_GL_NODES)
+# radial panels: the 16-node rule's nodes and weights, then the 32-node rule's
+_PANEL_NODES, _PANEL_WEIGHTS = map(np.concatenate, zip(
+    np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(32)))
+# more open panels at one level than this: the integral does not converge
+_MAX_OPEN_PANELS = 512
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of the adaptive radial integration."""
+    """Radial integration tolerances; max_depth counts bisection levels."""
 
     rel_tol: float = 1e-10
     max_depth: int = 30
@@ -39,32 +45,37 @@ class QuadratureSpec:
             raise DomainError(f"max_depth = {self.max_depth} must be >= 1")
 
 
-def _adaptive_simpson(fn, a: float, b: float, quad: QuadratureSpec) -> float:
-    """Adaptive Simpson integration of a real scalar function on [a, b]."""
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    # absolute budget anchored to the coarse estimate of the whole integral
-    budget = quad.rel_tol * max(abs(whole), 1e-300)
+def _adaptive_gauss(fn, a: float, b: float, quad: QuadratureSpec) -> float:
+    """Breadth-first adaptive Gauss-Legendre integral of fn on [a, b].
 
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
-        err = left + right - whole
-        if abs(err) <= 15 * tol:
-            return left + right + err / 15
-        if depth >= quad.max_depth:
+    fn maps a 1-d array of points to the integrand's values.  A panel is
+    accepted when its 16- and 32-node rules differ by at most its width's
+    share of rel_tol * |G32 over [a, b]|, and then adds its G32.
+    """
+    lo, half = np.array([a]), 0.5 * (b - a)
+    total = 0.0
+    for depth in range(1, quad.max_depth + 1):
+        nodes = (lo + half)[:, None] + half * _PANEL_NODES
+        values = half * fn(nodes.ravel()).reshape(nodes.shape)
+        g16 = values[:, :16] @ _PANEL_WEIGHTS[:16]
+        g32 = values[:, 16:] @ _PANEL_WEIGHTS[16:]
+        if depth == 1:
+            # absolute budget anchored to the estimate of the whole integral
+            budget = quad.rel_tol * max(abs(g32[0]), 1e-300)
+        err = abs(g32 - g16)
+        done = err <= budget
+        total += float(g32[done].sum())
+        if done.all():
+            return total
+        if depth == quad.max_depth or 2 * (~done).sum() > _MAX_OPEN_PANELS:
+            worst = int(np.argmax(err))
             raise QuadratureFailure(
-                f"radial integral not converged on [{a:g}, {b:g}] at depth "
-                f"{depth} (local error {abs(err):.3e}, budget {tol:.3e})")
-        return (recurse(a, fa, lm, flm, m, fm, left, tol / 2, depth + 1)
-                + recurse(m, fm, rm, frm, b, fb, right, tol / 2, depth + 1))
-
-    return recurse(a, fa, m, fm, b, fb, whole, budget, 1)
+                f"radial integral not converged on [{lo[worst]:g}, "
+                f"{lo[worst] + 2 * half:g}] at depth {depth} (local error "
+                f"{err[worst]:.3e}, budget {budget:.3e})")
+        # every panel of a level has the same width, hence the same share
+        budget, half = 0.5 * budget, 0.5 * half
+        lo = np.concatenate([lo[~done], lo[~done] + 2 * half])
 
 
 def flux_through_sphere(fields, r: float, k0: float) -> float:
@@ -88,7 +99,8 @@ def absorbed_power(fields, r_inner: float, r_outer: float, eps_local: complex,
     """Power absorbed in the shell r_inner <= r <= r_outer, units of W_free.
 
     Integrates omega eps''/(8 pi) |E|**2 over the shell volume; the shell
-    must lie inside a single layer so eps_local is constant on it.
+    must lie inside a single layer so eps_local is constant on it.  fields
+    gets radii as an (n, 1) array and returns (n, len(theta)) components.
     """
     if not 0 < r_inner <= r_outer:
         raise DomainError("need 0 < r_inner <= r_outer")
@@ -101,11 +113,11 @@ def absorbed_power(fields, r_inner: float, r_outer: float, eps_local: complex,
         quad = QuadratureSpec()
 
     def shell_density(r):
-        e_r, e_theta, _ = fields(r, _GL_THETA)
+        e_r, e_theta, _ = fields(r[:, None], _GL_THETA)
         mag = (e_r * np.conj(e_r)).real + (e_theta * np.conj(e_theta)).real
-        return r * r * float(np.dot(_GL_WEIGHTS, mag))
+        return r * r * (mag @ _GL_WEIGHTS)
 
-    integral = _adaptive_simpson(shell_density, r_inner, r_outer, quad)
+    integral = _adaptive_gauss(shell_density, r_inner, r_outer, quad)
     # omega eps''/(8 pi) times the 2 pi azimuthal factor, with omega = c k0
     power = k0 * eps_local.imag / 4 * integral
     return power / (k0 ** 4 / 3)

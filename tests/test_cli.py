@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cavrate import cli
@@ -63,8 +64,9 @@ class TestSweepConfig:
             quick_config(**kwargs)
 
     def test_fraction_warning(self):
-        with pytest.warns(ExpansionRangeWarning):
+        with pytest.warns(ExpansionRangeWarning) as record:
             quick_config(onsager_fraction=0.1)
+        assert [w.filename for w in record] == [__file__]  # the caller
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             quick_config(onsager_fraction=0.04)
@@ -188,6 +190,25 @@ class TestSweep:
         assert len(back) == 3
         assert back[1]["omega"] == rows[1]["omega"]
         assert list(back[0]) == list(cli.COLUMNS)
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", None])
+    def test_json_bytes_match_json_dump(self, preset):
+        config = cli.get_preset(preset) if preset else quick_config()
+        rows = cli.run_sweep(config)
+        if preset is None:
+            rows[1].update(gamma0_hat=math.nan, eta=math.inf,
+                           kappa=-math.inf)
+        out, expected = io.StringIO(), io.StringIO()
+        cli.write_json(rows, config, out)
+        json.dump(rows, expected, indent=1)
+        assert out.getvalue() == expected.getvalue() + "\n"
+        for columns in (("omega",), ("kappa", "eta")):
+            config = replace(config, columns=columns)
+            out, expected = io.StringIO(), io.StringIO()
+            cli.write_json(rows, config, out)
+            json.dump([{c: row[c] for c in columns} for row in rows],
+                      expected, indent=1)
+            assert out.getvalue() == expected.getvalue() + "\n"
 
     def test_csv_has_17_significant_digits(self):
         assert cli.format_value(1 / 3) == "0.33333333333333331"
@@ -359,6 +380,43 @@ class TestVerifyBattery:
         assert len(out) == 17
         assert out[-1] == "16 checks, 3 failed"
 
+    @pytest.mark.parametrize("preset, seed", [("fig4", 1943366698),
+                                              ("fig3", 1799009648)])
+    def test_battery_passes_on_rounding_limited_seeds(self, preset, seed):
+        # each draws a Hankel sample at |z| < 0.015, where the identities
+        # cancel terms 1/|z|**3 larger than their result
+        report = verify_mod.run_battery(cli.get_preset(preset), seed)
+        assert report.all_passed, "\n".join(report.lines())
+
+    def test_hankel_identities_hold_on_the_sampling_bound(self):
+        class RingDraws:
+            """Stands in for the generator: (re, im) pairs on |z| = 0.05."""
+            def __init__(self, points):
+                self.draws = iter(np.ravel([(z.real, z.imag) for z in points]))
+
+            def uniform(self, low, high):
+                return next(self.draws)
+
+        ring = 0.05 * (1 + 1e-9) * np.exp(2j * np.pi * np.arange(400) / 400)
+        assert np.all(abs(ring) > 0.05)
+        for points in np.split(ring, 4):  # the check draws 100 samples
+            for result in verify_mod.check_specfun_identities(
+                    RingDraws(points)):
+                assert result.measured <= 1e-11, result.line()
+
+    @pytest.mark.parametrize("check", [verify_mod.check_cutoff_free_identity,
+                                       verify_mod.check_cavity_rate_forms])
+    @pytest.mark.parametrize("seed", [0, 1, 20260810])
+    def test_batched_checks_take_the_per_sample_draws(self, check, seed):
+        batched, looped = (np.random.default_rng(seed) for _ in range(2))
+        assert check(batched).passed
+        # the draws of the per-sample loop: every eps, then radius and k0
+        for _ in verify_mod._sample_passive_eps(looped, 500):
+            if check is verify_mod.check_cavity_rate_forms:
+                looped.uniform(0.5, 4.0), looped.uniform(0.5, 2.0)
+        assert batched.bit_generator.state == looped.bit_generator.state
+        assert batched.random() == looped.random()
+
     def test_lossless_config_battery_passes(self):
         from cavrate.dielectric import LorentzMedium
         config = quick_config(
@@ -418,6 +476,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert "numeric failure" in captured.err
         assert captured.out == ""
+
+    def test_config_warning_only_for_a_valid_config(self, capsys):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--preset", "fig3",
+                             "--columns", ","]) == 1
+            assert record == []
+            assert capsys.readouterr().err == \
+                "configuration error: no output columns selected\n"
+            assert cli.main(["sweep", "--preset", "fig3",
+                             "--columns", "omega"]) == 0
+        assert [w.category for w in record] == [ExpansionRangeWarning]
+        assert record[0].filename == cli.__file__
 
     def test_verify_failure_exit_code(self, monkeypatch):
         failing = verify_mod.VerificationReport(checks=(

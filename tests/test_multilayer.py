@@ -285,6 +285,46 @@ class TestFields:
         e_r, e_theta, b_phi = ml.field_in_layer(stack, coeffs, 0.5, theta, 1.0)
         assert e_r.shape == e_theta.shape == b_phi.shape == theta.shape
 
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_radius_arrays_follow_the_scalar_route(self, layer):
+        stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.5 + 0.5j))
+        k0 = 1.1
+        coeffs = ml.coefficients(stack, k0)
+        lo, hi = ((0.05, 0.59), (0.61, 1.99), (2.01, 6.0))[layer - 1]
+        r = np.linspace(lo, hi, 9)
+        theta = np.linspace(0.1, 3.0, 5)
+        arrays = ml.field_in_layer(stack, coeffs, r[:, None], theta, k0)
+        for i, ri in enumerate(r):
+            scalar = ml.field_in_layer(stack, coeffs, float(ri), theta, k0)
+            for x, y in zip(arrays, scalar):
+                assert x.shape == (9, 5)
+                assert np.all(abs(x[i] - y) <= 1e-14 * abs(y))
+
+    def test_homogeneous_field_keeps_the_inner_layer_bits(self):
+        eps, k0 = 5 + 2.5j, 1.0
+        stack = ml.LayerStack((1.0,), (eps, eps))
+        coeffs = ml.WaveCoefficients(c1=0j, c_plus=(1 + 0j,), c_minus=(0j,))
+        free = ml.homogeneous_field(eps, k0)
+        theta = np.array([0.4, 1.2])
+        r = np.linspace(0.2, 3.0, 15)
+        for ri in r[r < 1.0]:
+            inner = ml.field_in_layer(stack, coeffs, ri, theta, k0, layer=1)
+            for x, y in zip(free(ri, theta), inner):
+                assert np.array_equal(x, y)
+        # one array call may cross the stand-in interface at r = 1
+        for i, column in enumerate(zip(*free(r[:, None], theta))):
+            for x, y in zip(column, free(float(r[i]), theta)):
+                assert np.all(abs(x - y) <= 1e-14 * abs(y))
+
+    def test_radius_arrays_must_stay_in_one_layer(self):
+        stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))
+        coeffs = ml.coefficients(stack, 1.0)
+        with pytest.raises(DomainError, match="span an interface"):
+            ml.field_in_layer(stack, coeffs, np.array([0.5, 0.7]), 0.3, 1.0)
+        for bad in ([0.0, 0.3], [0.3, -0.1]):
+            with pytest.raises(DomainError, match="positive"):
+                ml.field_in_layer(stack, coeffs, np.array(bad), 0.3, 1.0)
+
 
 def test_overflow_guard_propagates():
     with pytest.raises(OverflowError):

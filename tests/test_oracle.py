@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavrate import multilayer as ml
-from cavrate import oracle, rates
+from cavrate import oracle, rates, verify
 from cavrate.errors import DomainError, QuadratureFailure
 
 
@@ -41,6 +41,39 @@ def test_absorbed_matches_analytic_difference():
     got = oracle.absorbed_power(fields, 0.5, 1.5, eps, k0)
     expected = rates.w0_cutoff(eps, k0, 0.5) - rates.w0_cutoff(eps, k0, 1.5)
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("r_inner, r_outer", [
+    (0.5, 1.5), (0.3, 3.0), (0.05, 5.0), (0.3, 10.0), (0.5, 2.0)])
+def test_absorbed_matches_analytic_difference_on_wide_shells(r_inner,
+                                                             r_outer):
+    eps, k0 = 5 + 2.5j, 1.0
+    fields = ml.homogeneous_field(eps, k0)
+    got = oracle.absorbed_power(fields, r_inner, r_outer, eps, k0)
+    expected = rates.w0_cutoff(eps, k0, r_inner) \
+        - rates.w0_cutoff(eps, k0, r_outer)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def counting(fields, calls):
+    """fields, recording the shape of the radii of every call."""
+    def counted(r, theta):
+        calls.append(np.shape(r))
+        return fields(r, theta)
+    return counted
+
+
+@pytest.mark.parametrize("max_depth", [30, 12])
+def test_one_field_call_per_bisection_level(max_depth):
+    eps, k0 = 5 + 2.5j, 1.0
+    spec = oracle.QuadratureSpec(max_depth=max_depth)
+    for shell in ((0.05, 5.0), (0.3, 10.0), (1.0, 1.0002)):
+        calls = []
+        oracle.absorbed_power(counting(ml.homogeneous_field(eps, k0), calls),
+                              *shell, eps, k0, spec)
+        assert 1 <= len(calls) <= max_depth
+        # every call holds whole panels of 16 + 32 radii
+        assert all(s[0] % 48 == 0 and s[1:] == (1,) for s in calls)
 
 
 def test_dipole_pattern_is_sin_squared():
@@ -119,8 +152,23 @@ def test_tighter_tolerance_changes_nothing():
     spec = oracle.QuadratureSpec()
     a = oracle.absorbed_power(fields, 0.5, 2.0, eps, k0, spec)
     tight = oracle.QuadratureSpec(rel_tol=spec.rel_tol / 16, max_depth=36)
-    b = oracle.absorbed_power(fields, 0.5, 2.0, eps, k0, tight)
-    assert abs(a - b) <= spec.rel_tol * abs(b)
+    # no bisection of [0.5, 2] reaches 1, so b shares no panel with a
+    b = (oracle.absorbed_power(fields, 0.5, 1.0, eps, k0, tight)
+         + oracle.absorbed_power(fields, 1.0, 2.0, eps, k0, tight))
+    assert 0 < abs(a - b) <= spec.rel_tol * abs(b)
+
+
+def test_convergence_check_sees_an_unconverged_rule(monkeypatch):
+    # one 4-node panel per integral; a reference on the same panels agrees
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+
+    def coarse(fn, a, b, quad):
+        half = 0.5 * (b - a)
+        return half * float(fn(a + half + half * nodes) @ weights)
+
+    monkeypatch.setattr(oracle, "_adaptive_gauss", coarse)
+    result = verify.check_quadrature_convergence(5 + 2.5j, 1.0)
+    assert not result.passed and result.measured > 1e3 * result.tolerance
 
 
 def test_quadrature_failure_reported():
@@ -129,6 +177,27 @@ def test_quadrature_failure_reported():
     starving = oracle.QuadratureSpec(rel_tol=1e-13, max_depth=2)
     with pytest.raises(QuadratureFailure):
         oracle.absorbed_power(fields, 0.05, 5.0, eps, k0, starving)
+
+
+def nan_fields(r, theta):
+    nan = np.full(np.broadcast(r, theta).shape, complex(math.nan, math.nan))
+    return nan, nan, nan
+
+
+@pytest.mark.parametrize("fields, shell, rel_tol", [
+    (ml.homogeneous_field(5 + 2.5j, 1.0), (0.05, 5.0), 1e-17),  # below
+    (ml.homogeneous_field(5 + 2.5j, 1.0), (0.3, 3.0), 1e-17),   # rounding
+    (nan_fields, (0.5, 2.0), 1e-10)])
+def test_unconverging_integral_fails_within_bounded_work(fields, shell,
+                                                         rel_tol):
+    spec = oracle.QuadratureSpec(rel_tol=rel_tol)
+    calls = []
+    with pytest.raises(QuadratureFailure):
+        oracle.absorbed_power(counting(fields, calls), *shell, 5 + 2.5j, 1.0,
+                              spec)
+    # no level evaluates more panels than the limit, nor runs past max_depth
+    assert max(n for n, _ in calls) <= 48 * oracle._MAX_OPEN_PANELS
+    assert len(calls) <= spec.max_depth
 
 
 def test_shell_validation():

@@ -72,6 +72,20 @@ def test_hankel_against_mp_reference(rng):
             assert abs(ours(z) - ref) <= 1e-13 * abs(ref)
 
 
+def test_small_arguments_against_mp_reference(rng):
+    """1e-3 <= |z| < 0.05, where the Hankel identities cancel 1/|z|**3."""
+    radius = np.exp(rng.uniform(np.log(1e-3), np.log(0.05), 200))
+    z = radius * np.exp(1j * rng.uniform(0, 2 * math.pi, 200))
+    for ours, theirs in ((sf.sph_j1, mpref.j1), (sf.sph_h1_1, mpref.h1_1),
+                         (sf.sph_h2_1, mpref.h2_1), (sf.riccati_j1, mpref.rj1),
+                         (sf.riccati_h1, mpref.rh1),
+                         (sf.riccati_h2, mpref.rh2)):
+        ref = np.array([complex(theirs(mpref.to_mpc(x))) for x in z])
+        scalar = np.array([ours(complex(x)) for x in z])
+        assert np.all(abs(scalar - ref) <= 1e-13 * abs(ref)), ours.__name__
+        assert np.all(abs(ours(z) - ref) <= 1e-13 * abs(ref)), ours.__name__
+
+
 def test_second_kind_is_conjugate_for_real_argument():
     for z in (0.3, 1.0, 2.7, 11.0):
         assert sf.sph_h2_1(z) == pytest.approx(sf.sph_h1_1(z).conjugate(),
