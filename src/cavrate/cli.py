@@ -26,7 +26,7 @@ import numpy as np
 from . import verify as verify_mod
 from .dielectric import LorentzMedium, eval_lorentz
 from .errors import (ConfigError, DomainError, ExpansionRangeWarning,
-                     IllConditioned, QuadratureFailure, SingularDenominator)
+                     QuadratureFailure)
 from .rates import rate_report
 
 COLUMNS = (
@@ -354,8 +354,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureFailure, IllConditioned, SingularDenominator,
-            ArithmeticError) as exc:
+    except (QuadratureFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

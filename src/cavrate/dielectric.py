@@ -104,10 +104,3 @@ def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
     eps = medium.eps_b + medium.Omega ** 2 / den
     return ComplexPermittivity.from_eps(eps)
 
-
-def constant_medium(eps: complex) -> ComplexPermittivity:
-    """Frequency-independent permittivity (must be passive: Im eps >= 0)."""
-    eps = complex(eps)
-    if eps.imag < 0:
-        raise DomainError(f"eps = {eps} is not passive (Im eps < 0)")
-    return ComplexPermittivity.from_eps(eps)

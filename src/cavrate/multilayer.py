@@ -10,22 +10,23 @@ profile built from order-1 spherical waves,
 where the l = 1 scattered part collapses to c_1 j1(k_1 r) by regularity at
 the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
-interface.  Closed forms are provided for N = 2 and N = 3; any N is handled
-by an O(N) recursion over the interfaces that imposes the same continuity
-conditions.  The closed forms also take numpy arrays, one entry per
-frequency.
+interface.  One O(N) recursion over the interfaces, on scaled waves that
+stay finite in thick absorbing layers, gives them for any N and takes numpy
+arrays, one entry per frequency.  The closed forms for N = 2 and N = 3 are
+the independent route it is checked against.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import largest, smallest
+from ._elementwise import exp, largest, smallest
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -78,7 +79,9 @@ class WaveCoefficients:
     c1 is the amplitude of the regular (j1) wave reflected back into the
     central layer; c_plus/c_minus hold the outgoing/incoming amplitudes for
     layers 2..N.  The last incoming amplitude is identically zero (outgoing
-    condition at infinity).
+    condition at infinity).  residual is |A c - b| / (|A| |c| + |b|)
+    (infinity norms) of the continuity equations A c = b, each row divided
+    by the outgoing wave of its inner layer; it must stay below 1e-8.
     """
 
     c1: complex
@@ -93,10 +96,6 @@ class WaveCoefficients:
         if self.c_minus[-1] != 0:
             raise DomainError(
                 "the outermost layer cannot carry an incoming wave")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.c_plus) + 1
 
     @property
     def c_outer(self) -> complex:
@@ -192,81 +191,85 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     return WaveCoefficients(c1=c1, c_plus=(c2p, c3p), c_minus=(c2m, 0j))
 
 
-def coeffs_general_n(stack: LayerStack, k0: float) -> WaveCoefficients:
+def _scaled_waves(z, eps, regular=False):
+    """h1 e^{-iz} and h2 e^{iz} (j1 e^{iz} if regular) as (f, [z f]'/eps)."""
+    h1, h2 = (-1 - 1j / z) / z, (1j / z - 1) / z
+    bf, bd = sf.j1_scaled(z) if regular else (h2, 1j - h2)
+    return (h1, (-1j - h1) / eps), (bf, bd / eps)
+
+
+def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     """Amplitudes for any layer count by an O(N) recursion over interfaces.
 
-    Inward from rho_N = 0, matching f and [r f(r)]'/eps at each interface
-    gives rho_l = c_{l-}/c_{l+} of the layer inside, and finally c1; outward,
-    continuity gives each c_{l+}, and c_{l-} = rho_l c_{l+}.  The residual
-    |A c - b| / (|A| |c| + |b|) (infinity norms) of the 2(N-1) continuity
-    equations A c = b is stored and must stay below 1e-8.
+    The waves are scaled (h1 e^{-iz}, h2 e^{iz}, j1 e^{iz}).  Inward from
+    R_N = 0, matching f and [r f(r)]'/eps at each interface gives the ratio
+    R_l of incoming to outgoing wave there in the layer inside, moved to
+    its inner interface by e^{2ik_l(r_l - r_{l-1})}; c1 = R_1 e^{2iz_1}.
+    Outward, continuity gives each c_{l+} (times e^{i(z_in - z_out)} per
+    interface), and c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object
+    with radii and eps; these and k0 may hold (F,) arrays.
     """
-    if k0 <= 0:
-        raise DomainError("k0 must be positive")
-    ks = _wavenumbers(stack.eps, k0)
-    last = len(stack.radii) - 1
-    # per interface, each wave as (f, [z f]'/eps): the inner layer's lead
-    # wave a (h1; the source in layer 1) and wave b (h2; j1 in layer 1),
-    # the outer layer's h1 wave p and h2 wave q (none in the outermost)
-    waves = []
-    for i, r in enumerate(stack.radii):
+    if smallest(k0) <= 0 or smallest(stack.radii[0]) <= 0:
+        raise DomainError("k0 and the radii must be positive")
+    eps, radii, last = stack.eps, stack.radii, len(stack.radii) - 1
+    ks = _wavenumbers(eps, k0)
+    # the largest of some values, frequency by frequency
+    peak = functools.partial(functools.reduce, np.maximum) \
+        if np.ndarray in map(type, (*ks, *radii)) else max
+    # per interface, each scaled wave as (f, [z f]'/eps): the inner layer's
+    # lead wave a (h1; the source in layer 1) and wave b (h2; j1 in layer
+    # 1), the outer layer's h1 wave p and h2 wave q (none in the outermost);
+    # and the phases e^{2ik_l(r_l - r_{l-1})}, e^{2iz_in}, e^{i(z_in - z_out)}
+    waves, phases = [], []
+    for i, r in enumerate(radii):
         zin, zout = ks[i] * r, ks[i + 1] * r
-        ein, eout = stack.eps[i:i + 2]
-        waves.append((
-            (sf.sph_h1_1(zin), sf.riccati_h1(zin) / ein),
-            (sf.sph_j1(zin), sf.riccati_j1(zin) / ein) if i == 0 else
-            (sf.sph_h2_1(zin), sf.riccati_h2(zin) / ein),
-            (sf.sph_h1_1(zout), sf.riccati_h1(zout) / eout),
-            (0j, 0j) if i == last else
-            (sf.sph_h2_1(zout), sf.riccati_h2(zout) / eout)))
+        a, b = _scaled_waves(zin, eps[i], regular=i == 0)
+        p, q = _scaled_waves(zout, eps[i + 1])
+        waves.append((a, b, p, q if i < last else (0j, 0j)))
+        phases.append((exp(2j * ks[i] * (r - radii[i - 1])) if i else 0j,
+                       exp(2j * zin), exp(1j * (zin - zout))))
 
-    # inward: the outer profile p + rho q per unit c_{l+} fixes the ratio
-    # of the inner layer's b to a amplitudes (its rho, and c1 last)
-    rho, ratios, profiles = 0j, [0j] * (last + 1), [None] * (last + 1)
+    # inward: the outer profile p + P q per unit outgoing wave (P: the outer
+    # layer's R at this interface) fixes the inner layer's R
+    ratio, ratios, profiles = 0j, [0j] * (last + 1), [None] * (last + 1)
     for i in range(last, -1, -1):
         (af, ad), (bf, bd), (pf, pd), (qf, qd) = waves[i]
-        f, d = profiles[i] = pf + rho * qf, pd + rho * qd
+        f, d, _ = profiles[i] = pf + ratio * qf, pd + ratio * qd, ratio
         den = bf * d - bd * f
-        if abs(den) < _DENOMINATOR_FLOOR:
-            raise IllConditioned(f"recursion denominator |D| = {abs(den):g}")
-        rho = ratios[i] = (ad * f - af * d) / den
+        if (small := smallest(abs(den))) < _DENOMINATOR_FLOOR:
+            raise IllConditioned(f"recursion denominator |D| = {small:g}")
+        ratios[i] = (ad * f - af * d) / den
+        ratio = ratios[i] * phases[i][0]
 
-    # outward: continuity of the larger of f and [r f]'/eps gives c_{l+};
-    # the row defects and row sums of A c = b come along
-    cp, cm, c_plus, c_minus = 1 + 0j, ratios[0], [], []
-    defect = norm_a = 0.0
+    # outward: t, the outer outgoing wave per inner one, fits the inner
+    # profile g to the outer one; row defects, sums, amplitudes 1, R, t, tP
+    cp, c_plus = 1 + 0j, []
+    defect, norm_a, amp = 0.0, 0.0, float(last > 0)
     for i, ((af, ad), (bf, bd), (pf, pd), (qf, qd)) in enumerate(waves):
-        gf, gd = cp * af + cm * bf, cp * ad + cm * bd
-        f, d = profiles[i]
-        cp = gf / f if abs(f) >= abs(d) else gd / d
-        cm = ratios[i + 1] * cp if i < last else 0j
-        defect = max(defect, abs(gf - cp * pf - cm * qf),
-                     abs(gd - cp * pd - cm * qd))
-        # the source terms of the first interface belong to b, not A
-        norm_a = max(norm_a, (i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
-                     (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+        f, d, ratio = profiles[i]
+        gf, gd = af + ratios[i] * bf, ad + ratios[i] * bd
+        fc, dc = f.conjugate(), d.conjugate()
+        t = (gf * fc + gd * dc) / (f * fc + d * dc)
+        cp = cp * phases[i][2] * t
         c_plus.append(cp)
-        c_minus.append(cm)
+        defect = peak((defect, abs(gf - t * f), abs(gd - t * d)))
+        # the source terms of the first interface belong to b, not A
+        rows = ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
+                (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+        norm_a = peak((norm_a, *rows))
+        amp = peak((amp, abs(ratios[i]), abs(t), abs(t * ratio)))
 
-    scale = norm_a * max(map(abs, (ratios[0], *c_plus, *c_minus))) \
-        + max(map(abs, waves[0][0]))
-    residual = defect / scale if scale else 0.0
-    if residual > _RESIDUAL_LIMIT:
+    residual = largest(defect / (norm_a * amp + peak(map(abs, waves[0][0]))))
+    if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(
             f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    return WaveCoefficients(c1=ratios[0], c_plus=tuple(c_plus),
-                            c_minus=tuple(c_minus), residual=residual)
+    c1, *c_minus = [rho * phase[1] * c for rho, phase, c
+                     in zip(ratios, phases, (1, *c_plus))]
+    return WaveCoefficients(c1=c1, c_plus=tuple(c_plus),
+                            c_minus=(*c_minus, 0j), residual=residual)
 
 
-def coefficients(stack: LayerStack, k0: float) -> WaveCoefficients:
-    """Amplitudes for a stack: closed forms for N = 2, 3, recursion beyond."""
-    if stack.n_layers == 2:
-        return coeffs_two_layer(stack.eps[0], stack.eps[1],
-                                stack.radii[0], k0)
-    if stack.n_layers == 3:
-        return coeffs_three_layer(stack.eps[0], stack.eps[1], stack.eps[2],
-                                  stack.radii[0], stack.radii[1], k0)
-    return coeffs_general_n(stack, k0)
+coefficients = coeffs_general_n
 
 
 def _radial_profile(stack, coeffs, layer, z, include_source):
@@ -353,11 +356,9 @@ def homogeneous_field(eps: complex, k0: float):
     return fields
 
 
-def stack_field_evaluator(stack: LayerStack, k0: float,
-                          coeffs: WaveCoefficients | None = None):
+def stack_field_evaluator(stack: LayerStack, k0: float):
     """Field evaluator (r, theta) -> components for a layered stack."""
-    if coeffs is None:
-        coeffs = coefficients(stack, k0)
+    coeffs = coefficients(stack, k0)
 
     def fields(r, theta):
         return field_in_layer(stack, coeffs, r, theta, k0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,17 +175,23 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     return 1 + coeffs.c1.real
 
 
+def _sphere_in_host(eps, eps_ext, radius, k0) -> ml.WaveCoefficients:
+    # unlike a LayerStack, the namespace may hold frequency arrays
+    sphere = SimpleNamespace(radii=(radius,), eps=(eps, eps_ext))
+    return ml.coefficients(sphere, k0)
+
+
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced rate of the bare sphere: Re[sqrt(eps) c1]."""
-    coeffs = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
+    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
     return (sqrt_eps(eps) * coeffs.c1).real
 
 
 def delta_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced level shift of the bare sphere: Im[sqrt(eps) c1]/2."""
-    coeffs = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
+    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
     return 0.5 * (sqrt_eps(eps) * coeffs.c1).imag
 
 
@@ -221,7 +228,7 @@ def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
     built from the bare rate and shift, that the verification battery
     checks this one against.
     """
-    coeffs = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
+    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
     return _gamma_sc_loc_of_c1(eps, coeffs.c1)
 
 
@@ -291,23 +298,6 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
         * math.exp(-2 * kappa_n * k0 * r) * np.sin(theta) ** 2
 
 
-def approx_rates(eps: complex, gamma_sc_hat: float, k0: float, r_c: float,
-                 mode: str = "resonance") -> float:
-    """Shorthand forms of the corrected total rate, for diagnostics.
-
-    mode 'resonance' keeps only the radiative pieces, valid when absorption
-    corrections are small; 'intermediate' adds the near-field term, for
-    cavity radii where nonradiative and radiative losses are comparable.
-    """
-    eta, _ = eta_kappa(eps)
-    factor = onsager_factor(eps)
-    if mode == "resonance":
-        return factor * (eta + gamma_sc_hat)
-    if mode == "intermediate":
-        return factor * (cavity_nearfield(eps, k0, r_c) + eta + gamma_sc_hat)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class RateReport:
     """All normalized rates and shifts for one frequency and geometry."""
@@ -337,7 +327,7 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     radius; r_c is the empty-cavity radius of the local-field model and r_m
     the regularization distance of the macroscopic rate.
     """
-    coeffs = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
+    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
     root_c1 = sqrt_eps(eps) * coeffs.c1
     g_sc = root_c1.real
     d_sc = 0.5 * root_c1.imag

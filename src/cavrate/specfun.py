@@ -7,7 +7,7 @@ analytically through z = 0.  Every function takes a complex scalar or a
 numpy array of arguments.  All functions are pure and thread-safe.
 """
 
-from ._elementwise import elementwise
+from ._elementwise import elementwise, exp
 
 # e^{|Im z|} overflows double precision near |Im z| ~ 709.
 IM_GUARD = 700.0
@@ -97,3 +97,15 @@ def riccati_h1(z, m):
 def riccati_h2(z, m):
     """d/dz [z h1^(2)(z)] = e^{-iz} (i + 1/z - i/z**2)."""
     return m.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))
+
+
+@elementwise(lambda z: tuple(z * _even_series(c, z) * exp(1j * z)
+                             for c in (_J1_OVER_Z, _RICCATI_J1_OVER_Z)),
+             _SERIES_RADIUS)
+def j1_scaled(z, m):
+    """(j1(z) e^{iz}, d/dz [z j1(z)] e^{iz}), finite for any Im z >= 0; an
+    array z gives a (2,) + z.shape array."""
+    w = m.exp(2j * z)
+    sin_w = (w - 1) / 2j  # sin(z) e^{iz}
+    j1 = (sin_w / z - (w + 1) / 2) / z
+    return j1, sin_w - j1

@@ -53,12 +53,13 @@ class VerificationReport:
 
 
 def _sample_passive_eps(rng, n, min_den=1.0):
-    """Passive permittivities bounded away from the eps = -1/2 pole."""
+    """Passive eps away from the -1/2 pole; block draws equal pair draws."""
     out = []
     while len(out) < n:
-        eps = complex(rng.uniform(-3.0, 10.0), rng.uniform(0.0, 5.0))
-        if abs(eps) <= 10.0 and abs(eps) >= 0.05 and abs(2 * eps + 1) >= min_den:
-            out.append(eps)
+        pairs = rng.uniform((-3.0, 0.0), (10.0, 5.0), (n - len(out), 2))
+        eps = pairs.view(complex).ravel()
+        out += eps[(abs(eps) <= 10.0) & (abs(eps) >= 0.05)
+                   & (abs(2 * eps + 1) >= min_den)].tolist()
     return out
 
 
@@ -179,9 +180,11 @@ def check_cavity_rate_forms(rng, samples=500) -> CheckResult:
     eps = np.array(_sample_passive_eps(rng, samples))
     # row by row, the same draws as one (radius, k0) pair per sample
     radius, k0 = rng.uniform((0.5, 0.5), (4.0, 2.0), size=(samples, 2)).T
-    root_c1 = sqrt_eps(eps) * ml.coeffs_two_layer(eps, 1.0, radius, k0).c1
+    # both forms from the same amplitudes: the identity, not two solvers
+    g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
+    d_sc = rates.delta_sc(eps, 1.0, radius, k0)
     direct = rates.gamma_sc_loc(eps, 1.0, radius, k0)
-    alt = rates.gamma_sc_loc_from_bare(eps, root_c1.real, 0.5 * root_c1.imag)
+    alt = rates.gamma_sc_loc_from_bare(eps, g_sc, d_sc)
     worst = np.max(abs(direct - alt) / np.maximum(1.0, abs(direct)))
     return _check("cavity_rate_forms_agree", worst, 1e-12)
 
@@ -213,11 +216,12 @@ def check_expansion_orders(eps) -> list[CheckResult]:
     res_peff, res_g0loc, res_c1 = [], [], []
     for x in xs:
         r_c = x / k0
-        coeffs2 = ml.coeffs_two_layer(1.0, eps, r_c, k0)
+        coeffs2 = ml.coefficients(ml.LayerStack((r_c,), (1.0, eps)), k0)
         res_peff.append(abs(coeffs2.c_outer / eps
                             - rates.p_eff_expansion(eps, k0, r_c)))
         res_g0loc.append(abs(1 + coeffs2.c1.real - rates.gamma0_loc(eps, k0, r_c)))
-        coeffs3 = ml.coeffs_three_layer(1.0, eps, eps_ext, r_c, radius, k0)
+        coeffs3 = ml.coefficients(
+            ml.LayerStack((r_c, radius), (1.0, eps, eps_ext)), k0)
         expansion = rates.gamma0_loc(eps, k0, r_c) \
             + rates.gamma_sc_loc(eps, eps_ext, radius, k0) - 1
         res_c1.append(abs(coeffs3.c1.real - expansion))
@@ -251,8 +255,9 @@ def check_decomposition(eps, radius, k0) -> CheckResult:
 def check_external_scaling(eps, radius, k0) -> CheckResult:
     """Outer field with/without the empty cavity scales by 3 eps/(2 eps+1)."""
     r_c = 1e-3 / k0
-    with_cavity = ml.coeffs_three_layer(1.0, eps, 1.0, r_c, radius, k0)
-    bare = ml.coeffs_two_layer(eps, 1.0, radius, k0)
+    with_cavity = ml.coefficients(
+        ml.LayerStack((r_c, radius), (1.0, eps, 1.0)), k0)
+    bare = ml.coefficients(ml.LayerStack((radius,), (eps, 1.0)), k0)
     ratio = with_cavity.c_outer / (eps * bare.c_outer)
     target = 3 * eps / (2 * eps + 1)
     err = abs(ratio / target - 1)

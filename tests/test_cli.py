@@ -12,7 +12,8 @@ from cavrate import multilayer as ml
 from cavrate import oracle, rates
 from cavrate import verify as verify_mod
 from cavrate.dielectric import eval_lorentz
-from cavrate.errors import ConfigError, ExpansionRangeWarning, QuadratureFailure
+from cavrate.errors import (ConfigError, ExpansionRangeWarning,
+                            IllConditioned, QuadratureFailure)
 
 
 def quick_config(**overrides):
@@ -417,6 +418,18 @@ class TestVerifyBattery:
         assert batched.bit_generator.state == looped.bit_generator.state
         assert batched.random() == looped.random()
 
+    @pytest.mark.parametrize("min_den", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 5, 20260810])
+    def test_block_draws_match_the_pair_loop(self, seed, min_den):
+        blocks, pairs = (np.random.default_rng(seed) for _ in range(2))
+        expected = []
+        while len(expected) < 500:
+            eps = complex(pairs.uniform(-3.0, 10.0), pairs.uniform(0.0, 5.0))
+            if 0.05 <= abs(eps) <= 10.0 and abs(2 * eps + 1) >= min_den:
+                expected.append(eps)
+        assert verify_mod._sample_passive_eps(blocks, 500, min_den) == expected
+        assert blocks.bit_generator.state == pairs.bit_generator.state
+
     def test_lossless_config_battery_passes(self):
         from cavrate.dielectric import LorentzMedium
         config = quick_config(
@@ -467,15 +480,27 @@ class TestMain:
     def test_bad_config_file_is_config_error(self):
         assert cli.main(["sweep", "--config", "/nope.cfg"]) == 1
 
-    def test_overflowing_sphere_is_numeric_failure(self, tmp_path, capsys):
-        # near resonance |Im k R| passes the double range at R = 1400: the
-        # sweep must stop with exit 3 and write no row
-        path = tmp_path / "big.cfg"
-        path.write_text("[geometry]\nsphere_radius = 1400\n")
-        assert cli.main(["sweep", "--config", str(path)]) == 3
+    def test_engine_failure_is_numeric_failure(self, monkeypatch, capsys):
+        # a failed amplitude solve stops the sweep with exit 3 and no row
+        def boom(*args):
+            raise IllConditioned("synthetic")
+
+        monkeypatch.setattr(ml, "coefficients", boom)
+        assert cli.main(["sweep", "--preset", "fig3"]) == 3
         captured = capsys.readouterr()
         assert "numeric failure" in captured.err
         assert captured.out == ""
+
+    def test_large_sphere_sweep_succeeds(self, tmp_path, capsys):
+        # near resonance |Im k R| passes 700 at R = 1400, where the
+        # unscaled waves overflow double precision
+        path = tmp_path / "big.cfg"
+        path.write_text("[geometry]\nsphere_radius = 1400\n")
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 602
+        assert all(math.isfinite(float(v)) for line in lines[1:]
+                   for v in line.split(","))
 
     def test_config_warning_only_for_a_valid_config(self, capsys):
         with warnings.catch_warnings(record=True) as record:

@@ -105,12 +105,6 @@ def test_wavenumber_uses_the_root():
     assert k == pytest.approx(cmath.sqrt(5 + 2.5j) * 2.0, rel=1e-15)
 
 
-def test_constant_medium_rejects_gain():
-    with pytest.raises(DomainError):
-        dl.constant_medium(2 - 0.1j)
-    assert dl.constant_medium(2.0).eps == 2.0
-
-
 def test_arrays_follow_the_scalar_route():
     medium = dl.LorentzMedium(eps_b=5.0, omega0=1.0, Omega=0.5, gamma=0.1)
     omegas = np.array([0.2, 0.99, 1.0, 3.7])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,17 +335,16 @@ class TestGreenRestatement:
 
 class TestApproxRates:
     def test_lossless_forms_are_exact(self):
+        # without absorption the radiative shorthand, and the shorthand
+        # with the (vanishing) near-field term, give the exact rate
         eps, radius, k0, r_c = 5.0, 2.0, 1.0, 0.05
         g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
         exact = rates.gamma0_loc(eps, k0, r_c) \
             + rates.gamma_sc_loc(eps, 1.0, radius, k0)
-        for mode in ("resonance", "intermediate"):
-            approx = rates.approx_rates(eps, g_sc, k0, r_c, mode)
+        eta = math.sqrt(eps)
+        for near in (0.0, rates.cavity_nearfield(eps, k0, r_c)):
+            approx = rates.onsager_factor(eps) * (near + eta + g_sc)
             assert approx == pytest.approx(exact, rel=1e-13)
-
-    def test_mode_validation(self):
-        with pytest.raises(DomainError):
-            rates.approx_rates(5.0, 0.1, 1.0, 0.05, "bogus")
 
     def test_resonance_region_report(self):
         # radiative shorthand against the exact corrected rate over the
@@ -360,10 +360,8 @@ class TestApproxRates:
             rows = [r for r in cli.run_sweep(config)
                     if 0.8 <= r["omega"] <= 1.2]
         worst_short = max(
-            abs(rates.approx_rates(complex(r["eps_re"], r["eps_im"]),
-                                   r["gamma_sc_hat"], r["omega"],
-                                   config.onsager_radius(r["omega"]),
-                                   "resonance")
+            abs(rates.onsager_factor(complex(r["eps_re"], r["eps_im"]))
+                * (r["eta"] + r["gamma_sc_hat"])
                 - r["gamma_loc_hat"]) / abs(r["gamma_loc_hat"])
             for r in rows)
         worst_naive = max(
@@ -396,24 +394,26 @@ class TestRateReport:
                       report.w_ext_hat, report.w_ext_loc_hat):
             assert math.isfinite(value)
 
-    def test_one_two_layer_solve_per_report(self, monkeypatch):
+    def test_one_engine_call_per_report(self, monkeypatch):
         calls = []
-        true_fn = ml.coeffs_two_layer
+        true_fn = ml.coefficients
 
         def counted(*args):
             calls.append(args)
             return true_fn(*args)
 
-        monkeypatch.setattr(ml, "coeffs_two_layer", counted)
+        monkeypatch.setattr(ml, "coefficients", counted)
         rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
         assert len(calls) == 1
 
     def test_scalar_report_holds_python_numbers(self):
         report = rates.rate_report(EPS_RES, 1.0, 2.0, 0.2, 0.2, 1.0)
         assert all(type(v) is float for v in vars(report).values())
-        coeffs = ml.coeffs_two_layer(EPS_RES, 1.0, 2.0, 1.0)
-        assert type(coeffs.c1) is complex
-        assert type(coeffs.c_outer) is complex
+        for coeffs in (ml.coeffs_two_layer(EPS_RES, 1.0, 2.0, 1.0),
+                       ml.coefficients(ml.LayerStack((2.0,), (EPS_RES, 1.0)),
+                                       1.0)):
+            assert type(coeffs.c1) is complex
+            assert type(coeffs.c_outer) is complex
 
     @pytest.mark.parametrize("fn,args", [
         (rates.gamma0_macroscopic, (0.2,)), (rates.gamma0_loc, (0.2,)),
@@ -453,3 +453,51 @@ class TestRateReport:
         assert report.w_ext_loc_hat \
             == pytest.approx(rates.onsager_factor(5.0) * report.w_ext_hat,
                              rel=1e-15)
+
+
+class TestLargeSpheres:
+    """Scaled waves: spheres whose unscaled waves leave double range."""
+
+    @staticmethod
+    def mp_bare_rates(eps, radius, k0):
+        c1, _ = mpref.two_layer(eps, 1.0, radius, k0)
+        root_c1 = mpref.sqrt_eps(eps) * c1
+        return (float(root_c1.real), float(root_c1.imag) / 2,
+                float(mpref.gamma_sc_loc(eps, 1.0, radius, k0)))
+
+    @pytest.mark.parametrize("radius", [1400.0, 2000.0])
+    def test_resonant_sphere_matches_mp_reference(self, radius):
+        # |Im k R| is 762 and 1088, past the 700 guard of the unscaled waves
+        report = rates.rate_report(EPS_RES, 1.0, radius, 0.2, 0.2, 1.0)
+        assert all(math.isfinite(v) for v in vars(report).values())
+        got = (report.gamma_sc_hat, report.delta_sc_hat,
+               report.gamma_sc_loc_hat)
+        for value, ref in zip(got, self.mp_bare_rates(EPS_RES, radius, 1.0)):
+            assert abs(value - ref) <= 1e-10 * abs(ref) + 1e-11
+
+    def test_outgoing_amplitude_at_radius_1000(self):
+        coeffs = ml.coefficients(ml.LayerStack((1000.0,), (EPS_RES, 1.0)), 1.0)
+        ref = complex(mpref.two_layer(EPS_RES, 1.0, 1000.0, 1.0)[1])
+        assert 1e-237 < abs(ref) < 1e-236
+        assert abs(coeffs.c_outer - ref) <= 1e-10 * abs(ref)
+
+    def test_sweep_rows_at_radius_1000(self):
+        import warnings
+
+        from cavrate import cli
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = cli.get_preset("fig3")
+            rows = cli.run_sweep(replace(config, sphere_radius=1000.0))
+        for row in rows[::40]:
+            eps = complex(row["eps_re"], row["eps_im"])
+            g_sc, d_sc, _ = self.mp_bare_rates(eps, 1000.0, row["omega"])
+            assert abs(row["gamma_sc_hat"] - g_sc) <= 1e-11
+            assert abs(row["delta_sc_hat"] - d_sc) <= 1e-11
+
+    def test_uniform_absorbing_stack_of_100_layers(self):
+        stack = ml.LayerStack(np.linspace(15.0, 1500.0, 99), (EPS_RES,) * 100)
+        coeffs = ml.coefficients(stack, 1.0)
+        assert abs(coeffs.c1) <= 1e-12
+        for cp, cm in zip(coeffs.c_plus, coeffs.c_minus):
+            assert abs(cp - 1) <= 1e-12 and abs(cm) <= 1e-12
