@@ -186,10 +186,6 @@ def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
 _NUMBER_FORMAT = "%.17g"
 
 
-def format_value(value: float) -> str:
-    return _NUMBER_FORMAT % value
-
-
 def write_csv(rows, config: SweepConfig, stream) -> None:
     columns = config.columns
     stream.write(",".join(columns) + "\n")

@@ -169,9 +169,16 @@ def three_layer_interface_terms(eps1, eps2, eps3, r1, r2, k0):
 
 def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
                        r1: float, r2: float, k0: float) -> WaveCoefficients:
-    """Closed-form amplitudes for sphere / shell / host at radii r1 < r2."""
-    if not 0 < r1 < r2:
-        raise DomainError(f"need 0 < r1 < r2, got r1 = {r1:g}, r2 = {r2:g}")
+    """Closed-form amplitudes for sphere / shell / host at radii r1 < r2.
+
+    Every argument may be a numpy array (one entry per sample); they
+    broadcast together, and a bad element raises as one number would.
+    """
+    gap = r2 - r1
+    # the reductions skip NaN, so a NaN radius is looked for on its own
+    if not smallest(r1) > 0 < smallest(gap) or np.isnan(gap).any():
+        raise DomainError(f"need 0 < r1 < r2, got r1 = {smallest(r1):g}, "
+                          f"r2 - r1 = {smallest(gap):g}")
     if smallest(k0) <= 0:
         raise DomainError("k0 must be positive")
     k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)

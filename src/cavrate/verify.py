@@ -3,13 +3,17 @@
 Each check compares an analytic expression against an independent route
 (numerical quadrature, the layer recursion, an algebraic identity, a limit)
 and records the worst measured error against its tolerance.  The battery
-is deterministic: random samples come from a seeded generator.
+is deterministic: random samples come from a seeded generator.  A sampled
+check draws all its samples in one block, in the order of one draw after
+another, and evaluates each route once on the arrays of samples.  A NaN
+error counts as the worst: its check fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,60 +82,55 @@ def _check(name, measured, tolerance, detail="", larger_is_better=False):
 
 def check_specfun_identities(rng) -> list[CheckResult]:
     from . import specfun as sf
-    worst_wronskian = 0.0
-    worst_sum = 0.0
-    for _ in range(100):
-        z = complex(rng.uniform(-10, 10), rng.uniform(-5, 5))
-        if not 0.05 < abs(z) < 30:
-            continue
-        dh1 = sf.sph_h1_0(z) - 2 * sf.sph_h1_1(z) / z   # d/dz h1^(1)_1
-        dh2 = sf.sph_h2_0(z) - 2 * sf.sph_h2_1(z) / z
-        wron = sf.sph_h1_1(z) * dh2 - sf.sph_h2_1(z) * dh1
-        target = -2j / (z * z)
-        worst_wronskian = max(worst_wronskian, abs(wron - target) / abs(target))
-        total = sf.sph_h1_1(z) + sf.sph_h2_1(z)
-        worst_sum = max(worst_sum,
-                        abs(total - 2 * sf.sph_j1(z)) / max(abs(total), 1e-30))
+    # row by row, the same draws as one (re, im) pair per sample
+    z = rng.uniform((-10, -5), (10, 5), size=(100, 2)).view(complex).ravel()
+    z = z[(0.05 < abs(z)) & (abs(z) < 30)]
+    h1, h2 = sf.sph_h1_1(z), sf.sph_h2_1(z)
+    dh1 = sf.sph_h1_0(z) - 2 * h1 / z   # d/dz h1^(1)_1
+    dh2 = sf.sph_h2_0(z) - 2 * h2 / z
+    target = -2j / (z * z)
+    wronskian = abs(h1 * dh2 - h2 * dh1 - target) / abs(target)
+    total = h1 + h2
+    superposition = abs(total - 2 * sf.sph_j1(z)) \
+        / np.maximum(abs(total), 1e-30)
     return [
-        _check("hankel_wronskian", worst_wronskian, 1e-10),
-        _check("hankel_superposition", worst_sum, 1e-10),
+        _check("hankel_wronskian", np.max(wronskian), 1e-10),
+        _check("hankel_superposition", np.max(superposition), 1e-10),
     ]
 
 
 def check_sqrt_branch(rng) -> CheckResult:
-    worst = 0.0
-    for eps in _sample_passive_eps(rng, 200, min_den=0.0):
-        root = sqrt_eps(eps)
-        worst = max(worst, abs(root * root - eps) / abs(eps))
-        if root.imag < 0:
-            worst = math.inf
-    return _check("sqrt_branch_reconstruction", worst, 1e-14)
+    eps = np.array(_sample_passive_eps(rng, 200, min_den=0.0))
+    root = sqrt_eps(eps)
+    errors = np.where(root.imag < 0, math.inf,
+                      abs(root * root - eps) / abs(eps))
+    return _check("sqrt_branch_reconstruction", np.max(errors), 1e-14)
 
 
 def check_solver_vs_closed_forms(rng, samples=60) -> CheckResult:
-    worst = 0.0
-    for _ in range(samples):
-        e1 = complex(rng.uniform(0.5, 8), rng.uniform(0, 4))
-        e2 = complex(rng.uniform(0.5, 8), rng.uniform(0, 4))
-        e3 = complex(rng.uniform(0.5, 8), rng.uniform(0, 4))
-        r1 = rng.uniform(0.05, 1.5)
-        r2 = r1 + rng.uniform(0.2, 2.0)
-        k0 = rng.uniform(0.3, 2.5)
-        closed = ml.coeffs_two_layer(e1, e2, r1, k0)
-        solved = ml.coeffs_general_n(ml.LayerStack((r1,), (e1, e2)), k0)
-        worst = max(worst, abs(solved.c1 - closed.c1) / abs(closed.c1),
-                    abs(solved.c_outer - closed.c_outer) / abs(closed.c_outer))
-        closed = ml.coeffs_three_layer(e1, e2, e3, r1, r2, k0)
-        solved = ml.coeffs_general_n(ml.LayerStack((r1, r2), (e1, e2, e3)), k0)
-        pairs = [(closed.c1, solved.c1)]
-        pairs += list(zip(closed.c_plus, solved.c_plus))
-        pairs += [(closed.c_minus[0], solved.c_minus[0])]
-        worst = max(worst, *(abs(a - b) / abs(a) for a, b in pairs))
+    # row by row, the draws of one sample: e1, e2, e3 as (re, im), r1,
+    # r2 - r1, k0
+    draws = rng.uniform((0.5, 0, 0.5, 0, 0.5, 0, 0.05, 0.2, 0.3),
+                        (8, 4, 8, 4, 8, 4, 1.5, 2.0, 2.5), size=(samples, 9))
+    e1, e2, e3 = draws[:, :6].view(complex).T
+    r1, gap, k0 = draws[:, 6:].T
+    r2 = r1 + gap
+    # unlike a LayerStack, the namespaces hold one entry per sample
+    closed2 = ml.coeffs_two_layer(e1, e2, r1, k0)
+    solved2 = ml.coeffs_general_n(SimpleNamespace(radii=(r1,), eps=(e1, e2)),
+                                  k0)
+    closed3 = ml.coeffs_three_layer(e1, e2, e3, r1, r2, k0)
+    solved3 = ml.coeffs_general_n(
+        SimpleNamespace(radii=(r1, r2), eps=(e1, e2, e3)), k0)
+    pairs = [(closed2.c1, solved2.c1), (closed2.c_outer, solved2.c_outer),
+             (closed3.c1, solved3.c1), *zip(closed3.c_plus, solved3.c_plus),
+             (closed3.c_minus[0], solved3.c_minus[0])]
+    worst = np.max([abs(b - a) / abs(a) for a, b in pairs])
     return _check("solver_matches_closed_forms", worst, 1e-10)
 
 
 def check_oracle_power(rng, samples=4) -> CheckResult:
-    worst = 0.0
+    errors = []
     for _ in range(samples):
         eps = complex(rng.uniform(0.5, 9), rng.uniform(0.1, 5))
         k0 = 1.0
@@ -142,15 +141,14 @@ def check_oracle_power(rng, samples=4) -> CheckResult:
             total = oracle.flux_through_sphere(fields, r, k0) \
                 + oracle.absorbed_power(fields, r_c, r, eps, k0)
             analytic = rates.w0_cutoff(eps, k0, r_c)
-            worst = max(worst, abs(total - analytic) / abs(analytic))
-    return _check("oracle_matches_analytic_power", worst, 1e-8)
+            errors.append(abs(total - analytic) / abs(analytic))
+    return _check("oracle_matches_analytic_power", np.max(errors), 1e-8)
 
 
 def check_energy_balance(eps_sphere, eps_ext, radius, r_c, k0) -> CheckResult:
     """Conservation in every layer of the cavity + sphere + host stack."""
     stack = ml.LayerStack((r_c, radius), (1.0, eps_sphere, eps_ext))
     fields = ml.stack_field_evaluator(stack, k0)
-    worst = 0.0
     shells = [
         (1.05 * r_c, 0.95 * radius, stack.eps[1]),
         (1.05 * radius, radius + 3.0 / k0, stack.eps[2]),
@@ -159,14 +157,13 @@ def check_energy_balance(eps_sphere, eps_ext, radius, r_c, k0) -> CheckResult:
         # in the lossless cavity the near-field flux cancels only to
         # float precision; skip when the cavity is too small to resolve
         shells.insert(0, (0.35 * r_c, 0.9 * r_c, stack.eps[0]))
-    for r_in, r_out, eps_layer in shells:
-        worst = max(worst, oracle.energy_balance(fields, r_in, r_out,
-                                                 eps_layer, k0))
+    errors = [oracle.energy_balance(fields, r_in, r_out, eps_layer, k0)
+              for r_in, r_out, eps_layer in shells]
     # homogeneous absorbing medium over a wide radial range
     fields = ml.homogeneous_field(eps_sphere, k0)
-    worst = max(worst, oracle.energy_balance(fields, 0.3 / k0, 10.0 / k0,
-                                             eps_sphere, k0))
-    return _check("energy_balance_layers", worst, 1e-8)
+    errors.append(oracle.energy_balance(fields, 0.3 / k0, 10.0 / k0,
+                                        eps_sphere, k0))
+    return _check("energy_balance_layers", np.max(errors), 1e-8)
 
 
 def check_cutoff_free_identity(rng, samples=500) -> CheckResult:
@@ -190,16 +187,17 @@ def check_cavity_rate_forms(rng, samples=500) -> CheckResult:
 
 
 def check_lossless_collapse(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(20):
-        eps = complex(rng.uniform(1.0, 9.0), 0.0)
-        radius, r_c, k0 = rng.uniform(1, 3), 0.05, 1.0
-        eta, _ = eta_kappa(eps)
-        factor = rates.onsager_factor(eps)
-        worst = max(worst, abs(rates.gamma0_loc(eps, k0, r_c) - factor * eta))
-        g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
-        g_sc_loc = rates.gamma_sc_loc(eps, 1.0, radius, k0)
-        worst = max(worst, abs(g_sc_loc - factor * g_sc) / max(1.0, abs(g_sc)))
+    # row by row, the same draws as one (eps, radius) pair per sample
+    eps, radius = rng.uniform((1.0, 1), (9.0, 3), size=(20, 2)).T
+    eps = eps + 0j
+    r_c, k0 = 0.05, 1.0
+    eta, _ = eta_kappa(eps)
+    factor = rates.onsager_factor(eps)
+    g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
+    g_sc_loc = rates.gamma_sc_loc(eps, 1.0, radius, k0)
+    worst = np.max([
+        abs(rates.gamma0_loc(eps, k0, r_c) - factor * eta),
+        abs(g_sc_loc - factor * g_sc) / np.maximum(1.0, abs(g_sc))])
     return _check("lossless_collapse", worst, 1e-13)
 
 
@@ -213,6 +211,7 @@ def check_expansion_orders(eps) -> list[CheckResult]:
     """
     xs = (3e-2, 1e-2, 3e-3)
     eps_ext, radius, k0 = 1.0, 2.0, 1.0
+    g_sc_loc = rates.gamma_sc_loc(eps, eps_ext, radius, k0)
     res_peff, res_g0loc, res_c1 = [], [], []
     for x in xs:
         r_c = x / k0
@@ -222,8 +221,7 @@ def check_expansion_orders(eps) -> list[CheckResult]:
         res_g0loc.append(abs(1 + coeffs2.c1.real - rates.gamma0_loc(eps, k0, r_c)))
         coeffs3 = ml.coefficients(
             ml.LayerStack((r_c, radius), (1.0, eps, eps_ext)), k0)
-        expansion = rates.gamma0_loc(eps, k0, r_c) \
-            + rates.gamma_sc_loc(eps, eps_ext, radius, k0) - 1
+        expansion = rates.gamma0_loc(eps, k0, r_c) + g_sc_loc - 1
         res_c1.append(abs(coeffs3.c1.real - expansion))
     out = []
     for name, order, res in (("expansion_order_p_eff", 4, res_peff),
@@ -238,14 +236,13 @@ def check_expansion_orders(eps) -> list[CheckResult]:
 def check_decomposition(eps, radius, k0) -> CheckResult:
     """Total central rate splits into medium and cavity parts as r_c -> 0."""
     xs = (3e-2, 1e-2, 3e-3)
+    g_sc_loc = rates.gamma_sc_loc(eps, 1.0, radius, k0)
     diffs = []
     for x in xs:
         r_c = x / k0
         stack = ml.LayerStack((r_c, radius), (1.0, eps, 1.0))
         exact = rates.gamma_hat_total(stack, k0)
-        split = rates.gamma0_loc(eps, k0, r_c) \
-            + rates.gamma_sc_loc(eps, 1.0, radius, k0)
-        diffs.append(exact - split)
+        diffs.append(exact - (rates.gamma0_loc(eps, k0, r_c) + g_sc_loc))
     slope = _slope(xs, diffs)
     return _check("rate_decomposition_slope", slope, 1.0 - 0.15,
                   detail=f"slope {slope:.3f}, expected >= 1",
@@ -260,8 +257,8 @@ def check_external_scaling(eps, radius, k0) -> CheckResult:
     bare = ml.coefficients(ml.LayerStack((radius,), (eps, 1.0)), k0)
     ratio = with_cavity.c_outer / (eps * bare.c_outer)
     target = 3 * eps / (2 * eps + 1)
-    err = abs(ratio / target - 1)
-    err = max(err, abs(abs(ratio) ** 2 / rates.onsager_factor(eps) - 1))
+    err = np.max([abs(ratio / target - 1),
+                  abs(abs(ratio) ** 2 / rates.onsager_factor(eps) - 1)])
     return _check("external_field_scaling", err, 1e-4)
 
 

@@ -2,11 +2,15 @@
 
 bench/tracer.py wraps functions it finds by name, and bench/run.py reports
 one `verify.<check>.s` metric per `verify.check_*` function, which must
-match the metrics declared in BENCHMARK.json.  This test only reads bench/.
+match the metrics declared in BENCHMARK.json, so each check must run once
+per battery under its own name.  This test only reads bench/.
 """
 
+import functools
 import importlib.util
+import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 from cavrate import verify
@@ -38,3 +42,33 @@ def test_checks_match_declared_metrics():
     checks = {name[len("check_"):] for name in vars(verify)
               if name.startswith("check_")}
     assert checks == declared_checks
+
+
+BATTERY = (
+    "hankel_wronskian", "hankel_superposition", "sqrt_branch_reconstruction",
+    "solver_matches_closed_forms", "oracle_matches_analytic_power",
+    "energy_balance_layers", "cutoff_free_identity",
+    "cavity_rate_forms_agree", "lossless_collapse", "expansion_order_p_eff",
+    "expansion_order_gamma0_loc", "expansion_order_central_c1",
+    "rate_decomposition_slope", "external_field_scaling",
+    "green_function_restatement", "quadrature_convergence",
+)
+
+
+def test_each_check_runs_once_per_battery(monkeypatch):
+    calls = Counter()
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    checks = [name for name, fn in vars(verify).items()
+              if name.startswith("check_") and inspect.isfunction(fn)]
+    for name in checks:
+        monkeypatch.setattr(verify, name, spy(getattr(verify, name)))
+    report = verify.run_battery(None)
+    assert calls == Counter(checks)
+    assert tuple(c.name for c in report.checks) == BATTERY

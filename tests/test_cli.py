@@ -10,10 +10,12 @@ import pytest
 from cavrate import cli
 from cavrate import multilayer as ml
 from cavrate import oracle, rates
+from cavrate import specfun
 from cavrate import verify as verify_mod
 from cavrate.dielectric import eval_lorentz
 from cavrate.errors import (ConfigError, ExpansionRangeWarning,
                             IllConditioned, QuadratureFailure)
+from conftest import passive_eps_samples
 
 
 def quick_config(**overrides):
@@ -212,7 +214,7 @@ class TestSweep:
             assert out.getvalue() == expected.getvalue() + "\n"
 
     def test_csv_has_17_significant_digits(self):
-        assert cli.format_value(1 / 3) == "0.33333333333333331"
+        assert cli._NUMBER_FORMAT % (1 / 3) == "0.33333333333333331"
 
     @pytest.mark.parametrize("columns", [cli.COLUMNS, ("kappa",)])
     def test_csv_rows_match_per_value_format(self, columns):
@@ -341,6 +343,58 @@ verify = false
         assert "configuration error" in capsys.readouterr().err
 
 
+# the per-sample loops that the batched checks replace: each draws what its
+# check draws, in the same order, and returns the samples as argument tuples
+# of one route (the spied name below), skipped draws left out
+
+def _specfun_loop(rng):
+    zs = [complex(rng.uniform(-10, 10), rng.uniform(-5, 5))
+          for _ in range(100)]
+    return [(z,) for z in zs if 0.05 < abs(z) < 30]
+
+
+def _sqrt_loop(rng):
+    return [(eps,) for eps in passive_eps_samples(rng, 200, 0.0)]
+
+
+def _solver_loop(rng):
+    out = []
+    for _ in range(60):
+        e1, e2, e3 = (complex(rng.uniform(0.5, 8), rng.uniform(0, 4))
+                      for _ in range(3))
+        r1 = rng.uniform(0.05, 1.5)
+        r2 = r1 + rng.uniform(0.2, 2.0)
+        out.append((e1, e2, e3, r1, r2, rng.uniform(0.3, 2.5)))
+    return out
+
+
+def _lossless_loop(rng):
+    return [(complex(rng.uniform(1.0, 9.0), 0.0), 1.0, rng.uniform(1, 3),
+             1.0) for _ in range(20)]
+
+
+def _cutoff_loop(rng):
+    return [(eps,) for eps in passive_eps_samples(rng, 500)]
+
+
+def _cavity_loop(rng):
+    eps = passive_eps_samples(rng, 500)
+    return [(e, 1.0, rng.uniform(0.5, 4.0), rng.uniform(0.5, 2.0))
+            for e in eps]
+
+
+PER_SAMPLE_LOOPS = {
+    verify_mod.check_specfun_identities: (_specfun_loop, "sph_j1"),
+    verify_mod.check_sqrt_branch: (_sqrt_loop, "sqrt_eps"),
+    verify_mod.check_solver_vs_closed_forms: (_solver_loop,
+                                              "coeffs_three_layer"),
+    verify_mod.check_lossless_collapse: (_lossless_loop, "gamma_sc"),
+    verify_mod.check_cutoff_free_identity: (_cutoff_loop,
+                                            "identity_rep_decomposition"),
+    verify_mod.check_cavity_rate_forms: (_cavity_loop, "gamma_sc"),
+}
+
+
 class TestVerifyBattery:
     def test_default_battery_passes(self):
         report = verify_mod.run_battery(None)
@@ -393,10 +447,11 @@ class TestVerifyBattery:
         class RingDraws:
             """Stands in for the generator: (re, im) pairs on |z| = 0.05."""
             def __init__(self, points):
-                self.draws = iter(np.ravel([(z.real, z.imag) for z in points]))
+                self.pairs = np.column_stack([points.real, points.imag])
 
-            def uniform(self, low, high):
-                return next(self.draws)
+            def uniform(self, low, high, size):
+                assert size == self.pairs.shape
+                return self.pairs
 
         ring = 0.05 * (1 + 1e-9) * np.exp(2j * np.pi * np.arange(400) / 400)
         assert np.all(abs(ring) > 0.05)
@@ -405,18 +460,63 @@ class TestVerifyBattery:
                     RingDraws(points)):
                 assert result.measured <= 1e-11, result.line()
 
-    @pytest.mark.parametrize("check", [verify_mod.check_cutoff_free_identity,
-                                       verify_mod.check_cavity_rate_forms])
-    @pytest.mark.parametrize("seed", [0, 1, 20260810])
+    @pytest.mark.parametrize("check", PER_SAMPLE_LOOPS,
+                             ids=lambda check: check.__name__)
+    @pytest.mark.parametrize("seed", [0, 1, 5, 20260810])
     def test_batched_checks_take_the_per_sample_draws(self, check, seed):
         batched, looped = (np.random.default_rng(seed) for _ in range(2))
-        assert check(batched).passed
-        # the draws of the per-sample loop: every eps, then radius and k0
-        for _ in verify_mod._sample_passive_eps(looped, 500):
-            if check is verify_mod.check_cavity_rate_forms:
-                looped.uniform(0.5, 4.0), looped.uniform(0.5, 2.0)
+        results = check(batched)
+        assert all(r.passed for r in np.atleast_1d(results))
+        PER_SAMPLE_LOOPS[check][0](looped)
         assert batched.bit_generator.state == looped.bit_generator.state
         assert batched.random() == looped.random()
+
+    @pytest.mark.parametrize("check", PER_SAMPLE_LOOPS,
+                             ids=lambda check: check.__name__)
+    def test_batched_checks_see_the_per_sample_values(self, check,
+                                                      monkeypatch):
+        loop, name = PER_SAMPLE_LOOPS[check]
+        module = next(m for m in (verify_mod, specfun, ml, rates)
+                      if name in vars(m))
+        true_fn, seen = getattr(module, name), []
+
+        def spy(*args):
+            seen.append(args)
+            return true_fn(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        check(np.random.default_rng(7))
+        expected = np.array(loop(np.random.default_rng(7)), dtype=complex)
+        np.testing.assert_array_equal(
+            np.broadcast_arrays(*seen[0]), expected.T)
+
+    @pytest.mark.parametrize("module, name, nan_fn, names", [
+        (oracle, "absorbed_power", lambda *args: math.nan,
+         {"oracle_matches_analytic_power", "energy_balance_layers"}),
+        (ml, "coeffs_general_n", lambda stack, k0: ml.WaveCoefficients(
+            c1=k0 * math.nan, c_plus=(k0 + 0j,) * len(stack.radii),
+            c_minus=(0j,) * len(stack.radii)),
+         {"solver_matches_closed_forms"}),
+        (specfun, "sph_h1_0", lambda z: z * math.nan,
+         {"hankel_wronskian"}),
+        (specfun, "sph_j1", lambda z: z * math.nan,
+         {"hankel_superposition"}),
+        (verify_mod, "sqrt_eps", lambda eps: eps * math.nan,
+         {"sqrt_branch_reconstruction"}),
+        (verify_mod, "eta_kappa", lambda eps: (eps.real * math.nan,) * 2,
+         {"lossless_collapse"}),
+        (rates, "onsager_factor", lambda eps: abs(eps) * math.nan,
+         {"external_field_scaling", "lossless_collapse"}),
+    ])
+    def test_nan_measure_fails_its_check(self, monkeypatch, module, name,
+                                         nan_fn, names):
+        monkeypatch.setattr(module, name, nan_fn)
+        with np.errstate(invalid="ignore"):  # the NaN is put in on purpose
+            report = verify_mod.run_battery(None)
+        checks = {c.name: c for c in report.checks}
+        for check in names:
+            assert not checks[check].passed, checks[check].line()
+            assert math.isnan(checks[check].measured)
 
     @pytest.mark.parametrize("min_den", [0.0, 1.0])
     @pytest.mark.parametrize("seed", [0, 5, 20260810])

@@ -150,6 +150,38 @@ class TestThreeLayer:
         with pytest.raises(DomainError):
             ml.coeffs_three_layer(1.0, 2.0, 3.0, 2.0, 1.0, 1.0)
 
+    def test_takes_sample_arrays(self, rng):
+        e1, e2, e3 = (np.array([random_passive(rng) for _ in range(12)])
+                      for _ in range(3))
+        r1 = rng.uniform(0.05, 1.5, 12)
+        r2 = r1 + rng.uniform(0.2, 2.0, 12)
+        k0 = rng.uniform(0.3, 2.5, 12)
+        arrays = ml.coeffs_three_layer(e1, e2, e3, r1, r2, k0)
+        for i in range(12):
+            ref = ml.coeffs_three_layer(e1[i], e2[i], e3[i], r1[i], r2[i],
+                                        k0[i])
+            for a, b in zip((arrays.c1, *arrays.c_plus, *arrays.c_minus),
+                            (ref.c1, *ref.c_plus, *ref.c_minus)):
+                a = np.broadcast_to(a, r1.shape)[i]
+                assert abs(a - b) <= 1e-13 * max(1, abs(a))
+
+    @pytest.mark.parametrize("r1, r2", [
+        ([0.5, 0.0], [1.0, 1.0]),           # r1 = 0
+        ([0.5, -0.2], [1.0, 1.0]),          # r1 < 0
+        ([0.5, 1.0], [1.0, 1.0]),           # r2 = r1
+        ([0.5, 1.2], [1.0, 1.0]),           # r2 < r1
+        ([0.5, math.nan], [1.0, 1.0]),      # NaN r1
+        ([0.5, 0.6], [1.0, math.nan]),      # NaN r2
+        (math.nan, 1.0), (0.5, math.nan),   # one number
+    ])
+    def test_any_bad_radius_element_raises(self, r1, r2):
+        with pytest.raises(DomainError):
+            ml.coeffs_three_layer(1.0, 2.0 + 0.5j, 1.0, np.asarray(r1),
+                                  np.asarray(r2), np.array([1.0, 1.2]))
+        if np.ndim(r1) == 0:
+            with pytest.raises(DomainError):
+                ml.coeffs_three_layer(1.0, 2.0, 1.0, r1, r2, 1.0)
+
     def test_lossless_central_amplitude_near_truncation(self):
         # transparent sphere around a tiny empty cavity: the real part of
         # the central amplitude sits on the finite part of its series
