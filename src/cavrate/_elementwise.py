@@ -1,10 +1,10 @@
 """The one place that tells a Python number from a numpy array.
 
 Formulas are written once, with operators that work on both.  Only the
-elementary functions, the guards and the small-argument series switch see
-the type: a number goes through cmath and a plain `if`, keeping its exact
-bits and its cost; an array goes through numpy and `np.where`, and a guard
-raises if any element is bad.
+elementary functions, the guards, the residual's reductions and the
+small-argument series switch see the type: a number goes through cmath
+and a plain `if`, keeping its exact bits and its cost; an array goes
+through numpy and `np.where`, and a guard raises if any element is bad.
 """
 
 import cmath
@@ -33,6 +33,24 @@ def smallest(x) -> float:
 
 def largest(x) -> float:
     return x if type(x) is float else float(np.fmax.reduce(x, None))
+
+
+def positive(x) -> bool:
+    """True when x, or every element of x, is > 0; NaN is not."""
+    return x > 0 if type(x) is float else bool(np.greater(x, 0).all())
+
+
+def peaks(groups):
+    """Largest of each group of numbers >= 0 (arrays, if one comes first:
+    elementwise).  Unlike the guards' reductions, it and worst keep NaN."""
+    if type(groups[0][0]) is float:
+        total = sum(map(sum, groups))
+        return map(max, groups) if total == total else (total,) * len(groups)
+    return [functools.reduce(np.maximum, g) for g in groups]
+
+
+def worst(x) -> float:  # x, or the largest element of x
+    return x if type(x) is float else float(np.max(x))
 
 
 def exp(z):

@@ -20,13 +20,12 @@ Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import exp, largest, smallest
+from ._elementwise import exp, largest, peaks, positive, smallest, worst
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -47,16 +46,15 @@ class LayerStack:
     eps: tuple[complex, ...]
 
     def __init__(self, radii, eps):
-        object.__setattr__(self, "radii", tuple(float(r) for r in radii))
-        object.__setattr__(self, "eps", tuple(complex(e) for e in eps))
-        if len(self.eps) != len(self.radii) + 1 or len(self.eps) < 2:
+        object.__setattr__(self, "radii", radii := tuple(map(float, radii)))
+        object.__setattr__(self, "eps", eps := tuple(map(complex, eps)))
+        if len(eps) != len(radii) + 1 or len(eps) < 2:
             raise DomainError(
                 f"need len(eps) == len(radii) + 1 >= 2, got "
-                f"{len(self.eps)} permittivities for {len(self.radii)} radii")
-        if any(r <= 0 for r in self.radii):
-            raise DomainError("all interface radii must be positive")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise DomainError("interface radii must be strictly increasing")
+                f"{len(eps)} permittivities for {len(radii)} radii")
+        # each radius above the one before it, the first above 0; not NaN
+        if not all(map(float.__gt__, radii, (0.0, *radii))):
+            raise DomainError("the radii must be positive and increasing")
 
     @property
     def n_layers(self) -> int:
@@ -81,7 +79,8 @@ class WaveCoefficients:
     layers 2..N.  The last incoming amplitude is identically zero (outgoing
     condition at infinity).  residual is |A c - b| / (|A| |c| + |b|)
     (infinity norms) of the continuity equations A c = b, each row divided
-    by the outgoing wave of its inner layer; it must stay below 1e-8.
+    by the outgoing wave of its inner layer; it must stay below 1e-8, and
+    a NaN anywhere in it fails that check.
     """
 
     c1: complex
@@ -125,7 +124,7 @@ def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
     WaveCoefficients with the central reflection amplitude c1 and the
     transmitted outgoing amplitude in the host.
     """
-    if smallest(r1) <= 0 or smallest(k0) <= 0:
+    if not (positive(r1) and positive(k0)):
         raise DomainError("r1 and k0 must be positive")
     k1, k2 = _wavenumbers((eps1, eps2), k0)
     z1, z2 = k1 * r1, k2 * r1
@@ -174,13 +173,8 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     Every argument may be a numpy array (one entry per sample); they
     broadcast together, and a bad element raises as one number would.
     """
-    gap = r2 - r1
-    # the reductions skip NaN, so a NaN radius is looked for on its own
-    if not smallest(r1) > 0 < smallest(gap) or np.isnan(gap).any():
-        raise DomainError(f"need 0 < r1 < r2, got r1 = {smallest(r1):g}, "
-                          f"r2 - r1 = {smallest(gap):g}")
-    if smallest(k0) <= 0:
-        raise DomainError("k0 must be positive")
+    if not (positive(r1) and positive(r2 - r1) and positive(k0)):
+        raise DomainError("need 0 < r1 < r2 and k0 > 0")
     k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)
     z11, z21, z22 = k1 * r1, k2 * r1, k2 * r2
     (a1, a2), (b1, b2) = three_layer_interface_terms(
@@ -200,7 +194,8 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
 
 def _scaled_waves(z, eps, regular=False):
     """h1 e^{-iz} and h2 e^{iz} (j1 e^{iz} if regular) as (f, [z f]'/eps)."""
-    h1, h2 = (-1 - 1j / z) / z, (1j / z - 1) / z
+    iz = 1j / z
+    h1, h2 = (-1 - iz) / z, (iz - 1) / z
     bf, bd = sf.j1_scaled(z) if regular else (h2, 1j - h2)
     return (h1, (-1j - h1) / eps), (bf, bd / eps)
 
@@ -216,24 +211,23 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     interface), and c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object
     with radii and eps; these and k0 may hold (F,) arrays.
     """
-    if smallest(k0) <= 0 or smallest(stack.radii[0]) <= 0:
-        raise DomainError("k0 and the radii must be positive")
+    if not positive(k0):
+        raise DomainError("k0 must be positive")
     eps, radii, last = stack.eps, stack.radii, len(stack.radii) - 1
     ks = _wavenumbers(eps, k0)
-    # the largest of some values, frequency by frequency
-    peak = functools.partial(functools.reduce, np.maximum) \
-        if np.ndarray in map(type, (*ks, *radii)) else max
     # per interface, each scaled wave as (f, [z f]'/eps): the inner layer's
     # lead wave a (h1; the source in layer 1) and wave b (h2; j1 in layer
     # 1), the outer layer's h1 wave p and h2 wave q (none in the outermost);
     # and the phases e^{2ik_l(r_l - r_{l-1})}, e^{2iz_in}, e^{i(z_in - z_out)}
     waves, phases = [], []
     for i, r in enumerate(radii):
+        if not positive(gap := r - radii[i - 1] if i else r):
+            raise DomainError("the radii must be positive and increasing")
         zin, zout = ks[i] * r, ks[i + 1] * r
         a, b = _scaled_waves(zin, eps[i], regular=i == 0)
         p, q = _scaled_waves(zout, eps[i + 1])
         waves.append((a, b, p, q if i < last else (0j, 0j)))
-        phases.append((exp(2j * ks[i] * (r - radii[i - 1])) if i else 0j,
+        phases.append((exp(2j * ks[i] * gap) if i else 0j,
                        exp(2j * zin), exp(1j * (zin - zout))))
 
     # inward: the outer profile p + P q per unit outgoing wave (P: the outer
@@ -249,31 +243,33 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
         ratio = ratios[i] * phases[i][0]
 
     # outward: t, the outer outgoing wave per inner one, fits the inner
-    # profile g to the outer one; row defects, sums, amplitudes 1, R, t, tP
-    cp, c_plus = 1 + 0j, []
-    defect, norm_a, amp = 0.0, 0.0, float(last > 0)
+    # profile g to the outer one; row defects, sums, amplitudes 1, R, t, tP;
+    # c_in: the inner layer's incoming amplitude, c1 then each c_{l-}
+    cp, c_plus, c_in = 1 + 0j, [], []
+    defects, norms, amps = [], [], [float(last > 0)]
     for i, ((af, ad), (bf, bd), (pf, pd), (qf, qd)) in enumerate(waves):
         f, d, ratio = profiles[i]
         gf, gd = af + ratios[i] * bf, ad + ratios[i] * bd
         fc, dc = f.conjugate(), d.conjugate()
         t = (gf * fc + gd * dc) / (f * fc + d * dc)
+        c_in.append(ratios[i] * phases[i][1] * cp)
         cp = cp * phases[i][2] * t
         c_plus.append(cp)
-        defect = peak((defect, abs(gf - t * f), abs(gd - t * d)))
+        defects += abs(gf - t * f), abs(gd - t * d)
         # the source terms of the first interface belong to b, not A
-        rows = ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
-                (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
-        norm_a = peak((norm_a, *rows))
-        amp = peak((amp, abs(ratios[i]), abs(t), abs(t * ratio)))
+        norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
+                  (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+        amps += abs(ratios[i]), abs(t), abs(t * ratio)
 
-    residual = largest(defect / (norm_a * amp + peak(map(abs, waves[0][0]))))
+    af, ad = waves[0][0]
+    defect, norm_a, amp, source = peaks((defects, norms, amps,
+                                         (abs(af), abs(ad))))
+    residual = worst(defect / (norm_a * amp + source))
     if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(
             f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    c1, *c_minus = [rho * phase[1] * c for rho, phase, c
-                     in zip(ratios, phases, (1, *c_plus))]
-    return WaveCoefficients(c1=c1, c_plus=tuple(c_plus),
-                            c_minus=(*c_minus, 0j), residual=residual)
+    return WaveCoefficients(c1=c_in[0], c_plus=tuple(c_plus),
+                            c_minus=(*c_in[1:], 0j), residual=residual)
 
 
 coefficients = coeffs_general_n

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import multilayer as ml
 from ._elementwise import exp, largest, smallest
-from .dielectric import eps_pow_3_2, eps_pow_5_2, eta_kappa, sqrt_eps
+from .dielectric import eps_pow_3_2, eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
 # beyond k0*r_c ~ 0.3 the omitted expansion orders reach the percent level
@@ -40,15 +40,24 @@ def lorentz_factor(eps: complex) -> float:
     return abs((eps + 2) / 3) ** 2
 
 
+# the _kernels take root = sqrt(eps), abs2 = |eps|**2 and _real_cavity(eps)
+def _real_cavity(eps):
+    """(den, |den|, |3 eps/den|**2), den = 2 eps + 1, off its pole."""
+    den = 2 * eps + 1
+    if smallest(abs_den := abs(den)) < _ONSAGER_POLE_TOL:
+        raise DomainError("real-cavity factor has a pole at eps = -1/2")
+    return den, abs_den, abs(3 * eps / den) ** 2
+
+
 def onsager_factor(eps: complex) -> float:
     """Real-cavity local-field factor |3 eps/(2 eps + 1)|**2."""
-    den = 2 * eps + 1
-    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
-        raise DomainError("real-cavity factor has a pole at eps = -1/2")
-    return abs(3 * eps / den) ** 2
+    return _real_cavity(eps)[2]
 
 
 def _expansion_guard(k0: float, r_c: float, what: str) -> float:
+    """k0 r_c, for a positive r_c; warns outside the small-cavity range."""
+    if smallest(r_c) <= 0:
+        raise DomainError("r_c must be positive")
     x = k0 * r_c
     x_max = largest(x)
     if x_max >= EXPANSION_LIMIT:
@@ -61,7 +70,7 @@ def _expansion_guard(k0: float, r_c: float, what: str) -> float:
 
 def nonradiative_nearfield(eps: complex, k0: float, r_m: float) -> float:
     """Macroscopic near-field transfer rate, (3/2)(eps''/|eps|^2)(k0 r_m)^-3."""
-    return 1.5 * eps.imag / abs(eps) ** 2 / (k0 * r_m) ** 3
+    return _gamma0(eps, 0.0, abs(eps) ** 2, k0, r_m)
 
 
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
@@ -76,10 +85,13 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
+    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
+
+
+def _gamma0(eps, eta, abs2, k0, r_m):
     if smallest(r_m) <= 0:
         raise DomainError("r_m must be positive")
-    eta, _ = eta_kappa(eps)
-    return nonradiative_nearfield(eps, k0, r_m) + eta
+    return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
 def _power_beyond(eps: complex, k0: float, r: float) -> float:
@@ -115,8 +127,6 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    if smallest(r_c) <= 0:
-        raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "w0_expanded")
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
@@ -131,13 +141,14 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    if smallest(r_c) <= 0:
-        raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "gamma0_loc")
-    factor = onsager_factor(eps)
-    eta, kappa = eta_kappa(eps)
-    abs2 = abs(eps) ** 2
-    den2 = abs(2 * eps + 1) ** 2
+    _, abs_den, factor = _real_cavity(eps)
+    return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
+
+
+def _gamma0_loc(eps, root, abs2, abs_den, factor, x):
+    eta, kappa = root.real, root.imag
+    den2 = abs_den ** 2
     bracket = x ** -3 \
         + (28 * abs2 + 16 * eps.real + 1) / (5 * den2) / x \
         - 2 * (2 * kappa * abs2 + kappa * eps.real + eta * eps.imag) / den2
@@ -151,12 +162,8 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    if smallest(r_c) <= 0:
-        raise DomainError("r_c must be positive")
     x = _expansion_guard(k0, r_c, "p_eff_expansion")
-    den = 2 * eps + 1
-    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
-        raise DomainError("expansion has a pole at eps = -1/2")
+    den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
     cubic = (2 / 3) * eps_pow_3_2(eps) * (eps - 1) / den
     return 3 * eps / den * (1 - quad * x ** 2 - 1j * cubic * x ** 3)
@@ -203,20 +210,16 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
     the infinite-medium rate, with the radiative rate replaced by the bare
     cavity rate and the extinction coefficient by twice the bare shift.
     """
-    factor = onsager_factor(eps)
-    den2 = abs(2 * eps + 1) ** 2
+    _, abs_den, factor = _real_cavity(eps)
     correction = 2 * eps.imag / abs(eps) ** 2 * (
         2 * (2 * abs(eps) ** 2 + eps.real) * delta_sc_hat
-        + eps.imag * gamma_sc_hat) / den2
+        + eps.imag * gamma_sc_hat) / abs_den ** 2
     return factor * (gamma_sc_hat - correction)
 
 
-def _gamma_sc_loc_of_c1(eps: complex, c1: complex) -> float:
-    """Re[9 eps^{5/2}/(2 eps + 1)**2 c1] for the bare-sphere amplitude c1."""
-    den = 2 * eps + 1
-    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
-        raise DomainError("local-field factor has a pole at eps = -1/2")
-    return (9 * eps_pow_5_2(eps) / (den * den) * c1).real
+def _c1_weight(eps, root, den):
+    """9 eps^{5/2}/(2 eps + 1)**2: gamma_sc_loc is Re[weight c1]."""
+    return 9 * (eps * eps * root) / (den * den)
 
 
 def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
@@ -228,8 +231,8 @@ def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
     built from the bare rate and shift, that the verification battery
     checks this one against.
     """
-    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
-    return _gamma_sc_loc_of_c1(eps, coeffs.c1)
+    weight = _c1_weight(eps, sqrt_eps(eps), _real_cavity(eps)[0])
+    return (weight * _sphere_in_host(eps, eps_ext, radius, k0).c1).real
 
 
 def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
@@ -239,14 +242,12 @@ def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
     minus an absorption correction; the two expressions are algebraically
     identical and are returned for verification.
     """
-    den = 2 * eps + 1
-    if smallest(abs(den)) < _ONSAGER_POLE_TOL:
-        raise DomainError("identity has a pole at eps = -1/2")
-    lhs = (9 * eps_pow_5_2(eps) / (den * den)).real
-    eta, kappa = eta_kappa(eps)
-    rhs = onsager_factor(eps) * eta - 18 * eps.imag * (
-        (2 * abs(eps) ** 2 + eps.real) * kappa + eps.imag * eta
-    ) / abs(den) ** 4
+    den, abs_den, factor = _real_cavity(eps)
+    root = sqrt_eps(eps)
+    lhs = _c1_weight(eps, root, den).real
+    rhs = factor * root.real - 18 * eps.imag * (
+        (2 * abs(eps) ** 2 + eps.real) * root.imag + eps.imag * root.real
+    ) / abs_den ** 4
     return lhs, rhs
 
 
@@ -328,20 +329,20 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     the regularization distance of the macroscopic rate.
     """
     coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
-    root_c1 = sqrt_eps(eps) * coeffs.c1
-    g_sc = root_c1.real
-    d_sc = 0.5 * root_c1.imag
-    g_sc_loc = _gamma_sc_loc_of_c1(eps, coeffs.c1)
-    g0 = gamma0_macroscopic(eps, k0, r_m)
-    g0_loc = gamma0_loc(eps, k0, r_c)
+    root, abs2 = sqrt_eps(eps), abs(eps) ** 2
+    den, abs_den, factor = _real_cavity(eps)
+    root_c1 = root * coeffs.c1
+    g_sc_loc = (_c1_weight(eps, root, den) * coeffs.c1).real
+    g0 = _gamma0(eps, root.real, abs2, k0, r_m)
+    x = _expansion_guard(k0, r_c, "rate_report")
+    g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     p_ext = eps / eps_ext * coeffs.c_outer
     w_ext = abs(p_ext) ** 2 * _power_beyond(eps_ext, k0, radius)
-    factor = onsager_factor(eps)
     return RateReport(
         gamma0_hat=g0,
         gamma0_loc_hat=g0_loc,
-        gamma_sc_hat=g_sc,
-        delta_sc_hat=d_sc,
+        gamma_sc_hat=root_c1.real,
+        delta_sc_hat=0.5 * root_c1.imag,
         gamma_sc_loc_hat=g_sc_loc,
         gamma_loc_hat=g0_loc + g_sc_loc,
         w_ext_hat=w_ext,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +253,28 @@ class TestGeneralSolver:
         with pytest.raises(IllConditioned):
             ml.coeffs_general_n(graded_stack(8), 1.1)
 
+    def test_nan_amplitude_fails_the_residual_check(self):
+        # Python's max and numpy's fmax both skip a NaN row defect
+        stack = ml.LayerStack((0.5, 1.0), (1.0, complex(math.nan, 1.0), 1.0))
+        with pytest.raises(IllConditioned):
+            ml.coeffs_general_n(stack, 1.0)
+        sphere = SimpleNamespace(radii=(2.0,),
+                                 eps=(np.array([5 + 2j, math.nan]), 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(IllConditioned):
+            ml.coeffs_general_n(sphere, 1.0)
+
+    @pytest.mark.parametrize("radii", [(0.5, 0.3), (0.5, -1.0), (0.5, 0.5)])
+    def test_engine_rejects_radii_out_of_order(self, radii):
+        eps = (1.0, 5 + 2.5j, 1.0)
+        with pytest.raises(DomainError):
+            ml.coeffs_general_n(SimpleNamespace(radii=radii, eps=eps), 1.0)
+        # (2,) arrays: the second sample alone is out of order
+        arrays = tuple(np.array([r, r]) for r in radii)
+        arrays[1][0] = 2.0
+        with pytest.raises(DomainError):
+            ml.coeffs_general_n(SimpleNamespace(radii=arrays, eps=eps),
+                                np.array([1.0, 1.1]))
+
     def test_closed_forms_satisfy_continuity(self, rng):
         """Substituting the closed forms back into the boundary conditions."""
         for _ in range(10):
@@ -356,6 +379,36 @@ class TestFields:
         for bad in ([0.0, 0.3], [0.3, -0.1]):
             with pytest.raises(DomainError, match="positive"):
                 ml.field_in_layer(stack, coeffs, np.array(bad), 0.3, 1.0)
+
+
+EPS_ROUTE = (1.0, 5 + 2.5j, 1.0)
+ROUTES = {  # radii (one or two) and k0 -> amplitudes
+    "two_layer": lambda r, k0: ml.coeffs_two_layer(5 + 2.5j, 1.0, *r, k0),
+    "three_layer": lambda r, k0: ml.coeffs_three_layer(*EPS_ROUTE, *r, k0),
+    "general_n": lambda r, k0: ml.coeffs_general_n(
+        SimpleNamespace(radii=r, eps=EPS_ROUTE[-len(r) - 1:]), k0),
+    "layer_stack": lambda r, k0: ml.coeffs_general_n(
+        ml.LayerStack(r, EPS_ROUTE[-len(r) - 1:]), k0),
+}
+
+
+@pytest.mark.parametrize("route, bad, form", [
+    (route, bad, form) for route in ROUTES
+    for bad in ("r_inner", "r_outer", "k0") for form in ("number", "element")
+    # a LayerStack holds numbers only; a two-layer stack has one radius
+    if not (route == "layer_stack" and form == "element"
+            or route == "two_layer" and bad == "r_outer")
+])
+def test_nan_radius_or_wavenumber_is_a_domain_error(route, bad, form):
+    nan = math.nan if form == "number" else np.array([0.7, math.nan])
+    radii = [0.5] if route == "two_layer" else [0.5, 1.0]
+    k0 = 1.0
+    if bad == "k0":
+        k0 = nan
+    else:
+        radii[0 if bad == "r_inner" else -1] = nan
+    with pytest.raises(DomainError):
+        ROUTES[route](tuple(radii), k0)
 
 
 def test_overflow_guard_propagates():

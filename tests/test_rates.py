@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -393,6 +394,37 @@ class TestRateReport:
                       report.gamma_sc_loc_hat, report.gamma_loc_hat,
                       report.w_ext_hat, report.w_ext_loc_hat):
             assert math.isfinite(value)
+
+    @pytest.mark.parametrize("eps, eps_ext, r_c", [
+        (EPS_RES, 1.0, 0.2), (EPS_RES, 1.5 + 0.1j, 0.63), (4.0, 1.0, 0.1),
+        (-1.33 + 0.32j, 1.2, 0.05), (2 + 7j, 2.25, 0.4)])
+    def test_report_equals_the_one_quantity_functions(self, eps, eps_ext,
+                                                      r_c):
+        """The report shares each per-frequency quantity between its rates;
+        every rate keeps the bits of the function that computes it alone."""
+        radius, r_m, k0 = 2.0, 0.3, 1.1
+        report = rates.rate_report(eps, eps_ext, radius, r_c, r_m, k0)
+        bare = (eps, eps_ext, radius, k0)
+        assert report.gamma0_hat == rates.gamma0_macroscopic(eps, k0, r_m)
+        assert report.gamma0_loc_hat == rates.gamma0_loc(eps, k0, r_c)
+        assert report.gamma_sc_hat == rates.gamma_sc(*bare)
+        assert report.delta_sc_hat == rates.delta_sc(*bare)
+        assert report.gamma_sc_loc_hat == rates.gamma_sc_loc(*bare)
+        assert report.onsager_factor == rates.onsager_factor(eps)
+        assert report.lorentz_factor == rates.lorentz_factor(eps)
+
+    @pytest.mark.parametrize("r_c, count", [
+        (0.2, 0), (0.2999, 0), (0.3, 1), (0.63, 1),
+        (np.array([0.1, 0.2]), 0), (np.array([0.1, 0.4, 0.5]), 1)],
+        ids=["below", "just_below", "at_limit", "above", "array_below",
+             "array_partly_above"])
+    def test_one_expansion_warning_per_report(self, r_c, count):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rates.rate_report(EPS_RES, 1.0, 2.0, r_c, 0.2, 1.0)
+        assert [w.category for w in record] == [ExpansionRangeWarning] * count
+        # the warning names the line that asked for the report
+        assert all(w.filename == __file__ for w in record)
 
     def test_one_engine_call_per_report(self, monkeypatch):
         calls = []
