@@ -73,8 +73,8 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
                 z = complex(z)
             if pole is not None and z == 0:
                 raise DomainError(pole)
-            if im_limit is not None and abs(z.imag) > im_limit:
-                raise _overflow(abs(z.imag), im_limit)
+            if im_limit is not None:
+                guard_im(z, im_limit)
             if series is not None and abs(z) < radius:
                 return series(z)
             return fn(z, cmath)
@@ -82,8 +82,8 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
         def on_array(z):
             if pole is not None and (z == 0).any():
                 raise DomainError(pole)
-            if im_limit is not None and largest(abs(z.imag)) > im_limit:
-                raise _overflow(largest(abs(z.imag)), im_limit)
+            if im_limit is not None:
+                guard_im(z, im_limit)
             if series is None:
                 return fn(z, _ArrayMath)
             small = abs(z) < radius
@@ -97,6 +97,8 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
     return decorate
 
 
-def _overflow(im, im_limit) -> OverflowError:
-    return OverflowError(
-        f"|Im z| = {im:g} exceeds the overflow guard {im_limit:g}")
+def guard_im(z, limit) -> None:
+    """Raise OverflowError if |Im z|, or that of an element, exceeds limit."""
+    if (im := largest(abs(z.imag))) > limit:
+        raise OverflowError(
+            f"|Im z| = {im:g} exceeds the overflow guard {limit:g}")

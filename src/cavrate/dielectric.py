@@ -42,11 +42,6 @@ def eps_pow_3_2(eps: complex) -> complex:
     return eps * sqrt_eps(eps)
 
 
-def eps_pow_5_2(eps: complex) -> complex:
-    """eps^{5/2} through the passive square-root branch."""
-    return eps * eps * sqrt_eps(eps)
-
-
 @dataclass(frozen=True)
 class ComplexPermittivity:
     """Permittivity at one frequency with its derived optical quantities."""

@@ -12,8 +12,9 @@ the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
 interface.  One O(N) recursion over the interfaces, on scaled waves that
 stay finite in thick absorbing layers, gives them for any N and takes numpy
-arrays, one entry per frequency.  The closed forms for N = 2 and N = 3 are
-the independent route it is checked against.
+arrays, one entry per frequency; the fields use the same scaled waves.  The
+closed forms for N = 2 and N = 3 are the independent route it is checked
+against.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import exp, largest, peaks, positive, smallest, worst
+from ._elementwise import (exp, guard_im, largest, peaks, positive, smallest,
+                           worst)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -275,25 +277,6 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
 coefficients = coeffs_general_n
 
 
-def _radial_profile(stack, coeffs, layer, z, include_source):
-    """(f, [z f]') of the layer's wave combination at z = k_layer * r."""
-    if layer == 1:
-        f = coeffs.c1 * sf.sph_j1(z)
-        df = coeffs.c1 * sf.riccati_j1(z)
-        if include_source:
-            f += sf.sph_h1_1(z)
-            df += sf.riccati_h1(z)
-        return f, df
-    cp = coeffs.c_plus[layer - 2]
-    cm = coeffs.c_minus[layer - 2]
-    f = cp * sf.sph_h1_1(z)
-    df = cp * sf.riccati_h1(z)
-    if cm != 0:
-        f += cm * sf.sph_h2_1(z)
-        df += cm * sf.riccati_h2(z)
-    return f, df
-
-
 def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
                    theta, k0: float, include_source: bool = True,
                    layer: int | None = None):
@@ -305,7 +288,10 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     False (useful for isolating the scattered field near the origin, where
     the j1-based part stays finite).  layer overrides the automatic layer
     lookup, which lets both sides of an interface be evaluated at exactly
-    the same radius.
+    the same radius.  The profile f and [z f]'/z come from the scaled
+    waves of the amplitude recursion, times e^{iz} for the outgoing wave
+    and e^{-iz} for the other one (z = k_layer r); |Im z| above
+    specfun.IM_GUARD raises OverflowError.
     """
     if smallest(r) <= 0:
         raise DomainError("r must be positive (use field_center_limit at 0)")
@@ -315,22 +301,21 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
             raise DomainError("radii span an interface")
     elif not 1 <= layer <= stack.n_layers:
         raise DomainError(f"layer {layer} outside 1..{stack.n_layers}")
-    eps1 = stack.eps[0]
-    eps_l = stack.eps[layer - 1]
+    eps1, eps_l = stack.eps[0], stack.eps[layer - 1]
     k_l = sqrt_eps(eps_l) * k0
     z = k_l * r
-    if layer == 1 and not include_source:
-        # ratio forms stay finite down to r = 0
-        f_over_z = coeffs.c1 * sf.j1_over_z(z)
-        df_over_z = coeffs.c1 * sf.riccati_j1_over_z(z)
-        f = f_over_z * z
-    else:
-        f, df = _radial_profile(stack, coeffs, layer, z, include_source)
-        f_over_z = f / z
-        df_over_z = df / z
+    guard_im(z, sf.IM_GUARD)
+    # amplitudes of the outgoing wave and of the other one (h2; j1 in layer 1)
+    a, b = ((float(include_source), coeffs.c1) if layer == 1 else
+            (coeffs.c_plus[layer - 2], coeffs.c_minus[layer - 2]))
+    # eps = z turns the kernel's [z f]'/eps into [z f]'/z
+    (af, ad), (bf, bd) = _scaled_waves(z, z, regular=layer == 1)
+    a, b = a * exp(1j * z), b * exp(-1j * z)
+    f = a * af + b * bf
+    df_over_z = a * ad + b * bd
     theta = np.asarray(theta)
     pref = 1j * k0 * k0 * (eps1 / eps_l) * k_l
-    e_r = pref * 2 * f_over_z * np.cos(theta)
+    e_r = pref * 2 * (f / z) * np.cos(theta)
     e_theta = -pref * df_over_z * np.sin(theta)
     b_phi = eps1 * k0 ** 3 * f * np.sin(theta)
     return e_r, e_theta, b_phi

@@ -2,9 +2,13 @@
 
 Only the closed forms needed by the electric-dipole problem are provided,
 together with d/dz [z f(z)] (the combination entering the tangential-field
-boundary conditions).  The j1 ratios j1(z)/z and [z j1(z)]'/z are continued
-analytically through z = 0.  Every function takes a complex scalar or a
-numpy array of arguments.  All functions are pure and thread-safe.
+boundary conditions).  Every function takes a complex scalar or a numpy
+array of arguments.  All functions are pure and thread-safe.
+
+Amplitudes and fields use only j1_scaled, through the scaled-wave kernel
+of multilayer.  The unscaled waves (sph_j1, riccati_j1, sph_h*_0, sph_h*_1,
+riccati_h*) are the reference route only: the N = 2 and N = 3 closed forms
+and the battery's Hankel identities.
 """
 
 from ._elementwise import elementwise, exp
@@ -33,22 +37,10 @@ def _even_series(coeffs, z: complex) -> complex:
     return acc
 
 
-@elementwise(lambda z: 1 - z * z / 6 * (1 - z * z / 20), 1e-4)
-def sph_j0(z, m):
-    """j0(z) = sin(z)/z, with j0(0) = 1."""
-    return m.sin(z) / z
-
-
 @elementwise(lambda z: z * _even_series(_J1_OVER_Z, z), _SERIES_RADIUS)
 def sph_j1(z, m):
     """j1(z) = sin(z)/z**2 - cos(z)/z, with j1(0) = 0."""
     return m.sin(z) / (z * z) - m.cos(z) / z
-
-
-@elementwise(lambda z: _even_series(_J1_OVER_Z, z), _SERIES_RADIUS)
-def j1_over_z(z, m):
-    """j1(z)/z, finite at the origin (limit 1/3)."""
-    return sph_j1(z) / z
 
 
 @_hankel
@@ -79,12 +71,6 @@ def sph_h2_1(z, m):
 def riccati_j1(z, m):
     """d/dz [z j1(z)], evaluated in closed form (z j0(z) - j1(z))."""
     return m.sin(z) - sph_j1(z)
-
-
-@elementwise(lambda z: _even_series(_RICCATI_J1_OVER_Z, z), _SERIES_RADIUS)
-def riccati_j1_over_z(z, m):
-    """d/dz [z j1(z)] divided by z, finite at the origin (limit 2/3)."""
-    return riccati_j1(z) / z
 
 
 @_hankel

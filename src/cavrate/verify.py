@@ -20,8 +20,7 @@ import numpy as np
 from . import multilayer as ml
 from . import oracle, rates
 from .dielectric import eta_kappa, eval_lorentz, sqrt_eps
-from .errors import (ConfigError, IllConditioned, QuadratureFailure,
-                     SingularDenominator)
+from .errors import ConfigError, DomainError, QuadratureFailure
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,9 @@ def check_energy_balance(eps_sphere, eps_ext, radius, r_c, k0) -> CheckResult:
     fields = ml.stack_field_evaluator(stack, k0)
     shells = [
         (1.05 * r_c, 0.95 * radius, stack.eps[1]),
-        (1.05 * radius, radius + 3.0 / k0, stack.eps[2]),
+        # 1.05 R alone would leave the host shell empty for R > 60/k0
+        (min(1.05 * radius, radius + 1.5 / k0), radius + 3.0 / k0,
+         stack.eps[2]),
     ]
     if k0 * r_c >= 0.05:
         # in the lossless cavity the near-field flux cancels only to
@@ -299,7 +300,9 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     config (a SweepConfig) supplies the medium and geometry for the
     system-specific checks; without one, the reference sphere (eps obtained
     at the absorption resonance of the standard oscillator) is used.  A
-    check that fails numerically is recorded as a failed check in its place.
+    check that fails numerically (an ArithmeticError such as OverflowError,
+    a QuadratureFailure or a DomainError) is recorded as a failed check in
+    its place.
     """
     rng = np.random.default_rng(seed)
     reference_eps = 5 + 2.5j
@@ -327,7 +330,7 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     def run(fn, *args):
         try:
             result = fn(*args)
-        except (QuadratureFailure, IllConditioned, SingularDenominator) as exc:
+        except (ArithmeticError, QuadratureFailure, DomainError) as exc:
             result = CheckResult(
                 name=fn.__name__, passed=False, measured=math.inf,
                 tolerance=0.0, detail=f"numeric failure: {exc}")

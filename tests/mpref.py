@@ -1,9 +1,10 @@
 """High-precision (mpmath) twin of the closed forms, used as test oracle.
 
-Re-implements the spherical waves, the layered-sphere amplitudes and the
-small-cavity expansions in 50-digit arithmetic.  Double-precision results
-are checked against these values, and the expansion-order fits are done on
-the mp values so that float rounding cannot contaminate the smallest radii.
+Re-implements the spherical waves, the layered-sphere amplitudes and
+fields, and the small-cavity expansions in 50-digit arithmetic.
+Double-precision results are checked against these values, and the
+expansion-order fits are done on the mp values so that float rounding
+cannot contaminate the smallest radii.
 """
 
 import mpmath as mp
@@ -113,6 +114,27 @@ def general_n(eps, radii, k0):
     c_plus = [sol[col(layer, 0)] for layer in range(2, len(eps) + 1)]
     c_minus = [sol[col(layer, 1)] for layer in range(2, len(eps))] + [0]
     return sol[0], c_plus, c_minus
+
+
+def field(eps, k0, amplitudes, layer, r, theta, include_source=True):
+    """(E_r, E_theta, B_phi) at (r, theta) in a layer, from the unscaled
+    waves and amplitudes (c1, [c_l+], [c_l-]) as general_n returns them."""
+    c1, c_plus, c_minus = amplitudes
+    eps1, eps_l = to_mpc(eps[0]), to_mpc(eps[layer - 1])
+    k_l = sqrt_eps(eps_l) * k0
+    z = k_l * mp.mpf(r)
+    if layer == 1:
+        source = 1 if include_source else 0
+        f = source * h1_1(z) + c1 * j1(z)
+        df = source * rh1(z) + c1 * rj1(z)
+    else:
+        cp, cm = c_plus[layer - 2], c_minus[layer - 2]
+        f = cp * h1_1(z) + cm * h2_1(z)
+        df = cp * rh1(z) + cm * rh2(z)
+    theta = mp.mpf(theta)
+    pref = I * k0 * k0 * (eps1 / eps_l) * k_l
+    return (pref * 2 * f / z * mp.cos(theta), -pref * df / z * mp.sin(theta),
+            eps1 * mp.mpf(k0) ** 3 * f * mp.sin(theta))
 
 
 def onsager_factor(eps):

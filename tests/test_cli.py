@@ -13,7 +13,7 @@ from cavrate import oracle, rates
 from cavrate import specfun
 from cavrate import verify as verify_mod
 from cavrate.dielectric import eval_lorentz
-from cavrate.errors import (ConfigError, ExpansionRangeWarning,
+from cavrate.errors import (ConfigError, DomainError, ExpansionRangeWarning,
                             IllConditioned, QuadratureFailure)
 from conftest import passive_eps_samples
 
@@ -434,6 +434,42 @@ class TestVerifyBattery:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 17
         assert out[-1] == "16 checks, 3 failed"
+
+    @pytest.mark.parametrize("error", [DomainError, OverflowError,
+                                       ZeroDivisionError, IllConditioned])
+    def test_any_numeric_failure_is_a_verdict(self, monkeypatch, error):
+        def boom(*args, **kwargs):
+            raise error("synthetic")
+
+        monkeypatch.setattr(oracle, "energy_balance", boom)
+        report = verify_mod.run_battery(None)
+        failed = [c for c in report.checks if not c.passed]
+        assert len(report.checks) == 16
+        assert [c.name for c in failed] == ["check_energy_balance"]
+        assert failed[0].detail == "numeric failure: synthetic"
+
+    def test_overflow_inside_a_check_is_a_verdict(self, tmp_path, capsys):
+        # at R = 1400 the sphere's field passes |Im k r| = 700 at resonance
+        path = tmp_path / "large.cfg"
+        path.write_text("[geometry]\nsphere_radius = 1400\n")
+        code = cli.main(["verify", "--preset", "fig3", "--config", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(out) == 17 and out[-1].startswith("16 checks, ")
+        assert any(line.startswith("FAIL  check_energy_balance")
+                   and "numeric failure: |Im z| = " in line
+                   and "overflow guard" in line for line in out), out
+
+    @pytest.mark.parametrize("radius", [61.0, 100.0, 600.0])
+    def test_energy_balance_for_spheres_beyond_60_over_k0(self, radius):
+        # 1.05 R, as a host shell's inner radius, passes its outer radius
+        # R + 3/k0 for R > 60/k0
+        config = replace(cli.get_preset("fig3"), sphere_radius=radius)
+        omega = config.medium.omega0
+        result = verify_mod.check_energy_balance(
+            eval_lorentz(config.medium, omega).eps, config.eps_ext, radius,
+            config.onsager_radius(omega), omega)
+        assert result.passed, result.line()
 
     @pytest.mark.parametrize("preset, seed", [("fig4", 1943366698),
                                               ("fig3", 1799009648)])

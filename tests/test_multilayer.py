@@ -7,6 +7,7 @@ import pytest
 import mpref
 from cavrate import multilayer as ml
 from cavrate import rates
+from cavrate.dielectric import sqrt_eps
 from cavrate.errors import DomainError, IllConditioned
 
 
@@ -370,6 +371,48 @@ class TestFields:
         for i, column in enumerate(zip(*free(r[:, None], theta))):
             for x, y in zip(column, free(float(r[i]), theta)):
                 assert np.all(abs(x - y) <= 1e-14 * abs(y))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_layer_matches_the_mp_reference(self, seed):
+        """Seeded 2-5 layer passive stacks against 50-digit fields."""
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        radii = tuple(np.cumsum(rng.uniform(0.2, 1.2, n - 1)))
+        eps = tuple(random_passive(rng) for _ in range(n))
+        k0 = rng.uniform(0.5, 2.0)
+        stack = ml.LayerStack(radii, eps)
+        coeffs = ml.coefficients(stack, k0)
+        amplitudes = mpref.general_n(eps, radii, k0)
+        theta = np.array([0.3, 1.2, 2.5])
+        edges = (0.0, *radii, radii[-1] + 3.0)
+        cases = [(1, np.array([1e-8]), False)]
+        for layer in range(1, n + 1):
+            lo, hi = edges[layer - 1], edges[layer]
+            r = lo + (hi - lo) * np.array([0.01, *rng.uniform(0, 1, 3), 0.99])
+            cases += [(layer, r, True)] + [(1, r, False)] * (layer == 1)
+        for layer, r, source in cases:
+            ours = ml.field_in_layer(stack, coeffs, r[:, None], theta, k0,
+                                     include_source=source)
+            for i, ri in enumerate(r):
+                for j, tj in enumerate(theta):
+                    ref = mpref.field(eps, k0, amplitudes, layer, ri, tj,
+                                      include_source=source)
+                    for x, y in zip(ours, map(complex, ref)):
+                        assert abs(x[i, j] - y) <= 1e-12 * abs(y), \
+                            (layer, ri, tj, source)
+
+    def test_overflow_guard_beyond_im_700(self):
+        eps, k0 = 4 + 4j, 1.0
+        stack = ml.LayerStack((2000.0,), (eps, 1.0))
+        coeffs = ml.coefficients(stack, k0)
+        limit = 700 / (sqrt_eps(eps) * k0).imag  # radius of |Im k r| = 700
+        for r in (1.01 * limit, np.array([0.5, 1.01]) * limit):
+            for source in (True, False):
+                with pytest.raises(OverflowError, match="overflow guard"):
+                    ml.field_in_layer(stack, coeffs, r, 0.7, k0,
+                                      include_source=source)
+        inside = ml.field_in_layer(stack, coeffs, 0.99 * limit, 0.7, k0)
+        assert all(np.isfinite(x) for x in inside)
 
     def test_radius_arrays_must_stay_in_one_layer(self):
         stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))

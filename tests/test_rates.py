@@ -233,12 +233,12 @@ class TestCavityRates:
     def test_extraction_from_interface_determinants(self, rng):
         # finite part of the small-cavity series: the corrected rate is
         # Re of the eps^{5/2} factor times minus twice b1/(b1+b2)
-        from cavrate.dielectric import eps_pow_5_2
+        from cavrate.dielectric import sqrt_eps
         for eps in passive_eps_samples(rng, 10):
             radius, k0 = rng.uniform(0.8, 3), 1.0
             _, (b1, b2) = ml.three_layer_interface_terms(
                 1.0, eps, 1.0, 1e-4, radius, k0)
-            expected = (9 * eps_pow_5_2(eps) / (2 * eps + 1) ** 2
+            expected = (9 * eps * eps * sqrt_eps(eps) / (2 * eps + 1) ** 2
                         * (-2 * b1 / (b1 + b2))).real
             assert rates.gamma_sc_loc(eps, 1.0, radius, k0) \
                 == pytest.approx(expected, rel=1e-10)

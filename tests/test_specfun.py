@@ -36,14 +36,6 @@ def test_j1_at_half_pi():
     assert sf.sph_j1(math.pi / 2) == pytest.approx(4 / math.pi ** 2, rel=1e-15)
 
 
-def test_j1_ratios_continuous_through_origin():
-    assert sf.j1_over_z(0) == pytest.approx(1 / 3, abs=1e-16)
-    assert sf.riccati_j1_over_z(0) == pytest.approx(2 / 3, abs=1e-16)
-    for z in (1e-8, 1e-8j, (1 + 1j) * 1e-8):
-        assert abs(sf.j1_over_z(z) - 1 / 3) < 1e-15
-        assert abs(sf.riccati_j1_over_z(z) - 2 / 3) < 1e-15
-
-
 def test_series_closed_form_crossover(rng):
     """Both evaluation branches agree with the mp reference around |z| = 0.5."""
     for _ in range(100):
@@ -138,7 +130,8 @@ def test_riccati_j1_closed_form_identity(rng):
     """[z j1]' = z j0 - j1 over the sampled plane."""
     for _ in range(50):
         z = complex(rng.uniform(-10, 10), rng.uniform(-5, 5))
-        expected = z * sf.sph_j0(z) - sf.sph_j1(z)
+        j0 = cmath.sin(z) / z
+        expected = z * j0 - sf.sph_j1(z)
         assert abs(sf.riccati_j1(z) - expected) <= 1e-12 * max(1, abs(expected))
 
 
@@ -162,8 +155,7 @@ def test_arrays_follow_the_scalar_route():
     # both sides of the series switch, the origin and a large argument
     zs = np.array([0, 1e-5 + 1e-5j, 0.3 - 0.2j, 0.5, 1 + 0.5j, -1.5 + 1j,
                    7 - 3j, 20 + 0.1j])
-    regular = (sf.sph_j0, sf.sph_j1, sf.j1_over_z, sf.riccati_j1,
-               sf.riccati_j1_over_z)
+    regular = (sf.sph_j1, sf.riccati_j1)
     singular = (sf.sph_h1_0, sf.sph_h1_1, sf.sph_h2_0, sf.sph_h2_1,
                 sf.riccati_h1, sf.riccati_h2)
     for fns, args in ((regular, zs), (singular, zs[1:])):
