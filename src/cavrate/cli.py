@@ -5,7 +5,9 @@ evaluates the full set of normalized rates at each point and emits one row
 per frequency.  Output is deterministic: identical configuration gives
 byte-identical files.  Built-in presets reproduce the standard parameter
 sets (absorbing sphere of background constant 5, radius 2 c/omega0, in
-air), differing in the local-field cavity radius.
+air), differing in the local-field cavity radius.  A sweep whose grid
+leaves the small-cavity range warns once, from its rates, naming the
+largest k0*r_c it evaluates.
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure
 (including a check that fails numerically), 3 numeric failure of the sweep.
@@ -18,15 +20,13 @@ import configparser
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import verify as verify_mod
 from .dielectric import LorentzMedium, eval_lorentz
-from .errors import (ConfigError, DomainError, ExpansionRangeWarning,
-                     QuadratureFailure)
+from .errors import ConfigError, DomainError, QuadratureFailure
 from .rates import rate_report
 
 COLUMNS = (
@@ -36,14 +36,13 @@ COLUMNS = (
     "w_ext_hat", "w_ext_loc_hat", "onsager_factor", "lorentz_factor",
 )
 
-# fraction = 0.16 puts k0*R_c at 1; 0.048 at the expansion comfort limit 0.3
+# fraction = 0.16 puts k0*R_c at 1 (at the transition wavelength)
 _FRACTION_LIMIT = 0.16
-_FRACTION_WARN = 0.048
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Complete description of one sweep."""
+    """Complete description of one sweep; building one never warns."""
 
     medium: LorentzMedium = LorentzMedium(eps_b=5.0, omega0=1.0,
                                           Omega=0.5, gamma=0.1)
@@ -90,12 +89,6 @@ class SweepConfig:
         if unknown or not self.columns:
             raise ConfigError(f"unknown output columns: {', '.join(unknown)}"
                               if unknown else "no output columns selected")
-        if self.onsager_fraction > _FRACTION_WARN:
-            # past the generated __init__ (or build_config) to its caller
-            warnings.warn(
-                f"onsager_fraction = {self.onsager_fraction:g} puts k0*R_c "
-                f"above 0.3; small-cavity expansions lose accuracy",
-                ExpansionRangeWarning, stacklevel=3)
 
     def omega_grid(self) -> list[float]:
         """Strictly increasing grid; refinement to 2n-1 points keeps the
@@ -174,10 +167,7 @@ def sweep_row(config: SweepConfig, omega):
 
 def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
     """One row per grid frequency, in increasing frequency order."""
-    with warnings.catch_warnings():
-        # the config-level warning already covers the expansion range
-        warnings.simplefilter("ignore", ExpansionRangeWarning)
-        columns = sweep_row(config, np.array(config.omega_grid()))
+    columns = sweep_row(config, np.array(config.omega_grid()))
     values = [column.tolist() for column in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
 
@@ -248,19 +238,23 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
     if base is None:
         base = SweepConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        lines = str(exc).splitlines()  # reported on one line
+        raise ConfigError(" ".join(map(str.strip, lines))) from None
     updates = {}
     medium_updates = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         schema = _CONFIG_SCHEMA[section]
         # configparser lower-cases keys; map them back to field names
         names = {name.lower(): name for name in schema}
         target = medium_updates if section == "medium" else updates
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in names:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             name = names[key]
@@ -279,20 +273,15 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
 
 
 def build_config(args) -> SweepConfig:
-    # build quietly, then validate the final configuration with its warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExpansionRangeWarning)
-        base = get_preset(args.preset) if args.preset else SweepConfig()
-        if args.config:
-            base = load_config_file(args.config, base)
-        overrides = {}
-        if getattr(args, "columns", None):
-            overrides["columns"] = _parse_columns(args.columns)
-        if getattr(args, "verify", False):
-            overrides["verify"] = True
-        config = replace(base, **overrides) if overrides else base
-    config.__post_init__()
-    return config
+    base = get_preset(args.preset) if args.preset else SweepConfig()
+    if args.config:
+        base = load_config_file(args.config, base)
+    overrides = {}
+    if getattr(args, "columns", None):
+        overrides["columns"] = _parse_columns(args.columns)
+    if getattr(args, "verify", False):
+        overrides["verify"] = True
+    return replace(base, **overrides) if overrides else base
 
 
 def _emit(rows, config, out_path) -> None:

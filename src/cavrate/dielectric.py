@@ -7,8 +7,8 @@ c / omega0 (so k0 = omega numerically), and c = 1.
 The complex refractive index is the principal square root of eps, which
 for passive media (Im eps >= 0) has a non-negative imaginary part.  That
 branch makes outgoing waves e^{ikr} decay, as they must in an absorbing
-medium.  Fractional powers eps^{3/2} and eps^{5/2} are built from the same
-root so frequency sweeps never jump across a branch cut.  Permittivities
+medium.  Fractional powers such as eps^{3/2} are built as eps times this
+root, so frequency sweeps never jump across a branch cut.  Permittivities
 and frequencies may be numpy arrays: a whole grid is evaluated at once.
 """
 
@@ -35,11 +35,6 @@ def eta_kappa(eps: complex) -> tuple[float, float]:
     """(eta, kappa) pair for a given permittivity."""
     root = sqrt_eps(eps)
     return root.real, root.imag
-
-
-def eps_pow_3_2(eps: complex) -> complex:
-    """eps^{3/2} through the passive square-root branch."""
-    return eps * sqrt_eps(eps)
 
 
 @dataclass(frozen=True)

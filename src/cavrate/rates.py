@@ -26,7 +26,7 @@ import numpy as np
 
 from . import multilayer as ml
 from ._elementwise import exp, largest, smallest
-from .dielectric import eps_pow_3_2, eta_kappa, sqrt_eps
+from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
 # beyond k0*r_c ~ 0.3 the omitted expansion orders reach the percent level
@@ -165,7 +165,7 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     x = _expansion_guard(k0, r_c, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
-    cubic = (2 / 3) * eps_pow_3_2(eps) * (eps - 1) / den
+    cubic = (2 / 3) * (eps * sqrt_eps(eps)) * (eps - 1) / den  # eps^{3/2}
     return 3 * eps / den * (1 - quad * x ** 2 - 1j * cubic * x ** 3)
 
 

@@ -85,9 +85,13 @@ def riccati_h2(z, m):
     return m.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))
 
 
-@elementwise(lambda z: tuple(z * _even_series(c, z) * exp(1j * z)
-                             for c in (_J1_OVER_Z, _RICCATI_J1_OVER_Z)),
-             _SERIES_RADIUS)
+def _j1_scaled_series(z):
+    phase = exp(1j * z)
+    return tuple(z * _even_series(c, z) * phase
+                 for c in (_J1_OVER_Z, _RICCATI_J1_OVER_Z))
+
+
+@elementwise(_j1_scaled_series, _SERIES_RADIUS)
 def j1_scaled(z, m):
     """(j1(z) e^{iz}, d/dz [z j1(z)] e^{iz}), finite for any Im z >= 0; an
     array z gives a (2,) + z.shape array."""

@@ -66,13 +66,17 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             quick_config(**kwargs)
 
-    def test_fraction_warning(self):
-        with pytest.warns(ExpansionRangeWarning) as record:
-            quick_config(onsager_fraction=0.1)
-        assert [w.filename for w in record] == [__file__]  # the caller
+    @pytest.mark.parametrize("kwargs", [
+        {"onsager_fraction": 0.04}, {"onsager_fraction": 0.1},
+        {"onsager_fraction": 0.159, "omega_max": 5.0},
+        {"onsager_fraction": 0.04, "lambda_reference": "resonance",
+         "omega_max": 2.0},
+    ])
+    def test_building_never_warns(self, kwargs):
+        # the expansion range is judged by the rates a sweep evaluates
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            quick_config(onsager_fraction=0.04)
+            replace(quick_config(**kwargs), columns=("omega",))
 
     def test_onsager_radius_tracks_the_transition(self):
         config = quick_config(onsager_fraction=0.04)
@@ -134,6 +138,29 @@ class TestSweep:
                                                row["delta_sc_hat"])
             assert abs(direct - alt) <= 1e-12 * max(1.0, abs(direct),
                                                    abs(alt)), row["omega"]
+
+    @pytest.mark.parametrize("preset, x_max", [
+        ("fig2", "0.628"), ("fig3", "0.628"), ("fig4", None)])
+    def test_sweep_warns_once_with_its_largest_x(self, preset, x_max):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cli.run_sweep(cli.get_preset(preset))
+        assert [w.category for w in record] \
+            == [ExpansionRangeWarning] * (x_max is not None)
+        if x_max is not None:
+            assert f"k0*r_c = {x_max} " in str(record[0].message)
+            assert record[0].filename == cli.__file__
+
+    def test_resonance_reference_warns_from_the_grid(self):
+        # R_c fixed at 0.04 of the resonance wavelength reaches
+        # k0 R_c = 0.08 * 2 pi = 0.503 at omega_max = 2
+        config = cli.SweepConfig(onsager_fraction=0.04,
+                                 lambda_reference="resonance")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cli.run_sweep(config)
+        assert [w.category for w in record] == [ExpansionRangeWarning]
+        assert "k0*r_c = 0.503 " in str(record[0].message)
 
     def test_rows_ordered_and_complete(self):
         config = quick_config()
@@ -341,6 +368,26 @@ verify = false
             cli.load_config_file(str(path))
         assert cli.main(["sweep", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        b"sphere_radius = 61\n",
+        b"[geometry]\nsphere_radius = 3\nsphere_radius = 4\n",
+        b"[geometry]\n  stray\nsphere_radius = 3\n",
+        b"[output]\ncolumns = om%ega\n",
+        b"[geometry]\nsphere_radius = 3\xff\n",
+    ], ids=["no-section", "duplicate-key", "stray-line", "interpolation",
+            "not-text"])
+    def test_unparsable_file_is_config_error(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            cli.load_config_file(str(path))
+        for command in ("sweep", "verify"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error: ")
+            assert captured.err.count("\n") == 1
 
 
 # the per-sample loops that the batched checks replace: each draws what its
@@ -650,6 +697,15 @@ class TestMain:
                              "--columns", "omega"]) == 0
         assert [w.category for w in record] == [ExpansionRangeWarning]
         assert record[0].filename == cli.__file__
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_verify_does_not_warn(self, preset, capsys):
+        # the battery evaluates no expansion at the preset's r_c
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert cli.main(["verify", "--preset", preset]) == 0
+        assert record == []
+        assert capsys.readouterr().out.count("PASS") == 16
 
     def test_verify_failure_exit_code(self, monkeypatch):
         failing = verify_mod.VerificationReport(checks=(
