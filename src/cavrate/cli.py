@@ -9,8 +9,10 @@ air), differing in the local-field cavity radius.  A sweep whose grid
 leaves the small-cavity range warns once, from its rates, naming the
 largest k0*r_c it evaluates.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure
-(including a check that fails numerically), 3 numeric failure of the sweep.
+Exit codes: 0 success, 1 configuration or output error (an output file
+that cannot be written, or a reader that closes the pipe), 2 verification
+failure (including a check that fails numerically), 3 numeric failure of
+the sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -165,34 +168,63 @@ def sweep_row(config: SweepConfig, omega):
     }
 
 
-def run_sweep(config: SweepConfig) -> list[dict[str, float]]:
-    """One row per grid frequency, in increasing frequency order."""
+@dataclass(frozen=True)
+class Sweep:
+    """The result of a sweep: one list of floats per name in COLUMNS, in
+    increasing frequency order, kept as `columns` for the writers.
+
+    It also reads as a sequence of rows: `len`, integer and slice indexing
+    and iteration give fresh {name: float} dicts in COLUMNS order, and a
+    sweep equals a list of such dicts holding the same values.
+    """
+
+    columns: dict[str, list[float]]
+
+    def __len__(self) -> int:
+        return len(self.columns["omega"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return {name: values[index] for name, values in self.columns.items()}
+
+    def __iter__(self):
+        return (dict(zip(self.columns, row))
+                for row in zip(*self.columns.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Sweep)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def run_sweep(config: SweepConfig) -> Sweep:
+    """Every column of COLUMNS over the grid, from one array pass of
+    `sweep_row`; each column becomes one list of floats."""
     columns = sweep_row(config, np.array(config.omega_grid()))
-    values = [column.tolist() for column in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    return Sweep({name: values.tolist() for name, values in columns.items()})
 
 
 # every float is written with 17 significant digits, enough to round-trip
 _NUMBER_FORMAT = "%.17g"
 
 
-def write_csv(rows, config: SweepConfig, stream) -> None:
+def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
     columns = config.columns
     stream.write(",".join(columns) + "\n")
     template = ",".join([_NUMBER_FORMAT] * len(columns)) + "\n"
-    stream.writelines(template % tuple(map(row.__getitem__, columns))
-                      for row in rows)
+    stream.writelines(map(template.__mod__,
+                          zip(*map(rows.columns.__getitem__, columns))))
 
 
-def write_json(rows, config: SweepConfig, stream) -> None:
-    """Write the bytes of json.dump(rows, indent=1) and a newline."""
+def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
+    """Write the bytes of json.dump(list(rows), indent=1) and a newline."""
     columns = config.columns
     members = ",\n".join(f"  {json.dumps(c)}: %s" for c in columns)
     template = "%s {\n" + members + "\n }"
     separator = "[\n"
-    for row in rows:
-        values = map(float.__repr__, map(row.__getitem__, columns))
-        text = template % (separator, *values)
+    for values in zip(*map(rows.columns.__getitem__, columns)):
+        text = template % (separator, *map(float.__repr__, values))
         # repr writes the non-finite floats nan, inf, -inf; json NaN, Infinity
         stream.write(text.replace(": nan", ": NaN").replace(
             ": inf", ": Infinity").replace(": -inf", ": -Infinity"))
@@ -330,14 +362,20 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         if args.command == "verify":
-            return _run_verify(config, args.seed)
-        rows = run_sweep(config)
-        _emit(rows, config, args.out)
-        if config.verify:
-            return _run_verify(config, seed=20260810)
-        return 0
+            code = _run_verify(config, args.seed)
+        else:
+            _emit(run_sweep(config), config, args.out)
+            code = _run_verify(config, seed=20260810) if config.verify else 0
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # only writing the output touches files
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone; the flush at exit would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,11 +230,12 @@ class TestSweep:
         config = cli.get_preset(preset) if preset else quick_config()
         rows = cli.run_sweep(config)
         if preset is None:
-            rows[1].update(gamma0_hat=math.nan, eta=math.inf,
-                           kappa=-math.inf)
+            rows.columns["gamma0_hat"][1] = math.nan
+            rows.columns["eta"][1] = math.inf
+            rows.columns["kappa"][1] = -math.inf
         out, expected = io.StringIO(), io.StringIO()
         cli.write_json(rows, config, out)
-        json.dump(rows, expected, indent=1)
+        json.dump(list(rows), expected, indent=1)
         assert out.getvalue() == expected.getvalue() + "\n"
         for columns in (("omega",), ("kappa", "eta")):
             config = replace(config, columns=columns)
@@ -246,14 +251,27 @@ class TestSweep:
     @pytest.mark.parametrize("columns", [cli.COLUMNS, ("kappa",)])
     def test_csv_rows_match_per_value_format(self, columns):
         config = quick_config(omega_count=7, columns=columns)
-        rows = cli.run_sweep(config)
-        rows.append(dict.fromkeys(cli.COLUMNS, -0.0) | {
+        extra = dict.fromkeys(cli.COLUMNS, -0.0) | {
             "omega": math.inf, "eps_re": math.nan, "eps_im": 1e-310,
-            "eta": 5e-324, "kappa": 1.7976931348623157e308})
+            "eta": 5e-324, "kappa": 1.7976931348623157e308}
+        rows = cli.Sweep({c: values + [extra[c]] for c, values
+                          in cli.run_sweep(config).columns.items()})
         out = io.StringIO()
         cli.write_csv(rows, config, out)
         expected = [",".join(columns)] + [
             ",".join(format(float(row[c]), ".17g") for c in columns)
+            for row in rows]
+        assert out.getvalue() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("count", [601, 2401])
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_csv_bytes_match_per_value_format(self, preset, count):
+        config = replace(cli.get_preset(preset), omega_count=count)
+        rows = cli.run_sweep(config)
+        out = io.StringIO()
+        cli.write_csv(rows, config, out)
+        expected = [",".join(cli.COLUMNS)] + [
+            ",".join(format(row[c], ".17g") for c in cli.COLUMNS)
             for row in rows]
         assert out.getvalue() == "\n".join(expected) + "\n"
 
@@ -282,6 +300,50 @@ class TestSweep:
                                         config.onsager_radius(omega))
         rad = eval_lorentz(config.medium, omega).eta
         assert 0.1 < nonrad / rad < 10.0
+
+
+class TestSweepRows:
+    """The result of run_sweep read as a list of row dicts."""
+
+    def test_length_indexing_and_order(self):
+        config = quick_config(omega_count=5)
+        rows = cli.run_sweep(config)
+        grid = config.omega_grid()
+        assert len(rows) == 5
+        assert rows[0]["omega"] == grid[0]
+        assert rows[-1]["omega"] == grid[-1] == rows[4]["omega"]
+        assert [r["omega"] for r in rows] == grid
+        assert [r["omega"] for r in rows[1:4]] == grid[1:4]
+        assert [r["omega"] for r in rows[::-2]] == grid[::-2]
+        assert rows[::2] == [rows[0], rows[2], rows[4]]
+        assert rows[7:] == []
+        with pytest.raises(IndexError):
+            rows[5]
+
+    def test_rows_are_fresh_float_dicts(self):
+        rows = cli.run_sweep(quick_config(omega_count=3))
+        for row in [*rows, rows[1], rows[-1], *rows[:2]]:
+            assert list(row) == list(cli.COLUMNS)
+            assert set(row) == set(cli.COLUMNS)
+            assert all(type(v) is float for v in row.values())
+        rows[0]["omega"] = -1.0
+        assert rows[0]["omega"] == 0.5
+        with pytest.raises(TypeError):
+            rows[0] = {}
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4"])
+    def test_equals_its_json_rows(self, preset):
+        config = cli.get_preset(preset)
+        rows = cli.run_sweep(config)
+        out = io.StringIO()
+        cli.write_json(rows, config, out)
+        back = json.loads(out.getvalue())
+        assert rows == back and back == rows
+        assert not rows != back and not back != rows
+        assert rows == cli.run_sweep(config)
+        back[300]["gamma_hat"] *= 1 + 1e-15
+        assert rows != back and back != rows
+        assert rows != back[:-1]
 
 
 class TestConfigFile:
@@ -706,6 +768,38 @@ class TestMain:
             assert cli.main(["verify", "--preset", preset]) == 0
         assert record == []
         assert capsys.readouterr().out.count("PASS") == 16
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_is_output_error(self, tmp_path, capsys,
+                                               target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" \
+            else tmp_path
+        assert cli.main(["sweep", "--preset", "fig4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
+        assert captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
+    def test_closed_pipe_is_output_error(self):
+        # the reader stops after the header; the 601 rows (about 200 kB)
+        # cannot all fit in the pipe, so the writer meets the closed end
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cavrate.cli", "sweep", "--preset",
+             "fig4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"omega,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert err.startswith(b"output error: ")
+        assert err.count(b"\n") == 1
 
     def test_verify_failure_exit_code(self, monkeypatch):
         failing = verify_mod.VerificationReport(checks=(
