@@ -1,7 +1,7 @@
 """The one place that tells a Python number from a numpy array.
 
 Formulas are written once, with operators that work on both.  Only the
-elementary functions, the guards, the residual's reductions and the
+elementary functions, the guards, the residual's reduction and the
 small-argument series switch see the type: a number goes through cmath
 and a plain `if`, keeping its exact bits and its cost; an array goes
 through numpy and `np.where`, and a guard raises if any element is bad.
@@ -40,17 +40,19 @@ def positive(x) -> bool:
     return x > 0 if type(x) is float else bool(np.greater(x, 0).all())
 
 
-def peaks(groups):
-    """Largest of each group of numbers >= 0 (arrays, if one comes first:
-    elementwise).  Unlike the guards' reductions, it and worst keep NaN."""
-    if type(groups[0][0]) is float:
-        total = sum(map(sum, groups))
-        return map(max, groups) if total == total else (total,) * len(groups)
-    return [functools.reduce(np.maximum, g) for g in groups]
-
-
-def worst(x) -> float:  # x, or the largest element of x
-    return x if type(x) is float else float(np.max(x))
+def peak_ratio(defects, norms, amps, sources) -> float:
+    """max defects / (max norms * max amps + max sources), the maxima taken
+    elementwise over arrays, then the largest element: the amplitude
+    residual.  Unlike the guards' reductions it keeps NaN, from any group."""
+    if type(defects[0]) is float:
+        ratio = max(defects) / (max(norms) * max(amps) + max(sources))
+        # max skips a NaN that is not first; every value is >= 0 or NaN,
+        # so the sum is NaN exactly when one of them is
+        total = sum(defects + norms + amps + sources)
+        return ratio if total == total else total
+    defect, norm, amp, source = (functools.reduce(np.maximum, g)
+                                 for g in (defects, norms, amps, sources))
+    return float(np.max(defect / (norm * amp + source)))
 
 
 def exp(z):

@@ -10,15 +10,17 @@ leaves the small-cavity range warns once, from its rates, naming the
 largest k0*r_c it evaluates.
 
 Exit codes: 0 success, 1 configuration or output error (an output file
-that cannot be written, or a reader that closes the pipe), 2 verification
-failure (including a check that fails numerically), 3 numeric failure of
-the sweep.
+that cannot be written, or a reader that closes the pipe; an --out in a
+missing directory, or naming one, ends the run before the sweep), 2
+verification failure (including a check that fails numerically), 3 numeric
+failure of the sweep (an --out file is then left as it was).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import json
 import math
 import os
@@ -316,6 +318,17 @@ def build_config(args) -> SweepConfig:
     return replace(base, **overrides) if overrides else base
 
 
+def _check_out(out_path) -> None:
+    """Raise the error that opening out_path for writing would raise when
+    it names a directory or lies in a missing one, so that the sweep does
+    not run for nothing; the file is neither created nor truncated."""
+    folder = os.path.dirname(out_path) or os.curdir
+    code = errno.EISDIR if os.path.isdir(out_path) else \
+        None if os.path.isdir(folder) else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), out_path)
+
+
 def _emit(rows, config, out_path) -> None:
     if out_path is None:
         write_csv(rows, config, sys.stdout)
@@ -364,6 +377,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             code = _run_verify(config, args.seed)
         else:
+            if args.out is not None:
+                _check_out(args.out)
             _emit(run_sweep(config), config, args.out)
             code = _run_verify(config, seed=20260810) if config.verify else 0
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -371,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # only writing the output touches files
+    except OSError as exc:  # only the output touches files
         if isinstance(exc, BrokenPipeError):
             # the reader has gone; the flush at exit would raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import (exp, guard_im, largest, peaks, positive, smallest,
-                           worst)
+from ._elementwise import (exp, guard_im, largest, peak_ratio, positive,
+                           smallest)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -72,7 +72,7 @@ class LayerStack:
         return self.n_layers
 
 
-@dataclass(frozen=True)
+@dataclass
 class WaveCoefficients:
     """Amplitudes of the scattered partial waves, one pair per layer.
 
@@ -82,7 +82,8 @@ class WaveCoefficients:
     condition at infinity).  residual is |A c - b| / (|A| |c| + |b|)
     (infinity norms) of the continuity equations A c = b, each row divided
     by the outgoing wave of its inner layer; it must stay below 1e-8, and
-    a NaN anywhere in it fails that check.
+    a NaN anywhere in it fails that check.  A plain record: equality
+    ignores residual, and nothing assigns to a field after construction.
     """
 
     c1: complex
@@ -104,8 +105,8 @@ class WaveCoefficients:
         return self.c_plus[-1]
 
 
-def _wavenumbers(eps, k0):
-    return [sqrt_eps(e) * k0 for e in eps]
+def _wavenumbers(eps, k0, roots=None):
+    return [root * k0 for root in roots or map(sqrt_eps, eps)]
 
 
 def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
@@ -211,12 +212,13 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     its inner interface by e^{2ik_l(r_l - r_{l-1})}; c1 = R_1 e^{2iz_1}.
     Outward, continuity gives each c_{l+} (times e^{i(z_in - z_out)} per
     interface), and c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object
-    with radii and eps; these and k0 may hold (F,) arrays.
+    with radii and eps, and with roots, sqrt(eps) per layer, if its builder
+    has formed them already; these and k0 may hold (F,) arrays.
     """
     if not positive(k0):
         raise DomainError("k0 must be positive")
     eps, radii, last = stack.eps, stack.radii, len(stack.radii) - 1
-    ks = _wavenumbers(eps, k0)
+    ks = _wavenumbers(eps, k0, getattr(stack, "roots", None))
     # per interface, each scaled wave as (f, [z f]'/eps): the inner layer's
     # lead wave a (h1; the source in layer 1) and wave b (h2; j1 in layer
     # 1), the outer layer's h1 wave p and h2 wave q (none in the outermost);
@@ -264,14 +266,11 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
         amps += abs(ratios[i]), abs(t), abs(t * ratio)
 
     af, ad = waves[0][0]
-    defect, norm_a, amp, source = peaks((defects, norms, amps,
-                                         (abs(af), abs(ad))))
-    residual = worst(defect / (norm_a * amp + source))
+    residual = peak_ratio(defects, norms, amps, [abs(af), abs(ad)])
     if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(
             f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    return WaveCoefficients(c1=c_in[0], c_plus=tuple(c_plus),
-                            c_minus=(*c_in[1:], 0j), residual=residual)
+    return WaveCoefficients(c_in[0], tuple(c_plus), (*c_in[1:], 0j), residual)
 
 
 coefficients = coeffs_general_n

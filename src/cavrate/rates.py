@@ -94,14 +94,15 @@ def _gamma0(eps, eta, abs2, k0, r_m):
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
-def _power_beyond(eps: complex, k0: float, r: float) -> float:
-    """Analytic power crossing radius r in an infinite medium (unit dipole).
+def _power_beyond(eps: complex, root: complex, k0: float, r: float) -> float:
+    """Analytic power crossing radius r in an infinite medium (unit dipole),
+    root = sqrt(eps).
 
     Equals the flux through the sphere of radius r, or equivalently the
     total power dissipated beyond r (flux out plus downstream absorption).
     """
-    eta, kappa = eta_kappa(eps)
-    k = (eta + 1j * kappa) * k0
+    eta, kappa = root.real, root.imag
+    k = root * k0
     x = k0 * r
     envelope = abs((1 - 1j * k * r) * exp(1j * k * r)) ** 2
     absorption = eps.imag / abs(eps) ** 2 * envelope / x ** 3
@@ -117,7 +118,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     """
     if smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
-    return _power_beyond(eps, k0, r_c)
+    return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
 
 def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
@@ -182,24 +183,27 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     return 1 + coeffs.c1.real
 
 
-def _sphere_in_host(eps, eps_ext, radius, k0) -> ml.WaveCoefficients:
+def _sphere_in_host(eps, eps_ext, radius, k0):
+    """The bare sphere's amplitudes, sqrt(eps) and sqrt(eps_ext): each root
+    is formed once, and the amplitude recursion takes them as they are."""
+    roots = sqrt_eps(eps), sqrt_eps(eps_ext)
     # unlike a LayerStack, the namespace may hold frequency arrays
-    sphere = SimpleNamespace(radii=(radius,), eps=(eps, eps_ext))
-    return ml.coefficients(sphere, k0)
+    sphere = SimpleNamespace(radii=(radius,), eps=(eps, eps_ext), roots=roots)
+    return ml.coefficients(sphere, k0), *roots
 
 
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced rate of the bare sphere: Re[sqrt(eps) c1]."""
-    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
-    return (sqrt_eps(eps) * coeffs.c1).real
+    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
+    return (root * coeffs.c1).real
 
 
 def delta_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced level shift of the bare sphere: Im[sqrt(eps) c1]/2."""
-    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
-    return 0.5 * (sqrt_eps(eps) * coeffs.c1).imag
+    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
+    return 0.5 * (root * coeffs.c1).imag
 
 
 def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
@@ -231,8 +235,8 @@ def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
     built from the bare rate and shift, that the verification battery
     checks this one against.
     """
-    weight = _c1_weight(eps, sqrt_eps(eps), _real_cavity(eps)[0])
-    return (weight * _sphere_in_host(eps, eps_ext, radius, k0).c1).real
+    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
+    return (_c1_weight(eps, root, _real_cavity(eps)[0]) * coeffs.c1).real
 
 
 def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
@@ -277,8 +281,8 @@ def external_power(stack: ml.LayerStack, k0: float,
         raise DomainError(
             f"r_obs = {r_obs:g} lies inside the outermost interface "
             f"{outer_radius:g}")
-    p_n = external_dipole(stack, k0)
-    return abs(p_n) ** 2 * _power_beyond(stack.eps[-1], k0, r_obs)
+    p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
+    return abs(p_n) ** 2 * _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs)
 
 
 def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
@@ -299,9 +303,10 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
         * math.exp(-2 * kappa_n * k0 * r) * np.sin(theta) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass
 class RateReport:
-    """All normalized rates and shifts for one frequency and geometry."""
+    """All normalized rates and shifts for one frequency and geometry, in
+    a plain record: nothing assigns to a field after construction."""
 
     gamma0_hat: float
     gamma0_loc_hat: float
@@ -328,8 +333,8 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     radius; r_c is the empty-cavity radius of the local-field model and r_m
     the regularization distance of the macroscopic rate.
     """
-    coeffs = _sphere_in_host(eps, eps_ext, radius, k0)
-    root, abs2 = sqrt_eps(eps), abs(eps) ** 2
+    coeffs, root, root_ext = _sphere_in_host(eps, eps_ext, radius, k0)
+    abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps)
     root_c1 = root * coeffs.c1
     g_sc_loc = (_c1_weight(eps, root, den) * coeffs.c1).real
@@ -337,16 +342,8 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     x = _expansion_guard(k0, r_c, "rate_report")
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     p_ext = eps / eps_ext * coeffs.c_outer
-    w_ext = abs(p_ext) ** 2 * _power_beyond(eps_ext, k0, radius)
-    return RateReport(
-        gamma0_hat=g0,
-        gamma0_loc_hat=g0_loc,
-        gamma_sc_hat=root_c1.real,
-        delta_sc_hat=0.5 * root_c1.imag,
-        gamma_sc_loc_hat=g_sc_loc,
-        gamma_loc_hat=g0_loc + g_sc_loc,
-        w_ext_hat=w_ext,
-        w_ext_loc_hat=factor * w_ext,
-        onsager_factor=factor,
-        lorentz_factor=lorentz_factor(eps),
-    )
+    w_ext = abs(p_ext) ** 2 * _power_beyond(eps_ext, root_ext, k0, radius)
+    # positional, in field order
+    return RateReport(g0, g0_loc, root_c1.real, 0.5 * root_c1.imag, g_sc_loc,
+                      g0_loc + g_sc_loc, w_ext, factor * w_ext, factor,
+                      lorentz_factor(eps))

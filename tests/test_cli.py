@@ -781,6 +781,44 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert str(out) in captured.err
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, target):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", calls.append)
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" \
+            else tmp_path
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--preset", "fig3",
+                             "--out", str(out)]) == 1
+        assert calls == [] and record == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
+        assert captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
+    def test_relative_output_in_the_working_directory(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--preset", "fig4", "--out", "x.csv"]) == 0
+        assert (tmp_path / "x.csv").read_text().startswith("omega,")
+
+    def test_numeric_failure_leaves_output_as_it_was(self, tmp_path,
+                                                     monkeypatch):
+        def boom(*args):
+            raise IllConditioned("synthetic")
+
+        monkeypatch.setattr(ml, "coefficients", boom)
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier,rows\n1,2\n")
+        for out in (kept, tmp_path / "new.csv", tmp_path / "new.json"):
+            assert cli.main(["sweep", "--preset", "fig3",
+                             "--out", str(out)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_bytes() == b"earlier,rows\n1,2\n"
+
     def test_closed_pipe_is_output_error(self):
         # the reader stops after the header; the 601 rows (about 200 kB)
         # cannot all fit in the pipe, so the writer meets the closed end

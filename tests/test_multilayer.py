@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +60,34 @@ class TestLayerStack:
         assert stack.layer_at(2.0) == 3
         assert stack.layer_at(7.0) == 3
         assert stack.n_layers == 3
+
+
+class TestWaveCoefficients:
+    @pytest.mark.parametrize("c_plus, c_minus", [
+        ((), ()), ((1j,), ()), ((1j, 2j), (0j,)), ((1j,), (0.5 + 0j,)),
+        ((1j, 2j), (3j, 1e-300j))],
+        ids=["empty", "no-incoming", "lengths-differ", "outer-incoming",
+             "tiny-outer-incoming"])
+    def test_rejects_broken_amplitude_sets(self, c_plus, c_minus):
+        with pytest.raises(DomainError):
+            ml.WaveCoefficients(c1=0j, c_plus=c_plus, c_minus=c_minus)
+
+    def test_record_contract(self):
+        coeffs = ml.coefficients(graded_stack(4), 1.1)
+        names = [f.name for f in fields(ml.WaveCoefficients)]
+        assert names == ["c1", "c_plus", "c_minus", "residual"]
+        assert list(vars(coeffs)) == names
+        # positional and keyword construction build the same record
+        again = ml.WaveCoefficients(*(getattr(coeffs, n) for n in names))
+        assert again == coeffs and repr(again) == repr(coeffs)
+        assert repr(coeffs).startswith("WaveCoefficients(c1=")
+        # equality ignores the residual, replace keeps the other fields
+        other = replace(coeffs, residual=0.5)
+        assert other == coeffs and other.residual == 0.5
+        assert other.c_plus is coeffs.c_plus
+        assert replace(coeffs, c1=coeffs.c1 + 1) != coeffs
+        with pytest.raises(DomainError):
+            replace(coeffs, c_minus=coeffs.c_minus[:-1] + (1j,))
 
 
 class TestTwoLayer:

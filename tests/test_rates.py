@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -437,6 +438,44 @@ class TestRateReport:
         monkeypatch.setattr(ml, "coefficients", counted)
         rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
         assert len(calls) == 1
+
+    def test_roots_formed_once_per_report(self, monkeypatch):
+        # sqrt(eps) and sqrt(eps_ext), each formed once and shared with
+        # the amplitude recursion and the external power
+        from cavrate import dielectric
+        calls = []
+
+        def counted(module, name):
+            true_fn = getattr(module, name)
+
+            def fn(*args):
+                calls.append(name)
+                return true_fn(*args)
+            monkeypatch.setattr(module, name, fn)
+
+        for module, name in ((rates, "sqrt_eps"), (rates, "eta_kappa"),
+                             (ml, "sqrt_eps"), (dielectric, "sqrt_eps")):
+            counted(module, name)
+        for eps_ext in (1.0, 1.5 + 0.1j):
+            calls.clear()
+            rates.rate_report(EPS_RES, eps_ext, 2.0, 0.2, 0.2, 1.0)
+            assert calls == ["sqrt_eps", "sqrt_eps"]
+
+    def test_report_record_contract(self):
+        report = rates.rate_report(EPS_RES, 1.0, 2.0, 0.2, 0.3, 1.1)
+        names = [f.name for f in dataclasses.fields(rates.RateReport)]
+        assert list(vars(report)) == names == [
+            "gamma0_hat", "gamma0_loc_hat", "gamma_sc_hat", "delta_sc_hat",
+            "gamma_sc_loc_hat", "gamma_loc_hat", "w_ext_hat",
+            "w_ext_loc_hat", "onsager_factor", "lorentz_factor"]
+        again = rates.RateReport(**vars(report))
+        assert again == report and repr(again) == repr(report)
+        assert again == rates.RateReport(*vars(report).values())
+        assert repr(report).startswith("RateReport(gamma0_hat=")
+        changed = replace(report, w_ext_hat=2 * report.w_ext_hat)
+        assert changed != report
+        assert vars(changed) == {**vars(report),
+                                 "w_ext_hat": 2 * report.w_ext_hat}
 
     def test_scalar_report_holds_python_numbers(self):
         report = rates.rate_report(EPS_RES, 1.0, 2.0, 0.2, 0.2, 1.0)
