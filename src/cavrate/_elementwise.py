@@ -4,7 +4,8 @@ Formulas are written once, with operators that work on both.  Only the
 elementary functions, the guards, the residual's reduction and the
 small-argument series switch see the type: a number goes through cmath
 and a plain `if`, keeping its exact bits and its cost; an array goes
-through numpy and `np.where`, and a guard raises if any element is bad.
+through numpy, a form runs only if some element needs it (`np.where` picks
+when both do), and a guard raises if any element is bad.
 """
 
 import cmath
@@ -89,6 +90,10 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
             if series is None:
                 return fn(z, _ArrayMath)
             small = abs(z) < radius
+            if small.all():
+                return np.asarray(series(z))
+            if not small.any():
+                return np.asarray(fn(z, _ArrayMath))
             # each form sees only its own points, the others a stand-in
             return np.where(small, series(np.where(small, z, 0)),
                             fn(np.where(small, radius, z), _ArrayMath))

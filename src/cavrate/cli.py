@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import errno
+import itertools
 import json
 import math
 import os
@@ -219,14 +220,20 @@ def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
                           zip(*map(rows.columns.__getitem__, columns))))
 
 
+# rows per write of write_json: the text in flight stays small at any length
+_JSON_BLOCK = 64
+
+
 def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
     """Write the bytes of json.dump(list(rows), indent=1) and a newline."""
     columns = config.columns
-    members = ",\n".join(f"  {json.dumps(c)}: %s" for c in columns)
-    template = "%s {\n" + members + "\n }"
+    # %r writes a float as float.__repr__ does, as json does
+    members = ",\n".join(f"  {json.dumps(c)}: %r" for c in columns)
+    template = " {\n" + members + "\n }"
+    values = zip(*map(rows.columns.__getitem__, columns))
     separator = "[\n"
-    for values in zip(*map(rows.columns.__getitem__, columns)):
-        text = template % (separator, *map(float.__repr__, values))
+    while block := list(itertools.islice(values, _JSON_BLOCK)):
+        text = separator + ",\n".join(map(template.__mod__, block))
         # repr writes the non-finite floats nan, inf, -inf; json NaN, Infinity
         stream.write(text.replace(": nan", ": NaN").replace(
             ": inf", ": Infinity").replace(": -inf", ": -Infinity"))

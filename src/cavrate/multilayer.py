@@ -131,13 +131,14 @@ def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
         raise DomainError("r1 and k0 must be positive")
     k1, k2 = _wavenumbers((eps1, eps2), k0)
     z1, z2 = k1 * r1, k2 * r1
-    den = eps1 * sf.sph_j1(z1) * sf.riccati_h1(z2) \
-        - eps2 * sf.sph_h1_1(z2) * sf.riccati_j1(z1)
+    # the first evaluation of each argument in the order of the formula,
+    # so that the same guard raises first
+    j1, rh2, h2 = sf.sph_j1(z1), sf.riccati_h1(z2), sf.sph_h1_1(z2)
+    den = eps1 * j1 * rh2 - eps2 * h2 * sf.riccati_j1(z1)
     small = smallest(abs(den))
     if small < _DENOMINATOR_FLOOR:
         raise SingularDenominator(f"two-layer determinant |D| = {small:g}")
-    c1 = (eps2 * sf.sph_h1_1(z2) * sf.riccati_h1(z1)
-          - eps1 * sf.sph_h1_1(z1) * sf.riccati_h1(z2)) / den
+    c1 = (eps2 * h2 * sf.riccati_h1(z1) - eps1 * sf.sph_h1_1(z1) * rh2) / den
     c2p = 1j * eps2 / (z1 * den)
     return WaveCoefficients(c1=c1, c_plus=(c2p,), c_minus=(0j,))
 
@@ -151,22 +152,28 @@ def three_layer_interface_terms(eps1, eps2, eps3, r1, r2, k0):
     2 b1 / (b1 + b2) equals minus the central reflection amplitude of the
     bare two-layer system (eps2 | eps3) at radius r2.
     """
+    return _three_layer(eps1, eps2, eps3, r1, r2, k0)[0]
+
+
+def _three_layer(eps1, eps2, eps3, r1, r2, k0):
+    """The interface determinants, then what the closed form reuses: z11,
+    z22, j1(z11) and the middle layer's (h1, h2) at r1.  Each wave is
+    evaluated once per argument."""
     k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)
     z11, z21, z22, z32 = k1 * r1, k2 * r1, k2 * r2, k3 * r2
-
-    def inner(h, rh):
-        return -1j * z11 / eps2 * (
-            eps1 * sf.sph_j1(z11) * rh(z21) - eps2 * h(z21) * sf.riccati_j1(z11))
-
-    def outer(h, rh):
-        return eps3 * sf.sph_h1_1(z32) * rh(z22) \
-            - eps2 * h(z22) * sf.riccati_h1(z32)
-
-    a1 = inner(sf.sph_h1_1, sf.riccati_h1)
-    a2 = inner(sf.sph_h2_1, sf.riccati_h2)
-    b1 = outer(sf.sph_h1_1, sf.riccati_h1)
-    b2 = outer(sf.sph_h2_1, sf.riccati_h2)
-    return (a1, a2), (b1, b2)
+    # the arguments in the order the determinants first use them, so that
+    # the same guard raises first; the middle layer's waves as (outgoing,
+    # incoming) at r1, then at r2
+    j11, rj11 = sf.sph_j1(z11), sf.riccati_j1(z11)
+    rh21 = sf.riccati_h1(z21), sf.riccati_h2(z21)
+    h21 = sf.sph_h1_1(z21), sf.sph_h2_1(z21)
+    h32, rh32 = sf.sph_h1_1(z32), sf.riccati_h1(z32)
+    rh22 = sf.riccati_h1(z22), sf.riccati_h2(z22)
+    h22 = sf.sph_h1_1(z22), sf.sph_h2_1(z22)
+    a = tuple(-1j * z11 / eps2 * (eps1 * j11 * rh - eps2 * h * rj11)
+              for h, rh in zip(h21, rh21))
+    b = tuple(eps3 * h32 * rh - eps2 * h * rh32 for h, rh in zip(h22, rh22))
+    return (a, b), z11, z22, j11, h21
 
 
 def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
@@ -178,17 +185,14 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     """
     if not (positive(r1) and positive(r2 - r1) and positive(k0)):
         raise DomainError("need 0 < r1 < r2 and k0 > 0")
-    k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)
-    z11, z21, z22 = k1 * r1, k2 * r1, k2 * r2
-    (a1, a2), (b1, b2) = three_layer_interface_terms(
+    ((a1, a2), (b1, b2)), z11, z22, j11, (h1, h2) = _three_layer(
         eps1, eps2, eps3, r1, r2, k0)
     den = a1 * b2 - a2 * b1
     small = smallest(abs(den))
     if small < _DENOMINATOR_FLOOR:
         raise SingularDenominator(
             f"three-layer determinant |a1 b2 - a2 b1| = {small:g}")
-    c1 = ((b2 * sf.sph_h1_1(z21) - b1 * sf.sph_h2_1(z21)) / den
-          - sf.sph_h1_1(z11)) / sf.sph_j1(z11)
+    c1 = ((b2 * h1 - b1 * h2) / den - sf.sph_h1_1(z11)) / j11
     c2p = b2 / den
     c2m = -b1 / den
     c3p = -1j * eps3 / z22 * 2 / den
@@ -314,9 +318,10 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     df_over_z = a * ad + b * bd
     theta = np.asarray(theta)
     pref = 1j * k0 * k0 * (eps1 / eps_l) * k_l
+    sin_theta = np.sin(theta)
     e_r = pref * 2 * (f / z) * np.cos(theta)
-    e_theta = -pref * df_over_z * np.sin(theta)
-    b_phi = eps1 * k0 ** 3 * f * np.sin(theta)
+    e_theta = -pref * df_over_z * sin_theta
+    b_phi = eps1 * k0 ** 3 * f * sin_theta
     return e_r, e_theta, b_phi
 
 

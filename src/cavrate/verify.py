@@ -178,11 +178,13 @@ def check_cavity_rate_forms(rng, samples=500) -> CheckResult:
     eps = np.array(_sample_passive_eps(rng, samples))
     # row by row, the same draws as one (radius, k0) pair per sample
     radius, k0 = rng.uniform((0.5, 0.5), (4.0, 2.0), size=(samples, 2)).T
-    # both forms from the same amplitudes: the identity, not two solvers
-    g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
-    d_sc = rates.delta_sc(eps, 1.0, radius, k0)
-    direct = rates.gamma_sc_loc(eps, 1.0, radius, k0)
-    alt = rates.gamma_sc_loc_from_bare(eps, g_sc, d_sc)
+    # both forms from the same amplitudes, those of the report the sweep
+    # writes from: the identity, not two solvers; k0 r_c = 0.1 keeps the
+    # report's expansions in range
+    report = rates.rate_report(eps, 1.0, radius, 0.1 / k0, 0.1 / k0, k0)
+    direct = report.gamma_sc_loc_hat
+    alt = rates.gamma_sc_loc_from_bare(eps, report.gamma_sc_hat,
+                                       report.delta_sc_hat)
     worst = np.max(abs(direct - alt) / np.maximum(1.0, abs(direct)))
     return _check("cavity_rate_forms_agree", worst, 1e-12)
 
@@ -193,12 +195,12 @@ def check_lossless_collapse(rng) -> CheckResult:
     eps = eps + 0j
     r_c, k0 = 0.05, 1.0
     eta, _ = eta_kappa(eps)
-    factor = rates.onsager_factor(eps)
-    g_sc = rates.gamma_sc(eps, 1.0, radius, k0)
-    g_sc_loc = rates.gamma_sc_loc(eps, 1.0, radius, k0)
+    report = rates.rate_report(eps, 1.0, radius, r_c, r_c, k0)
+    factor, g_sc = report.onsager_factor, report.gamma_sc_hat
     worst = np.max([
-        abs(rates.gamma0_loc(eps, k0, r_c) - factor * eta),
-        abs(g_sc_loc - factor * g_sc) / np.maximum(1.0, abs(g_sc))])
+        abs(report.gamma0_loc_hat - factor * eta),
+        abs(report.gamma_sc_loc_hat - factor * g_sc)
+        / np.maximum(1.0, abs(g_sc))])
     return _check("lossless_collapse", worst, 1e-13)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavrate import cli
 from cavrate import multilayer as ml
@@ -479,7 +482,7 @@ def _solver_loop(rng):
 
 def _lossless_loop(rng):
     return [(complex(rng.uniform(1.0, 9.0), 0.0), 1.0, rng.uniform(1, 3),
-             1.0) for _ in range(20)]
+             0.05, 0.05, 1.0) for _ in range(20)]
 
 
 def _cutoff_loop(rng):
@@ -488,8 +491,11 @@ def _cutoff_loop(rng):
 
 def _cavity_loop(rng):
     eps = passive_eps_samples(rng, 500)
-    return [(e, 1.0, rng.uniform(0.5, 4.0), rng.uniform(0.5, 2.0))
-            for e in eps]
+    out = []
+    for e in eps:
+        radius, k0 = rng.uniform(0.5, 4.0), rng.uniform(0.5, 2.0)
+        out.append((e, 1.0, radius, 0.1 / k0, 0.1 / k0, k0))
+    return out
 
 
 PER_SAMPLE_LOOPS = {
@@ -497,10 +503,10 @@ PER_SAMPLE_LOOPS = {
     verify_mod.check_sqrt_branch: (_sqrt_loop, "sqrt_eps"),
     verify_mod.check_solver_vs_closed_forms: (_solver_loop,
                                               "coeffs_three_layer"),
-    verify_mod.check_lossless_collapse: (_lossless_loop, "gamma_sc"),
+    verify_mod.check_lossless_collapse: (_lossless_loop, "rate_report"),
     verify_mod.check_cutoff_free_identity: (_cutoff_loop,
                                             "identity_rep_decomposition"),
-    verify_mod.check_cavity_rate_forms: (_cavity_loop, "gamma_sc"),
+    verify_mod.check_cavity_rate_forms: (_cavity_loop, "rate_report"),
 }
 
 
@@ -635,6 +641,22 @@ class TestVerifyBattery:
         np.testing.assert_array_equal(
             np.broadcast_arrays(*seen[0]), expected.T)
 
+    @pytest.mark.parametrize("check", [verify_mod.check_cavity_rate_forms,
+                                       verify_mod.check_lossless_collapse],
+                             ids=lambda check: check.__name__)
+    def test_rate_form_checks_solve_once(self, check, monkeypatch):
+        # every quantity of a sample block comes from one rate_report
+        true_fn, solves = ml.coeffs_general_n, []
+
+        def counted(stack, k0):
+            solves.append(k0)
+            return true_fn(stack, k0)
+
+        monkeypatch.setattr(ml, "coefficients", counted)
+        monkeypatch.setattr(ml, "coeffs_general_n", counted)
+        assert check(np.random.default_rng(7)).passed
+        assert len(solves) == 1
+
     @pytest.mark.parametrize("module, name, nan_fn, names", [
         (oracle, "absorbed_power", lambda *args: math.nan,
          {"oracle_matches_analytic_power", "energy_balance_layers"}),
@@ -650,8 +672,10 @@ class TestVerifyBattery:
          {"sqrt_branch_reconstruction"}),
         (verify_mod, "eta_kappa", lambda eps: (eps.real * math.nan,) * 2,
          {"lossless_collapse"}),
-        (rates, "onsager_factor", lambda eps: abs(eps) * math.nan,
-         {"external_field_scaling", "lossless_collapse"}),
+        (rates, "_real_cavity",
+         lambda eps: (2 * eps + 1, abs(2 * eps + 1), abs(eps) * math.nan),
+         {"external_field_scaling", "lossless_collapse",
+          "cavity_rate_forms_agree"}),
     ])
     def test_nan_measure_fails_its_check(self, monkeypatch, module, name,
                                          nan_fn, names):
@@ -852,3 +876,57 @@ class TestMain:
 
         monkeypatch.setattr(verify_mod, "run_battery", boom)
         assert cli.main(["verify", "--preset", "fig4"]) == 3
+
+
+# the validated configuration space, as config file sections: absorbing
+# hosts, spheres up to 2000 c/omega0, both cavity references and both r_m
+# modes, grids of up to 20 frequencies
+valid_configs = st.fixed_dictionaries({
+    "medium": st.fixed_dictionaries({
+        "eps_b": st.floats(1.0, 20.0), "Omega": st.floats(0.0, 3.0),
+        "gamma": st.floats(1e-4, 2.0)}),
+    "geometry": st.fixed_dictionaries({
+        "eps_ext": st.builds(complex, st.floats(1.0, 4.0),
+                             st.floats(0.0, 2.0)),
+        "sphere_radius": st.floats(0.5, 2000.0),
+        "onsager_fraction": st.floats(1e-3, 0.159),
+        "lambda_reference": st.sampled_from(["transition", "resonance"]),
+        "rm_mode": st.sampled_from(["explicit", "equal_to_rc"]),
+        "rm_value": st.floats(1e-3, 2.0)}),
+    "sweep": st.fixed_dictionaries({
+        "omega_min": st.floats(0.05, 3.0), "omega_max": st.floats(3.01, 13.0),
+        "omega_count": st.integers(1, 20)}),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs)
+def test_every_valid_configuration_ends_in_a_verdict(tmp_path_factory,
+                                                     sections):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "drawn.cfg"
+    # str() of a float or complex is its repr, which the reader parses back
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                for key, value in items.items())
+        for name, items in sections.items()))
+    for args in (["sweep", "--config", str(path),
+                  "--out", str(folder / "rows.csv")],
+                 ["verify", "--config", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        # an exception that escapes main fails the test; a RuntimeWarning
+        # stays a warning, as for the command, not an error as in this suite
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.filterwarnings("default", category=RuntimeWarning)
+            code = cli.main(args)
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2, 3), (args[0], code)
+        if code in (1, 3):  # one message on stderr
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.getvalue().startswith(
+                ("configuration error: ", "output error: ",
+                 "numeric failure: "))
+        elif args[0] == "verify":  # 16 verdicts and the summary
+            assert len(lines) == 17 and lines[-1].startswith("16 checks, ")
+            assert ("all passed" in lines[-1]) == (code == 0)

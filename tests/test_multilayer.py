@@ -7,7 +7,7 @@ import pytest
 
 import mpref
 from cavrate import multilayer as ml
-from cavrate import rates
+from cavrate import rates, specfun
 from cavrate.dielectric import sqrt_eps
 from cavrate.errors import DomainError, IllConditioned
 
@@ -486,3 +486,31 @@ def test_nan_radius_or_wavenumber_is_a_domain_error(route, bad, form):
 def test_overflow_guard_propagates():
     with pytest.raises(OverflowError):
         ml.coeffs_two_layer(1.0, 1 + 1e6j, 1000.0, 1.0)
+
+
+@pytest.mark.parametrize("form, args, count", [
+    (ml.coeffs_two_layer, (5 + 2.5j, 1.0, 2.0, 1.0), 6),
+    (ml.coeffs_three_layer, (1.0, 5 + 2.5j, 1.5 + 0.2j, 0.6, 2.0, 1.0),
+     13),
+    (ml.coeffs_three_layer, (np.array([1.0, 2 + 1j]), 5 + 2.5j, 1.0,
+                             0.6, 2.0, np.array([0.9, 1.1])), 13),
+], ids=["two-layer", "three-layer", "three-layer-arrays"])
+def test_closed_forms_evaluate_each_wave_once(monkeypatch, form, args,
+                                              count):
+    calls = []
+
+    class Counting:
+        """specfun as the closed forms see it, each call recorded."""
+        def __getattr__(self, name):
+            fn = getattr(specfun, name)
+
+            def counted(z):
+                calls.append((name, np.asarray(z).tobytes()))
+                return fn(z)
+            return counted
+
+    expected = form(*args)
+    monkeypatch.setattr(ml, "sf", Counting())
+    assert np.array_equal(form(*args).c1, expected.c1)
+    assert len(calls) == count
+    assert len(set(calls)) == count, "a wave evaluated twice"

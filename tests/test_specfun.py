@@ -165,6 +165,45 @@ def test_arrays_follow_the_scalar_route():
             for z, value in zip(args, values):
                 ref = fn(complex(z))
                 assert abs(value - ref) <= 1e-14 * abs(ref), (fn, z)
+    # arrays entirely below, entirely above and across |z| = 0.5: each
+    # element keeps the bits it has on its own, in a one-point array, so
+    # the branch an array runs depends on that point alone; numpy's complex
+    # arithmetic and elementary functions differ from cmath's in the last
+    # bits, so the number route is met to 1e-14
+    zs = np.append(zs, [0.49j, 3 + 40j])
+    for args in (zs[abs(zs) < 0.5], zs[abs(zs) >= 0.5], zs):
+        for fn in (*regular, sf.j1_scaled):
+            values = fn(args)
+            assert values.shape[-1:] == args.shape
+            for i, z in enumerate(args):
+                value = values[..., i]
+                alone = fn(args[i:i + 1])[..., 0]
+                assert value.tobytes() == alone.tobytes(), (fn, z)
+                ref = np.array(fn(complex(z)))
+                assert np.all(abs(value - ref) <= 1e-14 * abs(ref)), (fn, z)
+
+
+def test_j1_scaled_against_unscaled_and_mp_reference(rng):
+    """(j1 e^{iz}, [z j1]' e^{iz}) for numbers and arrays, on both sides
+    of the series switch at |z| = 0.5 and where e^{iz} alone underflows."""
+    radius = np.concatenate([rng.uniform(0.01, 0.5, 40),
+                             rng.uniform(0.5, 20.0, 40)])
+    zs = radius * np.exp(1j * rng.uniform(0, math.pi, 80))
+    zs = np.append(zs, [0.5, 0.5j, 2 + 800j])
+    values = sf.j1_scaled(zs)
+    assert values.shape == (2,) + zs.shape
+    for z, value in zip(zs, values.T):
+        z = complex(z)
+        zm = mpref.to_mpc(z)
+        phase = mpref.mp.exp(mpref.I * zm)
+        refs = [np.array([complex(mpref.j1(zm) * phase),
+                          complex(mpref.rj1(zm) * phase)])]
+        if z.imag < 700:  # the unscaled waves stay in range
+            refs.append(np.array([sf.sph_j1(z), sf.riccati_j1(z)])
+                        * cmath.exp(1j * z))
+        for ours in (np.array(sf.j1_scaled(z)), value):
+            for ref in refs:
+                assert np.all(abs(ours - ref) <= 1e-13 * abs(ref)), z
 
 
 def test_array_guards_reject_any_bad_element():
