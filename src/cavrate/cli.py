@@ -210,14 +210,21 @@ def run_sweep(config: SweepConfig) -> Sweep:
 
 # every float is written with 17 significant digits, enough to round-trip
 _NUMBER_FORMAT = "%.17g"
+# values per block of write_csv: the kernel's arrays stay small at any length
+_CSV_BLOCK = 2048
 
 
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
-    columns = config.columns
-    stream.write(",".join(columns) + "\n")
-    template = ",".join([_NUMBER_FORMAT] * len(columns)) + "\n"
-    stream.writelines(map(template.__mod__,
-                          zip(*map(rows.columns.__getitem__, columns))))
+    """Write the header and a line per row, each value as _NUMBER_FORMAT
+    writes it, formatting a block of rows at a time in numpy."""
+    # imported here: only a CSV write builds the kernel's tables
+    from ._gformat import format_rows
+    stream.write(",".join(config.columns) + "\n")
+    columns = [rows.columns[name] for name in config.columns]
+    step = max(1, _CSV_BLOCK // len(columns))
+    for start in range(0, len(columns[0]), step):
+        stream.write(format_rows(np.array(
+            [values[start:start + step] for values in columns], float).T))
 
 
 # rows per write of write_json: the text in flight stays small at any length

@@ -143,22 +143,13 @@ def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
     return WaveCoefficients(c1=c1, c_plus=(c2p,), c_minus=(0j,))
 
 
-def three_layer_interface_terms(eps1, eps2, eps3, r1, r2, k0):
-    """Interface determinants of the three-layer geometry.
-
-    Returns ((a1, a2), (b1, b2)): a_j couples the inner interface to the
-    outgoing (j = 1) and incoming (j = 2) waves of the middle layer, b_j
-    does the same for the outer interface.  The combination
-    2 b1 / (b1 + b2) equals minus the central reflection amplitude of the
-    bare two-layer system (eps2 | eps3) at radius r2.
-    """
-    return _three_layer(eps1, eps2, eps3, r1, r2, k0)[0]
-
-
 def _three_layer(eps1, eps2, eps3, r1, r2, k0):
-    """The interface determinants, then what the closed form reuses: z11,
-    z22, j1(z11) and the middle layer's (h1, h2) at r1.  Each wave is
-    evaluated once per argument."""
+    """The interface determinants ((a1, a2), (b1, b2)), then what the
+    closed form reuses: z11, z22, j1(z11) and the middle layer's (h1, h2)
+    at r1.  Each wave is evaluated once per argument.  a_j (b_j) couples
+    the inner (outer) interface to the outgoing (j = 1) and incoming
+    (j = 2) waves of the middle layer; 2 b1 / (b1 + b2) is minus the
+    central reflection amplitude of the bare sphere (eps2 | eps3) at r2."""
     k1, k2, k3 = _wavenumbers((eps1, eps2, eps3), k0)
     z11, z21, z22, z32 = k1 * r1, k2 * r1, k2 * r2, k3 * r2
     # the arguments in the order the determinants first use them, so that

@@ -79,6 +79,9 @@ def _check(name, measured, tolerance, detail="", larger_is_better=False):
                        tolerance=float(tolerance), detail=detail)
 
 
+_HANKEL_CHECKS = ("hankel_wronskian", "hankel_superposition")
+
+
 def check_specfun_identities(rng) -> list[CheckResult]:
     from . import specfun as sf
     # row by row, the same draws as one (re, im) pair per sample
@@ -92,10 +95,8 @@ def check_specfun_identities(rng) -> list[CheckResult]:
     total = h1 + h2
     superposition = abs(total - 2 * sf.sph_j1(z)) \
         / np.maximum(abs(total), 1e-30)
-    return [
-        _check("hankel_wronskian", np.max(wronskian), 1e-10),
-        _check("hankel_superposition", np.max(superposition), 1e-10),
-    ]
+    return [_check(name, np.max(error), 1e-10)
+            for name, error in zip(_HANKEL_CHECKS, (wronskian, superposition))]
 
 
 def check_sqrt_branch(rng) -> CheckResult:
@@ -204,6 +205,10 @@ def check_lossless_collapse(rng) -> CheckResult:
     return _check("lossless_collapse", worst, 1e-13)
 
 
+_ORDER_CHECKS = ("expansion_order_p_eff", "expansion_order_gamma0_loc",
+                 "expansion_order_central_c1")
+
+
 def check_expansion_orders(eps) -> list[CheckResult]:
     """Contact order of the small-cavity expansions against exact amplitudes.
 
@@ -227,9 +232,8 @@ def check_expansion_orders(eps) -> list[CheckResult]:
         expansion = rates.gamma0_loc(eps, k0, r_c) + g_sc_loc - 1
         res_c1.append(abs(coeffs3.c1.real - expansion))
     out = []
-    for name, order, res in (("expansion_order_p_eff", 4, res_peff),
-                             ("expansion_order_gamma0_loc", 1, res_g0loc),
-                             ("expansion_order_central_c1", 1, res_c1)):
+    for name, order, res in zip(_ORDER_CHECKS, (4, 1, 1),
+                                (res_peff, res_g0loc, res_c1)):
         slope = _slope(xs, res)
         out.append(_check(name, abs(slope - order), 0.15,
                           detail=f"slope {slope:.3f}, expected {order}"))
@@ -304,7 +308,8 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     at the absorption resonance of the standard oscillator) is used.  A
     check that fails numerically (an ArithmeticError such as OverflowError,
     a QuadratureFailure or a DomainError) is recorded as a failed check in
-    its place.
+    its place, one per name it reports, so the report always holds every
+    verdict.
     """
     rng = np.random.default_rng(seed)
     reference_eps = 5 + 2.5j
@@ -329,19 +334,21 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
 
     checks: list[CheckResult] = []
 
-    def run(fn, *args):
+    def run(fn, *args, names=None):
+        """names: those of the results fn returns as a list."""
         try:
             result = fn(*args)
         except (ArithmeticError, QuadratureFailure, DomainError) as exc:
-            result = CheckResult(
-                name=fn.__name__, passed=False, measured=math.inf,
-                tolerance=0.0, detail=f"numeric failure: {exc}")
+            result = [CheckResult(
+                name=name, passed=False, measured=math.inf, tolerance=0.0,
+                detail=f"numeric failure: {exc}")
+                for name in names or (fn.__name__,)]
         if isinstance(result, list):
             checks.extend(result)
         else:
             checks.append(result)
 
-    run(check_specfun_identities, rng)
+    run(check_specfun_identities, rng, names=_HANKEL_CHECKS)
     run(check_sqrt_branch, rng)
     run(check_solver_vs_closed_forms, rng)
     run(check_oracle_power, rng)
@@ -349,7 +356,7 @@ def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
     run(check_cutoff_free_identity, rng)
     run(check_cavity_rate_forms, rng)
     run(check_lossless_collapse, rng)
-    run(check_expansion_orders, eps_orders)
+    run(check_expansion_orders, eps_orders, names=_ORDER_CHECKS)
     run(check_decomposition, eps_orders, radius, k0)
     run(check_external_scaling, eps, radius, k0)
     run(check_green_restatement, eps, eps_ext, radius, k0)

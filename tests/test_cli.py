@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,87 @@ class TestSweepRows:
         assert rows != back[:-1]
 
 
+def ulps_around(values, reach):
+    """Each value and its neighbours up to `reach` ulps either way."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-reach, reach + 1)).view(np.float64)
+
+
+class TestCsvFormat:
+    """write_csv formats a block of rows at a time; its bytes must be those
+    of per-value _NUMBER_FORMAT on every kind of double."""
+
+    @staticmethod
+    def assert_per_value_bytes(values, columns=cli.COLUMNS):
+        table = np.asarray(values, dtype=np.float64).reshape(-1, len(columns))
+        rows = cli.Sweep({c: table[:, j].tolist()
+                          for j, c in enumerate(columns)})
+        out = io.StringIO()
+        cli.write_csv(rows, quick_config(columns=columns), out)
+        expected = [",".join(columns)] + [
+            ",".join(cli._NUMBER_FORMAT % v for v in row)
+            for row in table.tolist()]
+        assert out.getvalue().split("\n") == expected + [""]
+
+    def test_random_bit_patterns(self):
+        # every sign and exponent field, subnormals and NaN payloads among
+        # them; 12,007 rows end in a part block
+        rng = np.random.default_rng(20261018)
+        fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
+        mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
+        random = rng.integers(0, 2 ** 64, 17 * 12007 - fields.size,
+                              dtype=np.uint64)
+        values = np.concatenate([fields | mantissas, random]).view(float)
+        assert np.isnan(values).sum() > 100
+        assert (np.abs(values) < np.finfo(float).tiny).sum() > 100
+        self.assert_per_value_bytes(values)
+
+    def test_powers_of_ten(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        values = ulps_around(powers, 2).ravel()
+        self.assert_per_value_bytes(np.concatenate([values, -values,
+                                                    [0.0] * 10]),
+                                    cli.COLUMNS[:5])
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+    def test_fixed_and_exponent_switch(self, switch):
+        # the 17-digit rounding of the values below a switch carries to it
+        values = ulps_around([switch], 40).ravel()
+        self.assert_per_value_bytes(np.concatenate([values, -values]),
+                                    ("omega",))
+
+    def test_exact_ties_round_to_even(self):
+        # m / 2**j with m odd has j decimals: from 10**(17 - j) on, 18
+        # significant digits, so its 17-digit rounding is an exact tie
+        rng = np.random.default_rng(7)
+        ties = [100000000000001 / 32, 100000000000003 / 32]
+        for j in range(3, 25):
+            low = 2 ** j * 10 ** 17 // 10 ** j
+            m = rng.integers(low // 2, 5 * low, 40) * 2 + 1
+            ties += (m / 2.0 ** j).tolist()
+        exact = [Decimal(t) for t in ties]
+        assert sum(len(d.as_tuple().digits) == 18 for d in exact) > 800
+        texts = [cli._NUMBER_FORMAT % t for t in ties]
+        assert texts[:2] == ["3125000000000.0312", "3125000000000.0938"]
+        down = [Decimal(text) < d for text, d in zip(texts, exact)]
+        assert 300 < sum(down) < len(down) - 300
+        self.assert_per_value_bytes(ulps_around(ties, 1).ravel(), ("eta",))
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((300, 17))
+        table[:, 3] = 0.0
+        table[:, 16] = -0.0
+        self.assert_per_value_bytes(table)
+
+    @pytest.mark.parametrize("shape", [(1, 17), (5000, 1), (1, 1)])
+    def test_one_row_or_one_column(self, shape):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -30, 30, shape)
+        self.assert_per_value_bytes(values, cli.COLUMNS[:shape[1]])
+
+
 class TestConfigFile:
     def test_load_and_override(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -562,6 +644,25 @@ class TestVerifyBattery:
         assert len(report.checks) == 16
         assert [c.name for c in failed] == ["check_energy_balance"]
         assert failed[0].detail == "numeric failure: synthetic"
+
+    @pytest.mark.parametrize("module, name, failing", [
+        (rates, "p_eff_expansion", ("expansion_order_p_eff",
+                                    "expansion_order_gamma0_loc",
+                                    "expansion_order_central_c1")),
+        (specfun, "sph_h1_0", ("hankel_wronskian", "hankel_superposition")),
+    ])
+    def test_numeric_failure_of_a_list_check_keeps_every_name(
+            self, monkeypatch, module, name, failing):
+        def boom(*args, **kwargs):
+            raise OverflowError("synthetic")
+
+        monkeypatch.setattr(module, name, boom)
+        report = verify_mod.run_battery(None)
+        assert len(report.checks) == 16
+        failed = tuple(c.name for c in report.checks if not c.passed)
+        assert failed == failing
+        assert all(c.detail == "numeric failure: synthetic"
+                   for c in report.checks if not c.passed)
 
     def test_overflow_inside_a_check_is_a_verdict(self, tmp_path, capsys):
         # at R = 1400 the sphere's field passes |Im k r| = 700 at resonance

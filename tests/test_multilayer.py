@@ -122,8 +122,8 @@ class TestTwoLayer:
         for _ in range(10):
             eps, eps_ext = random_passive(rng), random_passive(rng)
             radius, k0 = rng.uniform(0.5, 3), rng.uniform(0.5, 1.5)
-            _, (b1, b2) = ml.three_layer_interface_terms(
-                1.0, eps, eps_ext, 0.01, radius, k0)
+            _, (b1, b2) = ml._three_layer(
+                1.0, eps, eps_ext, 0.01, radius, k0)[0]
             bare = ml.coeffs_two_layer(eps, eps_ext, radius, k0)
             assert 2 * b1 / (b1 + b2) == pytest.approx(-bare.c1, rel=1e-12)
 

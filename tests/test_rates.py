@@ -237,8 +237,8 @@ class TestCavityRates:
         from cavrate.dielectric import sqrt_eps
         for eps in passive_eps_samples(rng, 10):
             radius, k0 = rng.uniform(0.8, 3), 1.0
-            _, (b1, b2) = ml.three_layer_interface_terms(
-                1.0, eps, 1.0, 1e-4, radius, k0)
+            _, (b1, b2) = ml._three_layer(
+                1.0, eps, 1.0, 1e-4, radius, k0)[0]
             expected = (9 * eps * eps * sqrt_eps(eps) / (2 * eps + 1) ** 2
                         * (-2 * b1 / (b1 + b2))).real
             assert rates.gamma_sc_loc(eps, 1.0, radius, k0) \
