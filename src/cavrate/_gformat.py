@@ -1,4 +1,6 @@
-"""CSV lines of float64 values exactly as Python's '%.17g' writes them.
+"""The writers' text of float64 values: CSV lines exactly as Python's
+'%.17g' writes each value, or JSON objects exactly as json.dump writes
+them, each value as float.__repr__ does.
 
 '%.17g' rounds the exact binary value of x to 17 significant digits, ties
 to even (D. M. Gay, AT&T NAM 90-10, 1990).  Here each value gets its
@@ -6,21 +8,34 @@ digits D = round(|x| * 10**(16 - E)) from Dekker's exact two-product of x
 with a double-double table of powers of ten (T. J. Dekker, Numer. Math.
 18, 224 (1971)), a whole block at a time.  The product is known to about
 2**-40 of a unit, so the rounding is certain unless the fraction lies
-within 2**-20 of one half; such values, and |x| outside 1e-270..1e300,
-where the table or the split would leave the double range, go through
-'%.17g' itself.  The text of each value is laid out in four 64-bit words,
-with NUL where a character is absent, and the NULs are dropped at the end.
+within 2**-20 of one half.
+
+repr writes the fewest digits that read back as x, the nearest to x among
+them.  The same product, with the half gaps to the neighbouring doubles
+scaled alike, bounds the integers that read back as x; the multiple of the
+largest power of ten among them is those digits, as in Ryu (U. Adams, PLDI
+2018).  They are certain unless an end of that interval, or the midpoint
+between two candidates, lies within 2**-20 of an integer.
+
+Uncertain values, values next to a power of ten, whose exponent the
+product leaves open, and |x| outside 1e-270..1e300, where the table or
+the split would leave the double range, go through '%.17g' or repr
+itself.  The text of each value is laid out in 64-bit words, with NUL
+where a character is absent, and the NULs are dropped at the end.
 """
 
+import functools
+import json
 import math
 
 import numpy as np
 
-_FORMAT = "%.17g"           # what the module reproduces; the uncertified route
+_FORMAT = "%.17g"           # what the CSV style reproduces; its uncertain route
 
 _U = np.uint64
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
 _TINY, _HUGE = 1e-270, 1e300
+_DOUBT = 2.0 ** -20         # closer than this to a rounding boundary: uncertain
 # 10**k for k = 16 - E: log10 puts E of a value in range in -270..299, and
 # the correction moves it by one at most
 _K_MIN, _K_MAX = 16 - 300, 16 + 271
@@ -69,6 +84,8 @@ _TRAILING = np.zeros(10000, np.int8)
 for _j in range(1, 5):
     _TRAILING[::10 ** _j] = _j
 _TRAILING = (_TRAILING + np.arange(0, 16, 4, dtype=np.int8)[:, None]).ravel()
+# at n: the largest power of ten up to n + 1
+_STEP = 10 ** np.floor(np.log10(np.arange(1, 100))).astype(np.int64)
 del _n, _j
 
 
@@ -84,7 +101,12 @@ _POINT = _per_byte(lambda q: b"\0" * q + b".")
 # bytes 1..5 before the digits of a value of exponent -lead: '0.' and zeros
 _LEADING = np.array([_text(b"\0" + b"0." + b"0" * (lead - 1)) if lead else 0
                      for lead in range(5)], _U)
-_COMMA, _NEWLINE = _U(_text(b"\0" * 7 + b",")), _U(_text(b"\0" * 7 + b"\n"))
+# per style: the largest E in fixed notation, the texts of nan, inf and
+# -inf, and the uncertain route
+_STYLES = {
+    "csv": (16, (b"nan", b"inf", b"-inf"), _FORMAT.__mod__),
+    "json": (15, (b"NaN", b"Infinity", b"-Infinity"), float.__repr__),
+}
 
 
 def _scaled(ax, e):
@@ -100,9 +122,44 @@ def _scaled(ax, e):
     return p.astype(np.int64) + floor.astype(np.int64), err - floor
 
 
-def _decimal(x):
-    """Per value: the exponent E and the digits D, 17 of them, of
-    '%.17g' (0 for a zero), and whether the rounding of D is certain."""
+def _sure(t):
+    """Whether t is not within _DOUBT of an integer."""
+    return np.abs(t - np.rint(t)) >= _DOUBT
+
+
+def _shortest(ax, e, d, frac):
+    """The fewest digits that read back as ax, nearest to ax among them, as
+    a 17-digit D = d + frac rounded to a multiple of a power of ten; and
+    whether they are certain."""
+    mantissa, exponent = np.frexp(ax)
+    # half the gap to the next double up, scaled: a power of two times
+    # 10**(16 - e), whose table entry is within 2**-53 of it, far inside
+    # _DOUBT; the gap below a power of two is half as large
+    up = np.ldexp(_POWERS[0].take(16 - _K_MIN - e), exponent - 54)
+    top, bottom = frac + up, frac - np.where(mantissa == 0.5, 0.5 * up, up)
+    sure = _sure(top) & _sure(bottom)
+    upper = d + np.floor(top).astype(np.int64)
+    lower = d + np.ceil(bottom).astype(np.int64)
+    # the upper - lower + 1 integers of [lower, upper] hold a multiple of
+    # step, the largest power of ten up to their count, and at most one of
+    # 10 * step: that one has the fewest digits; failing it, the multiple
+    # of step nearest to ax that lies inside
+    step = _STEP.take(upper - lower)
+    shorter = upper // (10 * step) * (10 * step)
+    at_shorter = shorter >= lower
+    floor = d - d % step
+    rest = d - floor + frac
+    nearest = floor + step * (rest > 0.5 * step)
+    nearest += step * ((nearest < lower).astype(np.int64)
+                       - (nearest > upper))
+    sure &= at_shorter | (np.abs(rest - 0.5 * step) >= _DOUBT)
+    return np.where(at_shorter, shorter, nearest), sure
+
+
+def _decimal(x, shortest):
+    """Per value: the exponent E and the digits D, 17 of them (0 for a
+    zero), of '%.17g' or, when shortest, of repr with trailing zeros; and
+    whether D is certain."""
     ax = np.abs(x)
     certified = (ax >= _TINY) & (ax < _HUGE)
     ax[~certified] = 5.0            # any value in range: its text is replaced
@@ -115,8 +172,12 @@ def _decimal(x):
         e[off] += np.where(d[off] < 10 ** 16, -1, 1)
         d[off], frac[off] = _scaled(ax[off], e[off])
         certified[off] &= (d[off] >= 10 ** 16) & (d[off] < 10 ** 17)
-    certified &= np.abs(frac - 0.5) >= 2.0 ** -20
-    d += frac > 0.5
+    if shortest:
+        d, sure = _shortest(ax, e, d, frac)
+        certified &= sure
+    else:
+        certified &= np.abs(frac - 0.5) >= _DOUBT
+        d += frac > 0.5
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     e += carry
@@ -141,25 +202,48 @@ def _digit_words(d):
         g3, g3 + 10000, np.where(g2, g2 + 20000, g1 + 30000))))
 
 
-def format_rows(block: np.ndarray) -> str:
-    """The CSV lines of a float64 (rows, columns) block: each value as
-    '%.17g' writes it, commas between the values of a row, a newline after
-    each row."""
+@functools.lru_cache(maxsize=4)
+def _frame(names, columns):
+    """Per column: the words of the text before each value, and a word
+    that ends in the text after it, in the JSON style when names are given
+    and in the CSV style otherwise."""
+    if names is None:
+        before = [b""] * columns
+        after = [b","] * (columns - 1) + [b"\n"]
+    else:
+        members = [f"  {json.dumps(name)}: ".encode() for name in names]
+        before = [b",\n {\n" + members[0]] + [b",\n" + member
+                                             for member in members[1:]]
+        after = [b""] * (columns - 1) + [b"\n }"]
+    size = -(-max(map(len, before)) // 8)
+    return (np.array([[_text(text[i:i + 8]) for i in range(0, 8 * size, 8)]
+                      for text in before], _U).reshape(columns, size),
+            np.array([_text(text.rjust(8, b"\0")) for text in after], _U))
+
+
+def format_rows(block: np.ndarray, names=None) -> str:
+    """The text of a float64 (rows, columns) block.  Without names, its CSV
+    lines: each value as '%.17g' writes it, commas between the values of a
+    row, a newline after each row.  With the columns' names, its JSON
+    objects as json.dump(..., indent=1) writes them in a list, each led by
+    the ',\\n' that separates it from the one before."""
     rows, columns = block.shape
+    shortest = names is not None
+    last_fixed, specials, uncertain = _STYLES["json" if shortest else "csv"]
     x = block.T.ravel()             # column by column
-    e, d, certified = _decimal(x)
+    e, d, certified = _decimal(x, shortest)
     # words 0..2 hold the sign at byte 0, the '0.000' of a small value at
     # bytes 1..5 and the digits from byte 6, with '.' inserted after the
-    # integer digits; word 3 holds the exponent from byte 24 and the
-    # separator at byte 31
+    # integer digits; word 3 holds the exponent from byte 24 and, from
+    # _frame, the text after the value up to byte 31
     y = np.empty((4, x.size), _U)
     text = y[:3]
     text[...], digits = _digit_words(d)
-    # '%g' writes -4 <= E <= 16 in fixed notation.  The first 'keep'
-    # digits stay even when zero: E + 1 in fixed notation, 1 before an
-    # exponent, none after the '0.' of E < 0, where the point goes to byte
-    # 23 and is cut off with the trailing zeros
-    fixed = (e >= -4) & (e <= 16)
+    # '%g' writes -4 <= E <= 16 in fixed notation, repr -4 <= E <= 15.
+    # The first 'keep' digits stay even when zero: E + 1 in fixed
+    # notation, 1 before an exponent, none after the '0.' of E < 0, where
+    # the point goes to byte 23 and is cut off with the trailing zeros
+    fixed = (e >= -4) & (e <= last_fixed)
     lead = np.where(fixed & (e < 0), -e, 0)
     keep = np.where(fixed & (e >= 0), e + 1, lead == 0)
     point = 6 + np.where(lead, 17, keep)
@@ -167,30 +251,36 @@ def format_rows(block: np.ndarray) -> str:
     above = text ^ below
     text[...] = below | above << _U(8) | np.take(_POINT, point, axis=1)
     text[1:] |= above[:-1] >> _U(56)
-    end = 6 + np.maximum(digits, keep) + (digits + 6 > point)
-    text &= np.take(_BELOW, end, axis=1)
+    # repr ends a fixed value of E >= 0 in '.0' where '%g' has no point
+    shown = np.maximum(digits, keep + (shortest & fixed & (e >= 0)))
+    text &= np.take(_BELOW, 6 + shown + (shown + 6 > point), axis=1)
     text[0] |= _LEADING.take(lead) | np.signbit(x) * _U(ord("-"))
-    y[3] = _COMMA
-    y[3, -rows:] = _NEWLINE
+    y[3] = 0
     scientific = np.flatnonzero(~fixed)
     if scientific.size:
         exponent = e[scientific]
         size = np.abs(exponent)
-        y[3, scientific] |= (
+        y[3, scientific] = (
             _U(ord("e")) | np.where(exponent < 0, _U(ord("-")), _U(ord("+")))
             << _U(8) | _DIGITS4.take(size)
             >> np.where(size < 100, _U(16), _U(8)) << _U(16))
 
     other = ~certified & (x != 0)
     if other.any():
-        y[3, other] &= _U(0xFF) << _U(56)         # the separator only
-        for chars, where in ((b"nan", np.isnan(x)), (b"inf", x == np.inf),
-                             (b"-inf", x == -np.inf)):
+        y[3, other] = 0
+        for chars, where in zip(specials, (np.isnan(x), x == np.inf,
+                                           x == -np.inf)):
             text[:, where] = np.frombuffer(chars.ljust(24, b"\0"),
                                            _U)[:, None]
             other &= ~where
         for i in np.flatnonzero(other):
             text[:, i] = np.frombuffer(
-                (_FORMAT % x[i]).encode().ljust(24, b"\0"), _U)
-    return y.reshape(4, columns, rows).T.tobytes().replace(
-        b"\0", b"").decode("ascii")
+                uncertain(float(x[i])).encode().ljust(24, b"\0"), _U)
+    before, after = _frame(names, columns)
+    out = np.empty((rows, columns, before.shape[1] + 4), _U)
+    out[..., :-4] = before
+    out[..., -4:] = y.reshape(4, columns, rows).T
+    out[..., -1] |= after
+    # bytes.translate drops the NULs at the speed of numpy's boolean mask,
+    # without np.compress's index array of 8 bytes a character
+    return out.tobytes().translate(None, b"\0").decode("ascii")

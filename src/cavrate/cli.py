@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import errno
-import itertools
-import json
 import math
 import os
 import sys
@@ -208,44 +206,44 @@ def run_sweep(config: SweepConfig) -> Sweep:
     return Sweep({name: values.tolist() for name, values in columns.items()})
 
 
-# every float is written with 17 significant digits, enough to round-trip
+# every CSV float is written with 17 significant digits, enough to round-trip
 _NUMBER_FORMAT = "%.17g"
-# values per block of write_csv: the kernel's arrays stay small at any length
-_CSV_BLOCK = 2048
+# values per block of the writers: the kernel's arrays stay small at any length
+_BLOCK = 2048
+
+
+def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
+    """The writers' text of the rows, a block of rows at a time from the
+    numpy kernel: CSV lines, or with the columns' names JSON objects."""
+    # imported here: only a write builds the kernel's tables
+    from ._gformat import format_rows
+    columns = [rows.columns[name] for name in config.columns]
+    step = max(1, _BLOCK // len(columns))
+    for start in range(0, len(columns[0]), step):
+        yield format_rows(np.array(
+            [values[start:start + step] for values in columns], float).T,
+            names)
 
 
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
     """Write the header and a line per row, each value as _NUMBER_FORMAT
-    writes it, formatting a block of rows at a time in numpy."""
-    # imported here: only a CSV write builds the kernel's tables
-    from ._gformat import format_rows
+    writes it."""
     stream.write(",".join(config.columns) + "\n")
-    columns = [rows.columns[name] for name in config.columns]
-    step = max(1, _CSV_BLOCK // len(columns))
-    for start in range(0, len(columns[0]), step):
-        stream.write(format_rows(np.array(
-            [values[start:start + step] for values in columns], float).T))
-
-
-# rows per write of write_json: the text in flight stays small at any length
-_JSON_BLOCK = 64
+    stream.writelines(_text_blocks(rows, config))
 
 
 def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
-    """Write the bytes of json.dump(list(rows), indent=1) and a newline."""
-    columns = config.columns
-    # %r writes a float as float.__repr__ does, as json does
-    members = ",\n".join(f"  {json.dumps(c)}: %r" for c in columns)
-    template = " {\n" + members + "\n }"
-    values = zip(*map(rows.columns.__getitem__, columns))
-    separator = "[\n"
-    while block := list(itertools.islice(values, _JSON_BLOCK)):
-        text = separator + ",\n".join(map(template.__mod__, block))
-        # repr writes the non-finite floats nan, inf, -inf; json NaN, Infinity
-        stream.write(text.replace(": nan", ": NaN").replace(
-            ": inf", ": Infinity").replace(": -inf", ": -Infinity"))
-        separator = ",\n"
-    stream.write("\n]\n" if rows else "[]\n")
+    """Write the bytes of json.dump(list(rows), indent=1) and a newline:
+    each value as float.__repr__ writes it, NaN, Infinity and -Infinity
+    as json does."""
+    blocks = _text_blocks(rows, config, tuple(config.columns))
+    first = next(blocks, None)
+    if first is None:
+        stream.write("[]\n")
+        return
+    stream.write("[" + first[1:])     # the first object has no ',' before it
+    stream.writelines(blocks)
+    stream.write("\n]\n")
 
 
 def _parse_columns(text: str):

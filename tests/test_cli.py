@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavrate import cli
+from cavrate import _gformat, cli
 from cavrate import multilayer as ml
 from cavrate import oracle, rates
 from cavrate import specfun
@@ -431,6 +433,137 @@ class TestCsvFormat:
         self.assert_per_value_bytes(values, cli.COLUMNS[:shape[1]])
 
 
+def repr_route(value):
+    """Why the JSON kernel hands a value to float.__repr__, from exact
+    arithmetic: non-finite, out of range, next to a power of ten (its
+    exponent is uncertain), an end of its rounding interval or the
+    midpoint between two shortest candidates near an integer of the
+    17-digit scale, or unexplained."""
+    if not math.isfinite(value):
+        return "non-finite"
+    a = abs(value)
+    if not 1e-270 <= a < 1e300:
+        return "range"
+    scale = Fraction(10) ** (16 - Decimal(a).adjusted())
+    scaled = Fraction(a) * scale
+    near = Fraction(1, 2 ** 19)
+    if abs(scaled - 10 ** 16) < near:
+        return "decade"
+    ends = [(Fraction(a) + Fraction(math.nextafter(a, b))) / 2 * scale
+            for b in (0.0, math.inf)]
+    if any(abs(t - round(t)) < near for t in ends):
+        return "end"
+    lower, upper = math.ceil(ends[0]), math.floor(ends[1])
+    step = 10 ** (len(str(upper - lower + 1)) - 1)
+    if (upper // (10 * step) * (10 * step) < lower
+            and abs(scaled % step - Fraction(step, 2)) < near):
+        return "midpoint"
+    return "unexplained"
+
+
+class TestJsonFormat:
+    """write_json formats a block of rows at a time; its bytes must be those
+    of json.dump on every kind of double, and each route that hands a value
+    to float.__repr__ must be taken by some value."""
+
+    @staticmethod
+    def assert_json_dump_bytes(values, columns=cli.COLUMNS):
+        """Compare the bytes; return the kernel's routes to repr."""
+        table = np.asarray(values, dtype=np.float64).reshape(-1, len(columns))
+        rows = cli.Sweep({c: table[:, j].tolist()
+                          for j, c in enumerate(columns)})
+        out = io.StringIO()
+        cli.write_json(rows, quick_config(columns=columns), out)
+        # the bytes of json.dump, in one string
+        expected = json.dumps([dict(zip(columns, row))
+                               for row in table.tolist()], indent=1) + "\n"
+        assert out.getvalue().split("\n") == expected.split("\n")
+        x = table.ravel()
+        _, _, certified = _gformat._decimal(x.copy(), True)
+        routes = Counter(map(repr_route, x[~certified & (x != 0)].tolist()))
+        assert not routes["unexplained"]
+        return routes
+
+    def test_random_bit_patterns(self):
+        # every sign and exponent field, subnormals and NaN payloads among
+        # them; 1,201 rows end in a part block
+        rng = np.random.default_rng(20261019)
+        fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
+        mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
+        subnormals = rng.integers(0, 2 ** 52, 100, dtype=np.uint64)
+        random = rng.integers(0, 2 ** 64, 17 * 1201 - fields.size - 102,
+                              dtype=np.uint64)
+        values = np.concatenate([(fields | mantissas).view(float),
+                                 [math.inf, -math.inf],
+                                 subnormals.view(float) * ([1, -1] * 50),
+                                 random.view(float)])
+        assert np.isnan(values).sum() > 10
+        assert (np.abs(values) < np.finfo(float).tiny).sum() > 100
+        routes = self.assert_json_dump_bytes(values)
+        assert routes["non-finite"] > 10 and routes["range"] > 500
+
+    def test_powers_of_ten(self):
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        values = ulps_around(powers, 2).ravel()
+        routes = self.assert_json_dump_bytes(
+            np.concatenate([values, -values, [0.0] * 10]), cli.COLUMNS[:5])
+        assert routes["decade"]          # 1e20 itself
+
+    def test_powers_of_two(self):
+        # below a power of two the gap to the next double is half as large
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        self.assert_json_dump_bytes(ulps_around(powers, 2), cli.COLUMNS[:5])
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e15, 1e16, 1e17])
+    def test_fixed_and_exponent_switch(self, switch):
+        values = ulps_around([switch], 40).ravel()
+        self.assert_json_dump_bytes(np.concatenate([values, -values]),
+                                    ("omega",))
+
+    def test_integers_around_2_53(self):
+        # from 2**53 on, an end of the rounding interval is an integer
+        values = np.arange(2 ** 53 - 1000, 2 ** 53 + 1000).astype(float)
+        routes = self.assert_json_dump_bytes(values, ("kappa",))
+        assert routes["end"] > 1000
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(11)
+        size = 17 * 1000
+        x = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-6, 17, size)
+        values = [round(v, k) for v, k in zip(x.tolist(),
+                                              rng.integers(0, 16, size))]
+        self.assert_json_dump_bytes(values)
+
+    def test_exact_ties_at_the_shortest_length(self):
+        # m / 2**k, m odd, is the 17-digit integer m * 5**k, an odd multiple
+        # of 5, scaled by 10**-k: where the shortest candidates are
+        # multiples of 10, two lie equally near; repr takes the even digit
+        rng = np.random.default_rng(12)
+        ties = []
+        for k in range(1, 24):
+            low, high = 5 * 10 ** 16 // 5 ** k, 10 ** 17 // 5 ** k
+            if high < 2 ** 53:
+                ties += [(int(m) | 1) / 2 ** k
+                         for m in rng.integers(low, high, 20)]
+        assert repr(818480843660727.25) == "818480843660727.2"
+        routes = self.assert_json_dump_bytes(
+            ulps_around(ties + [818480843660727.25], 1).ravel(), ("eta",))
+        assert routes["midpoint"] > 100
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((300, 17))
+        table[:, 3] = 0.0
+        table[:, 16] = -0.0
+        self.assert_json_dump_bytes(table)
+
+    @pytest.mark.parametrize("shape", [(1, 17), (5000, 1), (1, 1)])
+    def test_one_row_or_one_column(self, shape):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -30, 30, shape)
+        self.assert_json_dump_bytes(values, cli.COLUMNS[:shape[1]])
+
 class TestConfigFile:
     def test_load_and_override(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -618,8 +751,8 @@ class TestVerifyBattery:
 
         monkeypatch.setattr(oracle, "absorbed_power", boom)
         report = verify_mod.run_battery(None)
-        oracle_checks = {"check_oracle_power", "check_energy_balance",
-                         "check_quadrature_convergence"}
+        oracle_checks = {"oracle_matches_analytic_power",
+                         "energy_balance_layers", "quadrature_convergence"}
         failed = [c for c in report.checks if c.name in oracle_checks]
         others = [c for c in report.checks if c.name not in oracle_checks]
         assert {c.name for c in failed} == oracle_checks
@@ -642,7 +775,7 @@ class TestVerifyBattery:
         report = verify_mod.run_battery(None)
         failed = [c for c in report.checks if not c.passed]
         assert len(report.checks) == 16
-        assert [c.name for c in failed] == ["check_energy_balance"]
+        assert [c.name for c in failed] == ["energy_balance_layers"]
         assert failed[0].detail == "numeric failure: synthetic"
 
     @pytest.mark.parametrize("module, name, failing", [
@@ -664,6 +797,25 @@ class TestVerifyBattery:
         assert all(c.detail == "numeric failure: synthetic"
                    for c in report.checks if not c.passed)
 
+    def test_numeric_failure_keeps_the_verdict_names(self, monkeypatch):
+        # each check in turn fails numerically; the report keeps the 16
+        # names of a passing run, in the same order
+        names = [c.name for c in verify_mod.run_battery(None).checks]
+        checks = [name for name in vars(verify_mod)
+                  if name.startswith("check_")]
+        assert len(names) == 16 and len(checks) == 13
+
+        def boom(*args, **kwargs):
+            raise OverflowError("synthetic")
+
+        for check in checks:
+            with monkeypatch.context() as patch:
+                patch.setattr(verify_mod, check, boom)
+                report = verify_mod.run_battery(None)
+            assert [c.name for c in report.checks] == names, check
+            assert any(c.detail == "numeric failure: synthetic"
+                       for c in report.checks), check
+
     def test_overflow_inside_a_check_is_a_verdict(self, tmp_path, capsys):
         # at R = 1400 the sphere's field passes |Im k r| = 700 at resonance
         path = tmp_path / "large.cfg"
@@ -672,7 +824,7 @@ class TestVerifyBattery:
         out = capsys.readouterr().out.splitlines()
         assert code == 2
         assert len(out) == 17 and out[-1].startswith("16 checks, ")
-        assert any(line.startswith("FAIL  check_energy_balance")
+        assert any(line.startswith("FAIL  energy_balance_layers")
                    and "numeric failure: |Im z| = " in line
                    and "overflow guard" in line for line in out), out
 
