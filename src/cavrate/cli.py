@@ -97,12 +97,16 @@ class SweepConfig:
     def omega_grid(self) -> list[float]:
         """Strictly increasing grid; refinement to 2n-1 points keeps the
         original points bit-exact."""
+        return self._omega_array().tolist()
+
+    def _omega_array(self) -> np.ndarray:
+        """The grid as a float64 array, the one run_sweep evaluates: each
+        point takes the float operations of omega_min + (span * i) / m."""
         if self.omega_count == 1:
-            return [self.omega_min]
+            return np.array([self.omega_min], float)
         span = self.omega_max - self.omega_min
         m = self.omega_count - 1
-        return [self.omega_min + (span * i) / m
-                for i in range(self.omega_count)]
+        return self.omega_min + (span * np.arange(self.omega_count)) / m
 
     def onsager_radius(self, omega: float) -> float:
         """Cavity radius at this frequency, in units of c/omega0.
@@ -171,27 +175,30 @@ def sweep_row(config: SweepConfig, omega):
 
 @dataclass(frozen=True)
 class Sweep:
-    """The result of a sweep: one list of floats per name in COLUMNS, in
-    increasing frequency order, kept as `columns` for the writers.
+    """The result of a sweep: one float64 array per name in COLUMNS, in
+    increasing frequency order, kept as `columns` for the writers (lists of
+    floats are accepted too, and write the same bytes).
 
     It also reads as a sequence of rows: `len`, integer and slice indexing
-    and iteration give fresh {name: float} dicts in COLUMNS order, and a
-    sweep equals a list of such dicts holding the same values.
+    and iteration give fresh {name: float} dicts in the columns' order, and
+    a sweep equals a list of such dicts holding the same values.
     """
 
-    columns: dict[str, list[float]]
+    columns: dict[str, np.ndarray | list[float]]
 
     def __len__(self) -> int:
-        return len(self.columns["omega"])
+        return len(next(iter(self.columns.values()), ()))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
-        return {name: values[index] for name, values in self.columns.items()}
+        return {name: float(values[index])
+                for name, values in self.columns.items()}
 
     def __iter__(self):
-        return (dict(zip(self.columns, row))
-                for row in zip(*self.columns.values()))
+        lists = (np.asarray(values, float).tolist()
+                 for values in self.columns.values())
+        return (dict(zip(self.columns, row)) for row in zip(*lists))
 
     def __eq__(self, other):
         if not isinstance(other, (list, Sweep)):
@@ -201,9 +208,8 @@ class Sweep:
 
 def run_sweep(config: SweepConfig) -> Sweep:
     """Every column of COLUMNS over the grid, from one array pass of
-    `sweep_row`; each column becomes one list of floats."""
-    columns = sweep_row(config, np.array(config.omega_grid()))
-    return Sweep({name: values.tolist() for name, values in columns.items()})
+    `sweep_row`; each column stays the float64 array it computes."""
+    return Sweep(sweep_row(config, config._omega_array()))
 
 
 # every CSV float is written with 17 significant digits, enough to round-trip
@@ -214,7 +220,9 @@ _BLOCK = 2048
 
 def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
     """The writers' text of the rows, a block of rows at a time from the
-    numpy kernel: CSV lines, or with the columns' names JSON objects."""
+    numpy kernel: CSV lines, or with the columns' names JSON objects.
+    Each block is stacked from the columns' slices, at no more than a copy
+    for float64 arrays; the whole table is never copied at once."""
     # imported here: only a write builds the kernel's tables
     from ._gformat import format_rows
     columns = [rows.columns[name] for name in config.columns]

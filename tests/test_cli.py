@@ -260,8 +260,9 @@ class TestSweep:
         extra = dict.fromkeys(cli.COLUMNS, -0.0) | {
             "omega": math.inf, "eps_re": math.nan, "eps_im": 1e-310,
             "eta": 5e-324, "kappa": 1.7976931348623157e308}
-        rows = cli.Sweep({c: values + [extra[c]] for c, values
+        rows = cli.Sweep({c: [*values, extra[c]] for c, values
                           in cli.run_sweep(config).columns.items()})
+        assert len(rows) == config.omega_count + 1
         out = io.StringIO()
         cli.write_csv(rows, config, out)
         expected = [",".join(columns)] + [
@@ -350,6 +351,71 @@ class TestSweepRows:
         back[300]["gamma_hat"] *= 1 + 1e-15
         assert rows != back and back != rows
         assert rows != back[:-1]
+
+    @pytest.mark.parametrize("columns", [("kappa",), ("eta",)])
+    def test_sweep_without_an_omega_column(self, columns):
+        config = quick_config(columns=columns)
+        full = cli.run_sweep(config)
+        rows = cli.Sweep({c: full.columns[c] for c in columns})
+        assert len(rows) == config.omega_count and rows
+        assert list(rows) == [{c: row[c] for c in columns} for row in full]
+        assert rows[-1] == {c: full[-1][c] for c in columns}
+        out = io.StringIO()
+        cli.write_csv(rows, config, out)
+        assert len(out.getvalue().splitlines()) == config.omega_count + 1
+
+
+class TestArrayColumns:
+    """run_sweep keeps each column as the float64 array it computes; lists
+    of floats are accepted too and must write the same bytes."""
+
+    def test_run_sweep_columns_are_float64_arrays(self):
+        config = quick_config(omega_count=7)
+        rows = cli.run_sweep(config)
+        assert tuple(rows.columns) == cli.COLUMNS
+        for values in rows.columns.values():
+            assert type(values) is np.ndarray
+            assert values.dtype == np.float64 and values.shape == (7,)
+
+    @pytest.mark.parametrize("columns", [cli.COLUMNS, ("eta", "omega")])
+    def test_lists_and_arrays_write_the_same_bytes(self, columns):
+        rng = np.random.default_rng(20261019)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                    -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+        random = rng.integers(0, 2 ** 64, 251 * len(columns) - len(specials),
+                              dtype=np.uint64).view(float)
+        # 251 rows: full blocks of the writers and a part block
+        table = np.concatenate([specials, random]).reshape(-1, len(columns))
+        config = quick_config(columns=columns)
+        as_arrays = cli.Sweep({c: table[:, j] for j, c in enumerate(columns)})
+        as_lists = cli.Sweep({c: table[:, j].tolist()
+                              for j, c in enumerate(columns)})
+        assert len(as_arrays) == len(as_lists) == 251
+        for write in (cli.write_csv, cli.write_json):
+            texts = []
+            for rows in (as_arrays, as_lists):
+                out = io.StringIO()
+                write(rows, config, out)
+                texts.append(out.getvalue())
+            assert texts[0] == texts[1]
+        for row in [*as_arrays, as_arrays[0], *as_arrays[-2:]]:
+            assert all(type(v) is float for v in row.values())
+
+    @pytest.mark.parametrize("count", [1, 2, 601, 2401, 100001])
+    @pytest.mark.parametrize("bounds", [(0.2, 2.0), (0.37, 5.9)])
+    def test_grid_list_and_array_are_bit_exact(self, count, bounds):
+        lo, hi = bounds
+        config = quick_config(omega_min=lo, omega_max=hi, omega_count=count)
+        # the grid's defining expression, one Python float at a time
+        expected = [lo] if count == 1 else \
+            [lo + ((hi - lo) * i) / (count - 1) for i in range(count)]
+        grid = config.omega_grid()
+        assert type(grid) is list
+        assert list(map(float.hex, grid)) == list(map(float.hex, expected))
+        array = config._omega_array()
+        assert array.dtype == np.float64
+        assert list(map(float.hex, array.tolist())) == \
+            list(map(float.hex, expected))
 
 
 def ulps_around(values, reach):
