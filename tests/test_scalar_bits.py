@@ -5,15 +5,23 @@ of a scalar computation shows here, whatever its size.  The bare spheres
 span a small sphere in vacuum and in an absorbing host, a large one whose
 outputs are around 1e-35, and R = 1400, where the cavity terms underflow
 to exact zeros; the stacks are a three-layer cavity and a graded N = 8
-stack.
+stack.  A digest pins every amplitude and the residual of seeded stacks
+with 2 to 32 layers, as numbers and as arrays, and the errors of a few
+inputs the amplitude engine rejects.
 """
 
+import hashlib
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cavrate import multilayer as ml
 from cavrate import rates
+from cavrate.cli import get_preset
+from cavrate.dielectric import eval_lorentz
+from cavrate.errors import DomainError, IllConditioned
 from test_multilayer import graded_stack
 
 EPS_RES = 5 + 2.5j
@@ -76,3 +84,100 @@ def test_stack_amplitude_bits(name):
                 for z in (coeffs.c1, coeffs.c_outer))
     assert got == amplitudes
     assert coeffs.residual.hex() == residual
+
+
+# N -> sha256 over float.hex of c1, c_plus, c_minus and residual: of
+# DRAWS stacks of numbers, and of one stack of (DRAWS,) arrays
+DRAWS = 20
+DIGESTS = {
+    2: ("7f84eb7c0a2551cceb09a0637d9cd6f295478720f4708c243144e6b9000af987",
+        "f02107f3b78f02a18fe8dd4c25dcc2fcf549caf3bd7c3a946098827920339ee3"),
+    3: ("533a7a7f534c7e3ba252b64178052ea9f8b923757e5f5fe70f03022651a0b998",
+        "fbbfcb2713db9a54b3194fd90798125322cc047aa62f0122244458a27a6e4720"),
+    4: ("d1c24194f40262d6a958ed2d2e9c34a9bc8b19f0cf30a86650627e3a8f08ad18",
+        "4a969cfb824dff3ea6b3535018b7fa226173e7216a9a41c2a21b00a1c39f5838"),
+    8: ("0c359ac00a8a7b23929b30b895c052b8c58a2aabe8f575a3c2186c4fbcc57332",
+        "6dc11bf0755aaed404e56b0fefcbccc77f777643a12505f953a0d6dbc6941d8d"),
+    16: ("4d653d945a0f48120c91cc07d5bc910a1dacca6bd400232a8e13d39833db1569",
+         "d5461fe1d472544c04c3fad8682636df23fb27aee2139f0ebdbb1e17bb1c549b"),
+    32: ("fa6f59774cec0d43fed1d91991fd23ec827e5c0c397f26d718492c16989fcee4",
+         "cd5d111d13f3219a32d32b9ddcc79ad6347ee9c23c420946e1afcf0d5ad8852e"),
+}
+
+
+def seeded_stacks(n):
+    """Shared radii; per draw, passive permittivities (about 30 % of them
+    lossless) and a k0, which put |k_1 r_1| on both sides of j1_scaled's
+    series radius."""
+    rng = np.random.default_rng(n)
+    radii = tuple(np.cumsum(rng.uniform(0.05, 0.6, size=n - 1)).tolist())
+    parts = rng.uniform((0.5, 0.0), (8.0, 3.0), size=(DRAWS, n, 2))
+    parts[..., 1] *= rng.random((DRAWS, n)) < 0.7
+    return radii, parts.view(complex)[..., 0], rng.uniform(0.2, 2.0, DRAWS)
+
+
+def amplitude_digest(solves):
+    digest = hashlib.sha256()
+    for coeffs in solves:
+        for z in (coeffs.c1, *coeffs.c_plus, *coeffs.c_minus):
+            for part in (np.real(z), np.imag(z)):
+                digest.update(" ".join(
+                    map(float.hex, np.ravel(part).tolist())).encode())
+        digest.update(coeffs.residual.hex().encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", list(DIGESTS))
+def test_seeded_stack_amplitude_digest(n):
+    radii, eps, k0 = seeded_stacks(n)
+    numbers = [ml.coeffs_general_n(ml.LayerStack(radii, e.tolist()),
+                                   float(k))
+               for e, k in zip(eps, k0)]
+    array = ml.coeffs_general_n(
+        SimpleNamespace(radii=radii, eps=tuple(eps.T)), k0)
+    assert (amplitude_digest(numbers), amplitude_digest([array])) \
+        == DIGESTS[n]
+
+
+def _overflowing(omega):
+    """ROADMAP item 2: a host that absorbs more than the sphere at R = 300
+    makes the engine's e^{i(z_in - z_out)} overflow."""
+    eps = eval_lorentz(get_preset("fig3").medium, omega).eps
+    return (eps, 1 + 0.5j), omega
+
+
+NAN = complex(math.nan, 0)
+# name -> (radii, eps, k0), then the error type and message
+RAISING = {
+    "radii_not_increasing": (
+        ((1.0, 1.0), (2 + 1j, 3 + 0j, 1 + 0j), 1.0),
+        DomainError, "the radii must be positive and increasing"),
+    "radii_not_increasing_array": (
+        ((0.5, 0.4), (np.array([2 + 1j, 3j]), 3 + 0j, 1 + 0j),
+         np.array([1.0, 2.0])),
+        DomainError, "the radii must be positive and increasing"),
+    "k0_not_positive": (
+        ((1.0,), (2 + 0j, 1 + 0j), -1.0),
+        DomainError, "k0 must be positive"),
+    "nan_permittivity": (
+        ((0.3, 1.0), (2 + 1j, NAN, 1 + 0j), 1.0),
+        IllConditioned, "recursion residual nan exceeds 1e-08"),
+    "nan_permittivity_array": (
+        ((0.3, 1.0), (2 + 1j, np.array([3 + 0j, NAN]), 1 + 0j),
+         np.array([1.0, 1.5])),
+        IllConditioned, "recursion residual nan exceeds 1e-08"),
+    "outer_phase_overflow": (
+        ((300.0,), *_overflowing(11.0)),
+        OverflowError, "math range error"),
+    "outer_phase_overflow_array": (
+        ((300.0,), *_overflowing(np.array([10.0, 11.0]))),
+        OverflowError, "math range error"),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISING))
+def test_rejected_stack_errors(name):
+    (radii, eps, k0), error, message = RAISING[name]
+    with np.errstate(invalid="ignore"), pytest.raises(error) as caught:
+        ml.coeffs_general_n(SimpleNamespace(radii=radii, eps=eps), k0)
+    assert type(caught.value) is error and str(caught.value) == message
