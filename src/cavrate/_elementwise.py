@@ -44,8 +44,10 @@ def positive(x) -> bool:
 def peak_ratio(defects, norms, amps, sources) -> float:
     """max defects / (max norms * max amps + max sources), the maxima taken
     elementwise over arrays, then the largest element: the amplitude
-    residual.  Unlike the guards' reductions it keeps NaN, from any group."""
-    if type(defects[0]) is float:
+    residual.  Unlike the guards' reductions it keeps NaN, from any group.
+    The last defect, of the innermost interface, tells numbers from arrays:
+    the recursion carries an array in any layer inward to it."""
+    if type(defects[-1]) is float:
         ratio = max(defects) / (max(norms) * max(amps) + max(sources))
         # max skips a NaN that is not first; every value is >= 0 or NaN,
         # so the sum is NaN exactly when one of them is
@@ -58,6 +60,11 @@ def peak_ratio(defects, norms, amps, sources) -> float:
 
 def exp(z):
     return _ArrayMath.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
+
+
+def exp_for(values):
+    """cmath.exp if every value is a complex or float number, else exp."""
+    return cmath.exp if set(map(type, values)) <= {complex, float} else exp
 
 
 def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):

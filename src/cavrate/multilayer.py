@@ -10,11 +10,11 @@ profile built from order-1 spherical waves,
 where the l = 1 scattered part collapses to c_1 j1(k_1 r) by regularity at
 the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
-interface.  One O(N) recursion over the interfaces, on scaled waves that
-stay finite in thick absorbing layers, gives them for any N and takes numpy
-arrays, one entry per frequency; the fields use the same scaled waves.  The
-closed forms for N = 2 and N = 3 are the independent route it is checked
-against.
+interface.  One inward pass over the interfaces, on scaled waves that stay
+finite in thick absorbing layers, then a short outward product give them
+for any N and take numpy arrays, one entry per frequency; the fields use
+the same scaled waves.  The closed forms for N = 2 and N = 3 are the
+independent route it is checked against.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
@@ -22,12 +22,13 @@ Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import (exp, guard_im, largest, peak_ratio, positive,
-                           smallest)
+from ._elementwise import (exp, exp_for, guard_im, largest, peak_ratio,
+                           positive, smallest)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -199,68 +200,70 @@ def _scaled_waves(z, eps, regular=False):
 
 
 def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
-    """Amplitudes for any layer count by an O(N) recursion over interfaces.
+    """Amplitudes for any layer count in one O(N) pass over the interfaces.
 
     The waves are scaled (h1 e^{-iz}, h2 e^{iz}, j1 e^{iz}).  Inward from
     R_N = 0, matching f and [r f(r)]'/eps at each interface gives the ratio
     R_l of incoming to outgoing wave there in the layer inside, moved to
-    its inner interface by e^{2ik_l(r_l - r_{l-1})}; c1 = R_1 e^{2iz_1}.
-    Outward, continuity gives each c_{l+} (times e^{i(z_in - z_out)} per
-    interface), and c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object
-    with radii and eps, and with roots, sqrt(eps) per layer, if its builder
-    has formed them already; these and k0 may hold (F,) arrays.
+    its inner interface by e^{2ik_l(r_l - r_{l-1})}, and t, the outgoing
+    wave outside per one inside; c1 = R_1 e^{2iz_1}.  An outward product
+    then gives each c_{l+} (times e^{i(z_in - z_out)} t per interface) and
+    c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object with radii and
+    eps, and with roots, sqrt(eps) per layer, if its builder has formed
+    them already; these and k0 may hold (F,) arrays.
     """
     if not positive(k0):
         raise DomainError("k0 must be positive")
     eps, radii, last = stack.eps, stack.radii, len(stack.radii) - 1
+    if not all(map(positive, gaps := [radii[0], *map(sub, radii[1:], radii)])):
+        raise DomainError("the radii must be positive and increasing")
     ks = _wavenumbers(eps, k0, getattr(stack, "roots", None))
-    # per interface, each scaled wave as (f, [z f]'/eps): the inner layer's
-    # lead wave a (h1; the source in layer 1) and wave b (h2; j1 in layer
-    # 1), the outer layer's h1 wave p and h2 wave q (none in the outermost);
-    # and the phases e^{2ik_l(r_l - r_{l-1})}, e^{2iz_in}, e^{i(z_in - z_out)}
-    waves, phases = [], []
-    for i, r in enumerate(radii):
-        if not positive(gap := r - radii[i - 1] if i else r):
-            raise DomainError("the radii must be positive and increasing")
-        zin, zout = ks[i] * r, ks[i + 1] * r
-        a, b = _scaled_waves(zin, eps[i], regular=i == 0)
-        p, q = _scaled_waves(zout, eps[i + 1])
-        waves.append((a, b, p, q if i < last else (0j, 0j)))
-        phases.append((exp(2j * ks[i] * gap) if i else 0j,
-                       exp(2j * zin), exp(1j * (zin - zout))))
-
-    # inward: the outer profile p + P q per unit outgoing wave (P: the outer
-    # layer's R at this interface) fixes the inner layer's R
-    ratio, ratios, profiles = 0j, [0j] * (last + 1), [None] * (last + 1)
+    exp = exp_for(ks + gaps)  # these carry the type of every exponent
+    # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
+    # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in
+    # layer 1), the outer layer's h1 wave p and h2 wave q (none outermost);
+    # the outer profile p + P q per unit outgoing wave (P: the outer R here)
+    # fixes R, t fits the inner profile a + R b to it; row defects, sums,
+    # amplitudes 1, R, t, tP; outward steps R e^{2iz_in}, e^{i(z_in-z_out)}, t
+    ratio, qf, qd, steps = 0j, 0j, 0j, []
+    defects, norms, amps = [], [], [float(last > 0)]
     for i in range(last, -1, -1):
-        (af, ad), (bf, bd), (pf, pd), (qf, qd) = waves[i]
-        f, d, _ = profiles[i] = pf + ratio * qf, pd + ratio * qd, ratio
+        zin, zout = ks[i] * radii[i], ks[i + 1] * radii[i]
+        iz = 1j / zin
+        af = (-1 - iz) / zin
+        bf, bd = ((h2 := (iz - 1) / zin), 1j - h2) if i else sf.j1_scaled(zin)
+        ad, bd = (-1j - af) / eps[i], bd / eps[i]
+        iz = 1j / zout
+        pf = (-1 - iz) / zout
+        if i < last:
+            qf = (iz - 1) / zout
+            qd = (1j - qf) / eps[i + 1]
+        pd = (-1j - pf) / eps[i + 1]
+        shift = exp(2j * ks[i] * gaps[i]) if i else 0j
+        phase, across = exp(2j * zin), exp(1j * (zin - zout))
+        f, d = pf + ratio * qf, pd + ratio * qd
         den = bf * d - bd * f
         if (small := smallest(abs(den))) < _DENOMINATOR_FLOOR:
             raise IllConditioned(f"recursion denominator |D| = {small:g}")
-        ratios[i] = (ad * f - af * d) / den
-        ratio = ratios[i] * phases[i][0]
-
-    # outward: t, the outer outgoing wave per inner one, fits the inner
-    # profile g to the outer one; row defects, sums, amplitudes 1, R, t, tP;
-    # c_in: the inner layer's incoming amplitude, c1 then each c_{l-}
-    cp, c_plus, c_in = 1 + 0j, [], []
-    defects, norms, amps = [], [], [float(last > 0)]
-    for i, ((af, ad), (bf, bd), (pf, pd), (qf, qd)) in enumerate(waves):
-        f, d, ratio = profiles[i]
-        gf, gd = af + ratios[i] * bf, ad + ratios[i] * bd
+        r_in = (ad * f - af * d) / den
+        gf, gd = af + r_in * bf, ad + r_in * bd
         fc, dc = f.conjugate(), d.conjugate()
         t = (gf * fc + gd * dc) / (f * fc + d * dc)
-        c_in.append(ratios[i] * phases[i][1] * cp)
-        cp = cp * phases[i][2] * t
-        c_plus.append(cp)
         defects += abs(gf - t * f), abs(gd - t * d)
         # the source terms of the first interface belong to b, not A
         norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
                   (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
-        amps += abs(ratios[i]), abs(t), abs(t * ratio)
+        amps += abs(r_in), abs(t), abs(t * ratio)
+        steps.append((r_in * phase, across, t))
+        ratio = r_in * shift
 
-    af, ad = waves[0][0]
+    # outward: c_in, the inner layer's incoming amplitude, c1 then each c_{l-}
+    cp, c_plus, c_in = 1 + 0j, [], []
+    for r_phase, across, t in reversed(steps):
+        c_in.append(r_phase * cp)
+        cp = cp * across * t
+        c_plus.append(cp)
+
     residual = peak_ratio(defects, norms, amps, [abs(af), abs(ad)])
     if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(

@@ -305,6 +305,30 @@ class TestGeneralSolver:
             ml.coeffs_general_n(SimpleNamespace(radii=arrays, eps=eps),
                                 np.array([1.0, 1.1]))
 
+    @pytest.mark.parametrize("array", ["radii", "shell", "k0"])
+    def test_numbers_mixed_with_arrays(self, array):
+        """One input of a graded stack as (3,) samples, the rest numbers:
+        each sample matches the solve of its own numbers."""
+        scales = np.array([0.9, 1.0, 1.1])
+        stack = graded_stack(4)
+
+        def solve(scale):
+            radii, eps, k0 = list(stack.radii), list(stack.eps), 1.1
+            if array == "radii":
+                radii[-1] = radii[-1] * scale
+            elif array == "shell":
+                eps[1] = eps[1] * scale
+            else:
+                k0 = k0 * scale
+            return ml.coeffs_general_n(
+                SimpleNamespace(radii=tuple(radii), eps=tuple(eps)), k0)
+
+        samples = solve(scales)
+        for i, scale in enumerate(scales.tolist()):
+            for a, b in coeff_pairs(samples, solve(scale)):
+                a = np.broadcast_to(a, scales.shape)[i]
+                assert abs(a - b) <= 1e-13 * max(1, abs(b))
+
     def test_closed_forms_satisfy_continuity(self, rng):
         """Substituting the closed forms back into the boundary conditions."""
         for _ in range(10):
