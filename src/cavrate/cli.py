@@ -87,6 +87,8 @@ class SweepConfig:
         if self.rm_mode == "explicit" and (self.rm_value is None
                                            or self.rm_value <= 0):
             raise ConfigError("rm_mode 'explicit' needs rm_value > 0")
+        if self.rm_mode != "explicit" and self.rm_value is not None:
+            raise ConfigError("rm_value is used only with rm_mode 'explicit'")
         if complex(self.eps_ext).imag < 0:
             raise ConfigError(f"eps_ext = {self.eps_ext} is not passive")
         unknown = [c for c in self.columns if c not in COLUMNS]
@@ -152,25 +154,11 @@ def sweep_row(config: SweepConfig, omega):
     report = rate_report(perm.eps, config.eps_ext, config.sphere_radius,
                          config.onsager_radius(omega),
                          config.rm_radius(omega), k0)
-    return {
-        "omega": omega,
-        "eps_re": perm.eps.real,
-        "eps_im": perm.eps.imag,
-        "eta": perm.eta,
-        "kappa": perm.kappa,
-        "gamma0_hat": report.gamma0_hat,
-        "gamma0_loc_hat": report.gamma0_loc_hat,
-        "gamma_sc_hat": report.gamma_sc_hat,
-        "delta_sc_hat": report.delta_sc_hat,
-        "gamma_sc_loc_hat": report.gamma_sc_loc_hat,
-        "gamma_hat": report.gamma_hat,
-        "gamma_loc_hat": report.gamma_loc_hat,
-        "naive_loc_hat": report.onsager_factor * report.gamma_hat,
-        "w_ext_hat": report.w_ext_hat,
-        "w_ext_loc_hat": report.w_ext_loc_hat,
-        "onsager_factor": report.onsager_factor,
-        "lorentz_factor": report.lorentz_factor,
-    }
+    row = dict(vars(report), omega=omega, eps_re=perm.eps.real,
+               eps_im=perm.eps.imag, eta=perm.eta, kappa=perm.kappa,
+               gamma_hat=report.gamma_hat,
+               naive_loc_hat=report.onsager_factor * report.gamma_hat)
+    return {name: row[name] for name in COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -212,8 +200,6 @@ def run_sweep(config: SweepConfig) -> Sweep:
     return Sweep(sweep_row(config, config._omega_array()))
 
 
-# every CSV float is written with 17 significant digits, enough to round-trip
-_NUMBER_FORMAT = "%.17g"
 # values per block of the writers: the kernel's arrays stay small at any length
 _BLOCK = 2048
 
@@ -234,8 +220,8 @@ def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
 
 
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
-    """Write the header and a line per row, each value as _NUMBER_FORMAT
-    writes it."""
+    """Write the header and a line per row, each value as '%.17g' writes
+    it: 17 significant digits, enough to round-trip."""
     stream.write(",".join(config.columns) + "\n")
     stream.writelines(_text_blocks(rows, config))
 
@@ -361,7 +347,7 @@ def _emit(rows, config, out_path) -> None:
             write_csv(rows, config, stream)
 
 
-def _run_verify(config, seed) -> int:
+def _run_verify(config, seed=verify_mod.DEFAULT_SEED) -> int:
     report = verify_mod.run_battery(config, seed=seed)
     for line in report.lines():
         print(line)
@@ -388,7 +374,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the invariant battery")
     p_verify.add_argument("--config", help="key = value configuration file")
     p_verify.add_argument("--preset", help="fig2, fig3 or fig4")
-    p_verify.add_argument("--seed", type=int, default=20260810,
+    p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED,
                           help="seed of the random-sample checks")
 
     args = parser.parse_args(argv)
@@ -400,7 +386,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 _check_out(args.out)
             _emit(run_sweep(config), config, args.out)
-            code = _run_verify(config, seed=20260810) if config.verify else 0
+            code = _run_verify(config) if config.verify else 0
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except ConfigError as exc:

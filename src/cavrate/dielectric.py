@@ -50,10 +50,6 @@ class ComplexPermittivity:
         eta, kappa = eta_kappa(eps)
         return cls(eps=eps, eta=eta, kappa=kappa)
 
-    def wavenumber(self, k0: float) -> complex:
-        """Complex wavenumber sqrt(eps) * k0."""
-        return (self.eta + 1j * self.kappa) * k0
-
 
 @dataclass(frozen=True)
 class LorentzMedium:

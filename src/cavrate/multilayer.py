@@ -191,14 +191,6 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     return WaveCoefficients(c1=c1, c_plus=(c2p, c3p), c_minus=(c2m, 0j))
 
 
-def _scaled_waves(z, eps, regular=False):
-    """h1 e^{-iz} and h2 e^{iz} (j1 e^{iz} if regular) as (f, [z f]'/eps)."""
-    iz = 1j / z
-    h1, h2 = (-1 - iz) / z, (iz - 1) / z
-    bf, bd = sf.j1_scaled(z) if regular else (h2, 1j - h2)
-    return (h1, (-1j - h1) / eps), (bf, bd / eps)
-
-
 def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     """Amplitudes for any layer count in one O(N) pass over the interfaces.
 
@@ -305,8 +297,11 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     # amplitudes of the outgoing wave and of the other one (h2; j1 in layer 1)
     a, b = ((float(include_source), coeffs.c1) if layer == 1 else
             (coeffs.c_plus[layer - 2], coeffs.c_minus[layer - 2]))
-    # eps = z turns the kernel's [z f]'/eps into [z f]'/z
-    (af, ad), (bf, bd) = _scaled_waves(z, z, regular=layer == 1)
+    # the scaled waves as (f, [z f]'/z): h1 e^{-iz}, h2 e^{iz} or j1 e^{iz}
+    iz = 1j / z
+    af, h2 = (-1 - iz) / z, (iz - 1) / z
+    bf, bd = sf.j1_scaled(z) if layer == 1 else (h2, 1j - h2)
+    ad, bd = (-1j - af) / z, bd / z
     a, b = a * exp(1j * z), b * exp(-1j * z)
     f = a * af + b * bf
     df_over_z = a * ad + b * bd

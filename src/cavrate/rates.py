@@ -68,11 +68,6 @@ def _expansion_guard(k0: float, r_c: float, what: str) -> float:
     return x
 
 
-def nonradiative_nearfield(eps: complex, k0: float, r_m: float) -> float:
-    """Macroscopic near-field transfer rate, (3/2)(eps''/|eps|^2)(k0 r_m)^-3."""
-    return _gamma0(eps, 0.0, abs(eps) ** 2, k0, r_m)
-
-
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""

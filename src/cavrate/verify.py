@@ -300,7 +300,11 @@ def check_quadrature_convergence(eps, k0) -> CheckResult:
     return _check("quadrature_convergence", abs(a - b) / abs(b), spec.rel_tol)
 
 
-def run_battery(config=None, seed: int = 20260810) -> VerificationReport:
+# the seed of the random-sample checks unless the caller names one
+DEFAULT_SEED = 20260810
+
+
+def run_battery(config=None, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run every invariant check and collect the results.
 
     config (a SweepConfig) supplies the medium and geometry for the

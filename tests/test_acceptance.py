@@ -264,7 +264,7 @@ def test_criterion_09_shape_reproduction():
         eps = eval_lorentz(config.medium, omega).eps
         r_c = config.onsager_radius(omega)
         r_m = config.rm_radius(omega)
-        ratio = rates.nonradiative_nearfield(eps, omega, r_m) \
+        ratio = rates._gamma0(eps, 0.0, abs(eps) ** 2, omega, r_m) \
             / rates.cavity_nearfield(eps, omega, r_c)
         worst = max(worst, abs(ratio - 1.5))
     assert worst <= 1e-12

@@ -71,6 +71,7 @@ class TestSweepConfig:
         {"rm_mode": "fixed"}, {"rm_mode": "explicit"},
         {"rm_mode": "explicit", "rm_value": -1.0},
         {"eps_ext": 1 - 0.5j}, {"columns": ("omega", "bogus")},
+        {"rm_value": 0.5}, {"rm_mode": "equal_to_rc", "rm_value": 0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -104,6 +105,16 @@ class TestSweepConfig:
         explicit = quick_config(onsager_fraction=0.04, rm_mode="explicit",
                                 rm_value=0.3)
         assert explicit.rm_radius(1.0) == 0.3
+
+    def test_rm_value_over_a_preset_needs_explicit_mode(self, tmp_path):
+        # rm_value would otherwise be dropped: r_m stays equal to r_c
+        path = tmp_path / "rm.cfg"
+        path.write_text("[geometry]\nrm_value = 0.5\n")
+        with pytest.raises(ConfigError, match="rm_value"):
+            cli.load_config_file(str(path), cli.get_preset("fig3"))
+        assert cli.main(["sweep", "--preset", "fig3", "--config", str(path),
+                         "--out", str(tmp_path / "rows.csv")]) == 1
+        assert not (tmp_path / "rows.csv").exists()
 
 
 class TestPresets:
@@ -252,7 +263,7 @@ class TestSweep:
             assert out.getvalue() == expected.getvalue() + "\n"
 
     def test_csv_has_17_significant_digits(self):
-        assert cli._NUMBER_FORMAT % (1 / 3) == "0.33333333333333331"
+        assert "%.17g" % (1 / 3) == "0.33333333333333331"
 
     @pytest.mark.parametrize("columns", [cli.COLUMNS, ("kappa",)])
     def test_csv_rows_match_per_value_format(self, columns):
@@ -426,7 +437,7 @@ def ulps_around(values, reach):
 
 class TestCsvFormat:
     """write_csv formats a block of rows at a time; its bytes must be those
-    of per-value _NUMBER_FORMAT on every kind of double."""
+    of per-value '%.17g' on every kind of double."""
 
     @staticmethod
     def assert_per_value_bytes(values, columns=cli.COLUMNS):
@@ -436,7 +447,7 @@ class TestCsvFormat:
         out = io.StringIO()
         cli.write_csv(rows, quick_config(columns=columns), out)
         expected = [",".join(columns)] + [
-            ",".join(cli._NUMBER_FORMAT % v for v in row)
+            ",".join("%.17g" % v for v in row)
             for row in table.tolist()]
         assert out.getvalue().split("\n") == expected + [""]
 
@@ -478,7 +489,7 @@ class TestCsvFormat:
             ties += (m / 2.0 ** j).tolist()
         exact = [Decimal(t) for t in ties]
         assert sum(len(d.as_tuple().digits) == 18 for d in exact) > 800
-        texts = [cli._NUMBER_FORMAT % t for t in ties]
+        texts = ["%.17g" % t for t in ties]
         assert texts[:2] == ["3125000000000.0312", "3125000000000.0938"]
         down = [Decimal(text) < d for text, d in zip(texts, exact)]
         assert 300 < sum(down) < len(down) - 300
@@ -795,6 +806,12 @@ class TestVerifyBattery:
     def test_default_battery_passes(self):
         report = verify_mod.run_battery(None)
         assert report.all_passed, "\n".join(report.lines())
+
+    def test_default_battery_is_fig3_at_resonance(self):
+        default = verify_mod.run_battery(None)
+        fig3 = verify_mod.run_battery(cli.get_preset("fig3"))
+        assert default == fig3
+        assert list(default.lines()) == list(fig3.lines())
 
     def test_corrupted_coefficient_is_caught(self, monkeypatch):
         true_fn = ml.coeffs_two_layer
@@ -1189,6 +1206,21 @@ class TestMain:
                             lambda config, seed=0: failing)
         assert cli.main(["verify", "--preset", "fig4"]) == 2
 
+    def test_both_commands_default_to_the_battery_seed(self, monkeypatch,
+                                                       tmp_path):
+        seeds = []
+
+        def record(config, seed=None):
+            seeds.append(seed)
+            return verify_mod.VerificationReport(checks=())
+
+        monkeypatch.setattr(verify_mod, "run_battery", record)
+        assert cli.main(["verify", "--preset", "fig4"]) == 0
+        assert cli.main(["sweep", "--preset", "fig4", "--verify",
+                         "--out", str(tmp_path / "rows.csv")]) == 0
+        assert cli.main(["verify", "--preset", "fig4", "--seed", "3"]) == 0
+        assert seeds == [verify_mod.DEFAULT_SEED] * 2 + [3]
+
     def test_numeric_failure_exit_code(self, monkeypatch):
         def boom(config, seed=0):
             raise QuadratureFailure("synthetic")
@@ -1199,19 +1231,24 @@ class TestMain:
 
 # the validated configuration space, as config file sections: absorbing
 # hosts, spheres up to 2000 c/omega0, both cavity references and both r_m
-# modes, grids of up to 20 frequencies
+# modes (rm_value only with 'explicit'), grids of up to 20 frequencies
+rm_settings = st.one_of(
+    st.fixed_dictionaries({"rm_mode": st.just("equal_to_rc")}),
+    st.fixed_dictionaries({"rm_mode": st.just("explicit"),
+                           "rm_value": st.floats(1e-3, 2.0)}))
 valid_configs = st.fixed_dictionaries({
     "medium": st.fixed_dictionaries({
         "eps_b": st.floats(1.0, 20.0), "Omega": st.floats(0.0, 3.0),
         "gamma": st.floats(1e-4, 2.0)}),
-    "geometry": st.fixed_dictionaries({
-        "eps_ext": st.builds(complex, st.floats(1.0, 4.0),
-                             st.floats(0.0, 2.0)),
-        "sphere_radius": st.floats(0.5, 2000.0),
-        "onsager_fraction": st.floats(1e-3, 0.159),
-        "lambda_reference": st.sampled_from(["transition", "resonance"]),
-        "rm_mode": st.sampled_from(["explicit", "equal_to_rc"]),
-        "rm_value": st.floats(1e-3, 2.0)}),
+    "geometry": st.builds(
+        dict.__or__, st.fixed_dictionaries({
+            "eps_ext": st.builds(complex, st.floats(1.0, 4.0),
+                                 st.floats(0.0, 2.0)),
+            "sphere_radius": st.floats(0.5, 2000.0),
+            "onsager_fraction": st.floats(1e-3, 0.159),
+            "lambda_reference": st.sampled_from(["transition",
+                                                 "resonance"])}),
+        rm_settings),
     "sweep": st.fixed_dictionaries({
         "omega_min": st.floats(0.05, 3.0), "omega_max": st.floats(3.01, 13.0),
         "omega_count": st.integers(1, 20)}),

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -96,12 +95,6 @@ def test_lorentz_medium_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(DomainError):
         dl.LorentzMedium(**base)
-
-
-def test_wavenumber_uses_the_root():
-    perm = dl.ComplexPermittivity.from_eps(5 + 2.5j)
-    k = perm.wavenumber(2.0)
-    assert k == pytest.approx(cmath.sqrt(5 + 2.5j) * 2.0, rel=1e-15)
 
 
 def test_arrays_follow_the_scalar_route():

@@ -377,7 +377,8 @@ class TestApproxRates:
     def test_nearfield_ratio_is_three_halves(self):
         for eps in (EPS_RES, 2 + 0.3j, 7 + 4j):
             for x in (0.03 * 2 * math.pi, 0.1):
-                ratio = rates.nonradiative_nearfield(eps, 1.0, x) \
+                # the macroscopic rate without its radiative part eta
+                ratio = rates._gamma0(eps, 0.0, abs(eps) ** 2, 1.0, x) \
                     / rates.cavity_nearfield(eps, 1.0, x)
                 assert abs(ratio - 1.5) <= 1e-12
 
