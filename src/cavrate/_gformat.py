@@ -18,10 +18,21 @@ largest power of ten among them is those digits, as in Ryu (U. Adams, PLDI
 between two candidates, lies within 2**-20 of an integer.
 
 Uncertain values, values next to a power of ten, whose exponent the
-product leaves open, and |x| outside 1e-270..1e300, where the table or
-the split would leave the double range, go through '%.17g' or repr
-itself.  The text of each value is laid out in 64-bit words, with NUL
-where a character is absent, and the NULs are dropped at the end.
+product leaves open, |x| outside 1e-270..1e300, where the table or the
+split would leave the double range, and nan and the infinities go through
+'%.17g' or json.dumps itself.  The text of each value is laid out in
+64-bit words, with NUL where a character is absent, and the NULs are
+dropped at the end.
+
+Each block pays the kernel's numpy calls a fixed cost, about 0.2 ms
+(2 vCPUs, Python 3.11, numpy 2.4) whatever its size, so the writers'
+blocks are large (cli._BLOCK).  Every array of the kernel is one quantity
+or one 64-bit word of each value of the block, in one dimension, and
+stays below glibc's 128 KiB mmap threshold: a (3, n) or (4, n) stack
+would cross it and be mapped, faulted in and unmapped again in every
+block.  Besides each block's text, the laid-out (rows, columns, words)
+array is the one allocation that crosses it: a write makes it once, and
+every block reuses it.
 """
 
 import functools
@@ -101,18 +112,15 @@ _POINT = _per_byte(lambda q: b"\0" * q + b".")
 # bytes 1..5 before the digits of a value of exponent -lead: '0.' and zeros
 _LEADING = np.array([_text(b"\0" + b"0." + b"0" * (lead - 1)) if lead else 0
                      for lead in range(5)], _U)
-# per style: the largest E in fixed notation, the texts of nan, inf and
-# -inf, and the uncertain route
-_STYLES = {
-    "csv": (16, (b"nan", b"inf", b"-inf"), _FORMAT.__mod__),
-    "json": (15, (b"NaN", b"Infinity", b"-Infinity"), float.__repr__),
-}
+# per style, shortest or not: the largest E in fixed notation, and the
+# route of an uncertain or non-finite value
+_STYLES = {False: (16, _FORMAT.__mod__), True: (15, json.dumps)}
 
 
 def _scaled(ax, e):
     """The integer part and fraction of ax * 10**(16 - e), exact to about
     2**-40 wherever that product is at least 2**53."""
-    hi, hi_high, hi_low, lo = np.take(_POWERS, 16 - _K_MIN - e, axis=1)
+    hi, hi_high, hi_low, lo = (row.take(16 - _K_MIN - e) for row in _POWERS)
     p = ax * hi
     high, low = _split(ax)
     # ax * hi - p exactly (Dekker), plus ax * lo
@@ -194,10 +202,8 @@ def _digit_words(d):
     g3, g4 = np.divmod(lower, 10000)
     upper = _DIGITS4.take(g1) | _DIGITS4.take(g2) << _U(32)
     lower = _DIGITS4.take(g3) | _DIGITS4.take(g4) << _U(32)
-    words = np.empty((3, d.size), _U)
-    words[0] = (first.astype(_U) | _U(ord("0"))) << _U(48) | upper << _U(56)
-    words[1] = upper >> _U(8) | lower << _U(56)
-    words[2] = lower >> _U(8)
+    words = [(first.astype(_U) | _U(ord("0"))) << _U(48) | upper << _U(56),
+             upper >> _U(8) | lower << _U(56), lower >> _U(8)]
     return words, 17 - _TRAILING.take(np.where(g4, g4, np.where(
         g3, g3 + 10000, np.where(g2, g2 + 20000, g1 + 30000))))
 
@@ -221,24 +227,15 @@ def _frame(names, columns):
             np.array([_text(text.rjust(8, b"\0")) for text in after], _U))
 
 
-def format_rows(block: np.ndarray, names=None) -> str:
-    """The text of a float64 (rows, columns) block.  Without names, its CSV
-    lines: each value as '%.17g' writes it, commas between the values of a
-    row, a newline after each row.  With the columns' names, its JSON
-    objects as json.dump(..., indent=1) writes them in a list, each led by
-    the ',\\n' that separates it from the one before."""
-    rows, columns = block.shape
-    shortest = names is not None
-    last_fixed, specials, uncertain = _STYLES["json" if shortest else "csv"]
-    x = block.T.ravel()             # column by column
+def _words(x, shortest):
+    """The text of each value in four words: the sign at byte 0, the
+    '0.000' of a small value at bytes 1..5 and the digits from byte 6,
+    with '.' inserted after the integer digits, in words 0..2; the
+    exponent from byte 24 in word 3, which ends in _frame's text after
+    the value."""
+    last_fixed, uncertain = _STYLES[shortest]
     e, d, certified = _decimal(x, shortest)
-    # words 0..2 hold the sign at byte 0, the '0.000' of a small value at
-    # bytes 1..5 and the digits from byte 6, with '.' inserted after the
-    # integer digits; word 3 holds the exponent from byte 24 and, from
-    # _frame, the text after the value up to byte 31
-    y = np.empty((4, x.size), _U)
-    text = y[:3]
-    text[...], digits = _digit_words(d)
+    text, digits = _digit_words(d)
     # '%g' writes -4 <= E <= 16 in fixed notation, repr -4 <= E <= 15.
     # The first 'keep' digits stay even when zero: E + 1 in fixed
     # notation, 1 before an exponent, none after the '0.' of E < 0, where
@@ -247,40 +244,60 @@ def format_rows(block: np.ndarray, names=None) -> str:
     lead = np.where(fixed & (e < 0), -e, 0)
     keep = np.where(fixed & (e >= 0), e + 1, lead == 0)
     point = 6 + np.where(lead, 17, keep)
-    below = text & np.take(_BELOW, point, axis=1)
-    above = text ^ below
-    text[...] = below | above << _U(8) | np.take(_POINT, point, axis=1)
-    text[1:] |= above[:-1] >> _U(56)
     # repr ends a fixed value of E >= 0 in '.0' where '%g' has no point
     shown = np.maximum(digits, keep + (shortest & fixed & (e >= 0)))
-    text &= np.take(_BELOW, 6 + shown + (shown + 6 > point), axis=1)
+    end = 6 + shown + (shown + 6 > point)
+    carry = _U(0)
+    for word, below_at, point_at in zip(text, _BELOW, _POINT):
+        below = word & below_at.take(point)
+        word ^= below               # the bytes from the point on
+        moved = word >> _U(56)      # the byte the shift moves out
+        word <<= _U(8)
+        word |= below | point_at.take(point) | carry
+        word &= below_at.take(end)
+        carry = moved
     text[0] |= _LEADING.take(lead) | np.signbit(x) * _U(ord("-"))
-    y[3] = 0
+    exponent = np.zeros(x.size, _U)
     scientific = np.flatnonzero(~fixed)
     if scientific.size:
-        exponent = e[scientific]
-        size = np.abs(exponent)
-        y[3, scientific] = (
-            _U(ord("e")) | np.where(exponent < 0, _U(ord("-")), _U(ord("+")))
+        e = e[scientific]
+        size = np.abs(e)
+        exponent[scientific] = (
+            _U(ord("e")) | np.where(e < 0, _U(ord("-")), _U(ord("+")))
             << _U(8) | _DIGITS4.take(size)
             >> np.where(size < 100, _U(16), _U(8)) << _U(16))
+    other = np.flatnonzero(~certified & (x != 0))
+    if other.size:
+        exponent[other] = 0
+        texts = np.frombuffer(b"".join(
+            uncertain(v).encode().ljust(24, b"\0")
+            for v in x[other].tolist()), _U).reshape(-1, 3)
+        for w, word in enumerate(text):
+            word[other] = texts[:, w]
+    return text + [exponent]
 
-    other = ~certified & (x != 0)
-    if other.any():
-        y[3, other] = 0
-        for chars, where in zip(specials, (np.isnan(x), x == np.inf,
-                                           x == -np.inf)):
-            text[:, where] = np.frombuffer(chars.ljust(24, b"\0"),
-                                           _U)[:, None]
-            other &= ~where
-        for i in np.flatnonzero(other):
-            text[:, i] = np.frombuffer(
-                uncertain(float(x[i])).encode().ljust(24, b"\0"), _U)
-    before, after = _frame(names, columns)
-    out = np.empty((rows, columns, before.shape[1] + 4), _U)
-    out[..., :-4] = before
-    out[..., -4:] = y.reshape(4, columns, rows).T
-    out[..., -1] |= after
-    # bytes.translate drops the NULs at the speed of numpy's boolean mask,
-    # without np.compress's index array of 8 bytes a character
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+def format_rows(columns, rows_per_block: int, names=None):
+    """The text of a table given as its columns (float64 arrays or lists
+    of floats), rows_per_block rows at a time.  Without names, its CSV
+    lines: each value as '%.17g' writes it, commas between the values of a
+    row, a newline after each row.  With the columns' names, its JSON
+    objects as json.dump(..., indent=1) writes them in a list, each led by
+    the ',\\n' that separates it from the one before."""
+    shortest = names is not None
+    before, after = _frame(names, len(columns))
+    size = before.shape[1]
+    rows = len(columns[0])
+    # made once per write, with the text before each value; blocks reuse it
+    out = np.empty((min(rows, rows_per_block), len(columns), size + 4), _U)
+    out[..., :size] = before
+    for start in range(0, rows, rows_per_block):
+        block = np.array([values[start:start + rows_per_block]
+                          for values in columns], float)     # column by column
+        laid = out[:block.shape[1]]
+        for w, word in enumerate(_words(block.ravel(), shortest)):
+            laid[..., size + w] = word.reshape(block.shape).T
+        laid[..., -1] |= after
+        # bytes.translate drops the NULs at the speed of numpy's boolean
+        # mask, without np.compress's index array of 8 bytes a character
+        yield laid.tobytes().translate(None, b"\0").decode("ascii")

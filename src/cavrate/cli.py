@@ -200,23 +200,21 @@ def run_sweep(config: SweepConfig) -> Sweep:
     return Sweep(sweep_row(config, config._omega_array()))
 
 
-# values per block of the writers: the kernel's arrays stay small at any length
-_BLOCK = 2048
+# values per block of the writers: few blocks, as each costs the kernel about
+# 0.2 ms, and each kernel array (64 KiB) below glibc's 128 KiB mmap threshold
+_BLOCK = 8192
 
 
 def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
-    """The writers' text of the rows, a block of rows at a time from the
-    numpy kernel: CSV lines, or with the columns' names JSON objects.
-    Each block is stacked from the columns' slices, at no more than a copy
-    for float64 arrays; the whole table is never copied at once."""
+    """The writers' text of the rows from the numpy kernel, _BLOCK values
+    (481 rows of 17 columns) at a time: CSV lines, or with the columns'
+    names JSON objects.  Each block is stacked from the columns' slices,
+    at no more than a copy for float64 arrays; the whole table is never
+    copied at once."""
     # imported here: only a write builds the kernel's tables
     from ._gformat import format_rows
     columns = [rows.columns[name] for name in config.columns]
-    step = max(1, _BLOCK // len(columns))
-    for start in range(0, len(columns[0]), step):
-        yield format_rows(np.array(
-            [values[start:start + step] for values in columns], float).T,
-            names)
+    return format_rows(columns, max(1, _BLOCK // len(columns)), names)
 
 
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:

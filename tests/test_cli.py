@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -390,18 +391,26 @@ class TestArrayColumns:
 
     @pytest.mark.parametrize("columns", [cli.COLUMNS, ("eta", "omega")])
     def test_lists_and_arrays_write_the_same_bytes(self, columns):
+        # one full block of the writers, a block and one row, and two full
+        # blocks and a part block
+        per_block = cli._BLOCK // len(columns)
+        for count in (per_block, per_block + 1, 2 * per_block + 11):
+            self.assert_lists_and_arrays_write_the_same_bytes(columns, count)
+
+    @staticmethod
+    def assert_lists_and_arrays_write_the_same_bytes(columns, count):
         rng = np.random.default_rng(20261019)
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                     -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
-        random = rng.integers(0, 2 ** 64, 251 * len(columns) - len(specials),
+        random = rng.integers(0, 2 ** 64,
+                              count * len(columns) - len(specials),
                               dtype=np.uint64).view(float)
-        # 251 rows: full blocks of the writers and a part block
         table = np.concatenate([specials, random]).reshape(-1, len(columns))
         config = quick_config(columns=columns)
         as_arrays = cli.Sweep({c: table[:, j] for j, c in enumerate(columns)})
         as_lists = cli.Sweep({c: table[:, j].tolist()
                               for j, c in enumerate(columns)})
-        assert len(as_arrays) == len(as_lists) == 251
+        assert len(as_arrays) == len(as_lists) == count
         for write in (cli.write_csv, cli.write_json):
             texts = []
             for rows in (as_arrays, as_lists):
@@ -429,6 +438,37 @@ class TestArrayColumns:
             list(map(float.hex, expected))
 
 
+class TestWriterMemory:
+    """The writers hold one block at a time: their tracemalloc peak does
+    not grow with the sweep's length.  Measured with numpy 2.4: 1.53 MB
+    for CSV and 1.88 MB for JSON at 10,000 and at 40,000 rows, within
+    0.1 kB of each other; 5.8 and 3.6 times one block's laid-out text."""
+
+    @pytest.mark.parametrize("write", [cli.write_csv, cli.write_json])
+    def test_peak_does_not_grow_with_the_sweep(self, write):
+        config = cli.SweepConfig()
+        names = tuple(cli.COLUMNS) if write is cli.write_json else None
+        # the kernel lays out each value in 8-byte words: the text before
+        # it, and four for the value and the text after it
+        words = _gformat._frame(names, len(cli.COLUMNS))[0].shape[1] + 4
+        laid = cli._BLOCK // len(cli.COLUMNS) * len(cli.COLUMNS) * words * 8
+        peaks = []
+        for count in (10000, 40000):
+            rng = np.random.default_rng(count)
+            rows = cli.Sweep({c: rng.standard_normal(count)
+                              * 10.0 ** rng.integers(-8, 8, count)
+                              for c in cli.COLUMNS})
+            with open(os.devnull, "w", encoding="ascii") as stream:
+                tracemalloc.start()
+                try:
+                    write(rows, config, stream)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * 1024
+        assert max(peaks) < 7 * laid
+
+
 def ulps_around(values, reach):
     """Each value and its neighbours up to `reach` ulps either way."""
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
@@ -453,15 +493,23 @@ class TestCsvFormat:
 
     def test_random_bit_patterns(self):
         # every sign and exponent field, subnormals and NaN payloads among
-        # them; 12,007 rows end in a part block
+        # them; full blocks of the writers and a part block
+        rows = 25 * (cli._BLOCK // 17) + 240
         rng = np.random.default_rng(20261018)
         fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
         mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
-        random = rng.integers(0, 2 ** 64, 17 * 12007 - fields.size,
+        random = rng.integers(0, 2 ** 64, 17 * rows - fields.size,
                               dtype=np.uint64)
         values = np.concatenate([fields | mantissas, random]).view(float)
         assert np.isnan(values).sum() > 100
         assert (np.abs(values) < np.finfo(float).tiny).sum() > 100
+        self.assert_per_value_bytes(values)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_full_block_and_one_row_after_it(self, extra):
+        rows = cli._BLOCK // 17 + extra
+        values = np.random.default_rng(5).integers(
+            0, 2 ** 64, 17 * rows, dtype=np.uint64).view(float)
         self.assert_per_value_bytes(values)
 
     def test_powers_of_ten(self):
@@ -563,12 +611,13 @@ class TestJsonFormat:
 
     def test_random_bit_patterns(self):
         # every sign and exponent field, subnormals and NaN payloads among
-        # them; 1,201 rows end in a part block
+        # them; full blocks of the writers and a part block
+        rows = 2 * (cli._BLOCK // 17) + 240
         rng = np.random.default_rng(20261019)
         fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
         mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
         subnormals = rng.integers(0, 2 ** 52, 100, dtype=np.uint64)
-        random = rng.integers(0, 2 ** 64, 17 * 1201 - fields.size - 102,
+        random = rng.integers(0, 2 ** 64, 17 * rows - fields.size - 102,
                               dtype=np.uint64)
         values = np.concatenate([(fields | mantissas).view(float),
                                  [math.inf, -math.inf],
@@ -578,6 +627,13 @@ class TestJsonFormat:
         assert (np.abs(values) < np.finfo(float).tiny).sum() > 100
         routes = self.assert_json_dump_bytes(values)
         assert routes["non-finite"] > 10 and routes["range"] > 500
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_full_block_and_one_row_after_it(self, extra):
+        rows = cli._BLOCK // 17 + extra
+        values = np.random.default_rng(6).integers(
+            0, 2 ** 64, 17 * rows, dtype=np.uint64).view(float)
+        self.assert_json_dump_bytes(values)
 
     def test_powers_of_ten(self):
         powers = [float(f"1e{k}") for k in range(-323, 309)]
