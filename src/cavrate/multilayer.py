@@ -12,9 +12,9 @@ the origin and the outermost layer carries no incoming wave.  The c
 coefficients follow from continuity of f and of [r f(r)]'/eps at every
 interface.  One inward pass over the interfaces, on scaled waves that stay
 finite in thick absorbing layers, then a short outward product give them
-for any N and take numpy arrays, one entry per frequency; the fields use
-the same scaled waves.  The closed forms for N = 2 and N = 3 are the
-independent route it is checked against.
+for any N, from a LayerStack of numbers or of numpy arrays (one entry per
+frequency); the fields use the same scaled waves.  The closed forms for
+N = 2 and N = 3 are the independent route it is checked against.
 
 Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 """
@@ -42,21 +42,23 @@ class LayerStack:
     """Concentric-sphere geometry: interface radii and per-layer permittivity.
 
     radii are the N-1 interface radii, strictly increasing; eps holds the N
-    layer permittivities, innermost first.
+    layer permittivities, innermost first.  Each is a number, kept as float
+    or complex, or a numpy array with one entry per sample; a bad sample
+    raises as a bad number would.  A stack of arrays is neither hashable
+    nor comparable.
     """
 
-    radii: tuple[float, ...]
-    eps: tuple[complex, ...]
+    radii: tuple[float | np.ndarray, ...]
+    eps: tuple[complex | np.ndarray, ...]
 
     def __init__(self, radii, eps):
-        object.__setattr__(self, "radii", radii := tuple(map(float, radii)))
-        object.__setattr__(self, "eps", eps := tuple(map(complex, eps)))
+        object.__setattr__(self, "radii", radii := _entries(radii, float))
+        object.__setattr__(self, "eps", eps := _entries(eps, complex))
         if len(eps) != len(radii) + 1 or len(eps) < 2:
             raise DomainError(
                 f"need len(eps) == len(radii) + 1 >= 2, got "
                 f"{len(eps)} permittivities for {len(radii)} radii")
-        # each radius above the one before it, the first above 0; not NaN
-        if not all(map(float.__gt__, radii, (0.0, *radii))):
+        if not all(map(positive, map(sub, radii, (0.0, *radii)))):
             raise DomainError("the radii must be positive and increasing")
 
     @property
@@ -106,8 +108,16 @@ class WaveCoefficients:
         return self.c_plus[-1]
 
 
-def _wavenumbers(eps, k0, roots=None):
-    return [root * k0 for root in roots or map(sqrt_eps, eps)]
+def _entries(values, kind):
+    """values as kind (float or complex), numpy arrays as arrays of kind."""
+    if np.ndarray not in map(type, values := tuple(values)):
+        return tuple(map(kind, values))
+    return tuple(np.asarray(v, kind) if type(v) is np.ndarray else kind(v)
+                 for v in values)
+
+
+def _wavenumbers(eps, k0):
+    return [root * k0 for root in map(sqrt_eps, eps)]
 
 
 def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
@@ -200,16 +210,22 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     its inner interface by e^{2ik_l(r_l - r_{l-1})}, and t, the outgoing
     wave outside per one inside; c1 = R_1 e^{2iz_1}.  An outward product
     then gives each c_{l+} (times e^{i(z_in - z_out)} t per interface) and
-    c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is any object with radii and
-    eps, and with roots, sqrt(eps) per layer, if its builder has formed
-    them already; these and k0 may hold (F,) arrays.
+    c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is a LayerStack, or any
+    object with radii and eps; each radius, each permittivity and k0 may
+    be an (F,) array, and the amplitudes then hold one entry per sample.
     """
+    return _amplitudes(stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0)
+
+
+def _amplitudes(radii, eps, roots, k0) -> WaveCoefficients:
+    """coeffs_general_n's recursion, given each layer's sqrt(eps) in roots
+    (an iterable, read once the radii and k0 have passed their checks)."""
     if not positive(k0):
         raise DomainError("k0 must be positive")
-    eps, radii, last = stack.eps, stack.radii, len(stack.radii) - 1
     if not all(map(positive, gaps := [radii[0], *map(sub, radii[1:], radii)])):
         raise DomainError("the radii must be positive and increasing")
-    ks = _wavenumbers(eps, k0, getattr(stack, "roots", None))
+    last = len(radii) - 1
+    ks = [root * k0 for root in roots]
     exp = exp_for(ks + gaps)  # these carry the type of every exponent
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
     # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,20 +88,22 @@ def _gamma0(eps, eta, abs2, k0, r_m):
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
-def _power_beyond(eps: complex, root: complex, k0: float, r: float) -> float:
-    """Analytic power crossing radius r in an infinite medium (unit dipole),
-    root = sqrt(eps).
+def _power_beyond(eps: complex, root: complex, k0: float, r: float,
+                  p=1) -> float:
+    """Analytic power crossing radius r in an infinite medium from a dipole
+    of moment p (the unit dipole by default), root = sqrt(eps).
 
     Equals the flux through the sphere of radius r, or equivalently the
     total power dissipated beyond r (flux out plus downstream absorption).
     """
+    weight = abs(p) ** 2
     eta, kappa = root.real, root.imag
     k = root * k0
     x = k0 * r
     envelope = abs((1 - 1j * k * r) * exp(1j * k * r)) ** 2
     absorption = eps.imag / abs(eps) ** 2 * envelope / x ** 3
     radiation = eta * exp(-2 * kappa * x).real
-    return absorption + radiation
+    return weight * (absorption + radiation)
 
 
 def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
@@ -171,34 +172,33 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     The innermost layer must be vacuum (the empty cavity hosting the
     dipole); the central power loss is then W_free times this value.
     """
-    if abs(stack.eps[0] - 1) > 1e-12:
+    if largest(abs(stack.eps[0] - 1)) > 1e-12:
         raise DomainError(
             f"innermost layer must be vacuum, got eps1 = {stack.eps[0]}")
     coeffs = ml.coefficients(stack, k0)
     return 1 + coeffs.c1.real
 
 
-def _sphere_in_host(eps, eps_ext, radius, k0):
-    """The bare sphere's amplitudes, sqrt(eps) and sqrt(eps_ext): each root
-    is formed once, and the amplitude recursion takes them as they are."""
+def _bare_sphere(eps, eps_ext, radius, k0):
+    """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
+    shift Im[sqrt(eps) c1]/2, its amplitudes, sqrt(eps) and sqrt(eps_ext):
+    each root is formed once, and the amplitude recursion takes them."""
     roots = sqrt_eps(eps), sqrt_eps(eps_ext)
-    # unlike a LayerStack, the namespace may hold frequency arrays
-    sphere = SimpleNamespace(radii=(radius,), eps=(eps, eps_ext), roots=roots)
-    return ml.coefficients(sphere, k0), *roots
+    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0)
+    root_c1 = roots[0] * coeffs.c1
+    return root_c1.real, 0.5 * root_c1.imag, coeffs, *roots
 
 
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced rate of the bare sphere: Re[sqrt(eps) c1]."""
-    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
-    return (root * coeffs.c1).real
+    return _bare_sphere(eps, eps_ext, radius, k0)[0]
 
 
 def delta_sc(eps: complex, eps_ext: complex, radius: float,
              k0: float) -> float:
     """Cavity-induced level shift of the bare sphere: Im[sqrt(eps) c1]/2."""
-    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
-    return 0.5 * (root * coeffs.c1).imag
+    return _bare_sphere(eps, eps_ext, radius, k0)[1]
 
 
 def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
@@ -221,6 +221,10 @@ def _c1_weight(eps, root, den):
     return 9 * (eps * eps * root) / (den * den)
 
 
+def _gamma_sc_loc(eps, root, den, c1):
+    return (_c1_weight(eps, root, den) * c1).real
+
+
 def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
                  k0: float) -> float:
     """Cavity-induced rate with real-cavity local-field corrections.
@@ -230,8 +234,8 @@ def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
     built from the bare rate and shift, that the verification battery
     checks this one against.
     """
-    coeffs, root, _ = _sphere_in_host(eps, eps_ext, radius, k0)
-    return (_c1_weight(eps, root, _real_cavity(eps)[0]) * coeffs.c1).real
+    _, _, coeffs, root, _ = _bare_sphere(eps, eps_ext, radius, k0)
+    return _gamma_sc_loc(eps, root, _real_cavity(eps)[0], coeffs.c1)
 
 
 def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
@@ -256,8 +260,11 @@ def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
     The field there equals that of a dipole of moment (eps1/epsN) c_outer
     immersed in the infinite outer medium.
     """
-    coeffs = ml.coefficients(stack, k0)
-    return stack.eps[0] / stack.eps[-1] * coeffs.c_outer
+    return _moment(stack.eps[0], stack.eps[-1], ml.coefficients(stack, k0))
+
+
+def _moment(eps1, eps_n, coeffs):
+    return eps1 / eps_n * coeffs.c_outer
 
 
 def external_power(stack: ml.LayerStack, k0: float,
@@ -277,7 +284,7 @@ def external_power(stack: ml.LayerStack, k0: float,
             f"r_obs = {r_obs:g} lies inside the outermost interface "
             f"{outer_radius:g}")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
-    return abs(p_n) ** 2 * _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs)
+    return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
 
 
 def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
@@ -328,17 +335,16 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     radius; r_c is the empty-cavity radius of the local-field model and r_m
     the regularization distance of the macroscopic rate.
     """
-    coeffs, root, root_ext = _sphere_in_host(eps, eps_ext, radius, k0)
+    g_sc, d_sc, coeffs, root, root_ext = _bare_sphere(eps, eps_ext, radius,
+                                                      k0)
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps)
-    root_c1 = root * coeffs.c1
-    g_sc_loc = (_c1_weight(eps, root, den) * coeffs.c1).real
+    g_sc_loc = _gamma_sc_loc(eps, root, den, coeffs.c1)
     g0 = _gamma0(eps, root.real, abs2, k0, r_m)
     x = _expansion_guard(k0, r_c, "rate_report")
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
-    p_ext = eps / eps_ext * coeffs.c_outer
-    w_ext = abs(p_ext) ** 2 * _power_beyond(eps_ext, root_ext, k0, radius)
+    w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
+                          _moment(eps, eps_ext, coeffs))
     # positional, in field order
-    return RateReport(g0, g0_loc, root_c1.real, 0.5 * root_c1.imag, g_sc_loc,
-                      g0_loc + g_sc_loc, w_ext, factor * w_ext, factor,
-                      lorentz_factor(eps))
+    return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
+                      w_ext, factor * w_ext, factor, lorentz_factor(eps))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,13 +114,10 @@ def check_solver_vs_closed_forms(rng, samples=60) -> CheckResult:
     e1, e2, e3 = draws[:, :6].view(complex).T
     r1, gap, k0 = draws[:, 6:].T
     r2 = r1 + gap
-    # unlike a LayerStack, the namespaces hold one entry per sample
     closed2 = ml.coeffs_two_layer(e1, e2, r1, k0)
-    solved2 = ml.coeffs_general_n(SimpleNamespace(radii=(r1,), eps=(e1, e2)),
-                                  k0)
+    solved2 = ml.coeffs_general_n(ml.LayerStack((r1,), (e1, e2)), k0)
     closed3 = ml.coeffs_three_layer(e1, e2, e3, r1, r2, k0)
-    solved3 = ml.coeffs_general_n(
-        SimpleNamespace(radii=(r1, r2), eps=(e1, e2, e3)), k0)
+    solved3 = ml.coeffs_general_n(ml.LayerStack((r1, r2), (e1, e2, e3)), k0)
     pairs = [(closed2.c1, solved2.c1), (closed2.c_outer, solved2.c_outer),
              (closed3.c1, solved3.c1), *zip(closed3.c_plus, solved3.c_plus),
              (closed3.c_minus[0], solved3.c_minus[0])]

@@ -1038,14 +1038,13 @@ class TestVerifyBattery:
                              ids=lambda check: check.__name__)
     def test_rate_form_checks_solve_once(self, check, monkeypatch):
         # every quantity of a sample block comes from one rate_report
-        true_fn, solves = ml.coeffs_general_n, []
+        true_fn, solves = ml._amplitudes, []
 
-        def counted(stack, k0):
+        def counted(radii, eps, roots, k0):
             solves.append(k0)
-            return true_fn(stack, k0)
+            return true_fn(radii, eps, roots, k0)
 
-        monkeypatch.setattr(ml, "coefficients", counted)
-        monkeypatch.setattr(ml, "coeffs_general_n", counted)
+        monkeypatch.setattr(ml, "_amplitudes", counted)
         assert check(np.random.default_rng(7)).passed
         assert len(solves) == 1
 
@@ -1146,7 +1145,7 @@ class TestMain:
         def boom(*args):
             raise IllConditioned("synthetic")
 
-        monkeypatch.setattr(ml, "coefficients", boom)
+        monkeypatch.setattr(ml, "_amplitudes", boom)
         assert cli.main(["sweep", "--preset", "fig3"]) == 3
         captured = capsys.readouterr()
         assert "numeric failure" in captured.err
@@ -1226,7 +1225,7 @@ class TestMain:
         def boom(*args):
             raise IllConditioned("synthetic")
 
-        monkeypatch.setattr(ml, "coefficients", boom)
+        monkeypatch.setattr(ml, "_amplitudes", boom)
         kept = tmp_path / "kept.csv"
         kept.write_bytes(b"earlier,rows\n1,2\n")
         for out in (kept, tmp_path / "new.csv", tmp_path / "new.json"):

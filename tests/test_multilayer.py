@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,14 +43,32 @@ def coeff_pairs(a: ml.WaveCoefficients, b: ml.WaveCoefficients):
 
 class TestLayerStack:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            ml.LayerStack((), (1.0,))
-        with pytest.raises(DomainError):
-            ml.LayerStack((1.0, 0.5), (1.0, 2.0, 3.0))
-        with pytest.raises(DomainError):
-            ml.LayerStack((-1.0,), (1.0, 2.0))
-        with pytest.raises(DomainError):
-            ml.LayerStack((1.0,), (1.0, 2.0, 3.0))
+        counts = "need len(eps) == len(radii) + 1 >= 2, got {} for {}"
+        order = "the radii must be positive and increasing"
+        two = np.array([1.0, 2.0])
+        for radii, eps, message in [
+                ((), (1.0,), counts.format("1 permittivities", "0 radii")),
+                ((1.0, 0.5), (1.0, 2.0, 3.0), order),
+                ((-1.0,), (1.0, 2.0), order),
+                ((1.0, math.nan), (1.0, 2.0, 3.0), order),
+                ((1.0,), (1.0, 2.0, 3.0),
+                 counts.format("3 permittivities", "1 radii")),
+                # arrays of samples, one of them bad: the same messages
+                ((two,), (1.0, two, 3.0),
+                 counts.format("3 permittivities", "1 radii")),
+                ((two, np.array([3.0, 0.5])), (1.0, 2.0, 3.0), order),
+                ((np.array([1.0, -1.0]),), (1.0, 2.0), order),
+                ((1.0, np.array([2.0, math.nan])), (1.0, two, 3.0), order)]:
+            with pytest.raises(DomainError) as caught:
+                ml.LayerStack(radii, eps)
+            assert str(caught.value) == message
+        # numbers, numpy scalars among them, are kept as Python float and
+        # complex, which the recursion solves fastest; arrays stay arrays
+        stack = ml.LayerStack((np.float64(1.0), two * 2),
+                              (np.complex128(1), np.float64(4.0), two))
+        assert [type(v) for v in stack.radii] == [float, np.ndarray]
+        assert [type(v) for v in stack.eps] == [complex, complex, np.ndarray]
+        assert stack.radii[1].dtype == float and stack.eps[2].dtype == complex
 
     def test_layer_lookup(self):
         stack = ml.LayerStack((1.0, 2.0), (1.0, 4.0, 1.0))
@@ -288,8 +305,7 @@ class TestGeneralSolver:
         stack = ml.LayerStack((0.5, 1.0), (1.0, complex(math.nan, 1.0), 1.0))
         with pytest.raises(IllConditioned):
             ml.coeffs_general_n(stack, 1.0)
-        sphere = SimpleNamespace(radii=(2.0,),
-                                 eps=(np.array([5 + 2j, math.nan]), 1.0))
+        sphere = ml.LayerStack((2.0,), (np.array([5 + 2j, math.nan]), 1.0))
         with np.errstate(invalid="ignore"), pytest.raises(IllConditioned):
             ml.coeffs_general_n(sphere, 1.0)
 
@@ -297,12 +313,12 @@ class TestGeneralSolver:
     def test_engine_rejects_radii_out_of_order(self, radii):
         eps = (1.0, 5 + 2.5j, 1.0)
         with pytest.raises(DomainError):
-            ml.coeffs_general_n(SimpleNamespace(radii=radii, eps=eps), 1.0)
+            ml.coeffs_general_n(ml.LayerStack(radii, eps), 1.0)
         # (2,) arrays: the second sample alone is out of order
         arrays = tuple(np.array([r, r]) for r in radii)
         arrays[1][0] = 2.0
         with pytest.raises(DomainError):
-            ml.coeffs_general_n(SimpleNamespace(radii=arrays, eps=eps),
+            ml.coeffs_general_n(ml.LayerStack(arrays, eps),
                                 np.array([1.0, 1.1]))
 
     @pytest.mark.parametrize("array", ["radii", "shell", "k0"])
@@ -320,8 +336,7 @@ class TestGeneralSolver:
                 eps[1] = eps[1] * scale
             else:
                 k0 = k0 * scale
-            return ml.coeffs_general_n(
-                SimpleNamespace(radii=tuple(radii), eps=tuple(eps)), k0)
+            return ml.coeffs_general_n(ml.LayerStack(radii, eps), k0)
 
         samples = solve(scales)
         for i, scale in enumerate(scales.tolist()):
@@ -482,8 +497,6 @@ ROUTES = {  # radii (one or two) and k0 -> amplitudes
     "two_layer": lambda r, k0: ml.coeffs_two_layer(5 + 2.5j, 1.0, *r, k0),
     "three_layer": lambda r, k0: ml.coeffs_three_layer(*EPS_ROUTE, *r, k0),
     "general_n": lambda r, k0: ml.coeffs_general_n(
-        SimpleNamespace(radii=r, eps=EPS_ROUTE[-len(r) - 1:]), k0),
-    "layer_stack": lambda r, k0: ml.coeffs_general_n(
         ml.LayerStack(r, EPS_ROUTE[-len(r) - 1:]), k0),
 }
 
@@ -491,9 +504,8 @@ ROUTES = {  # radii (one or two) and k0 -> amplitudes
 @pytest.mark.parametrize("route, bad, form", [
     (route, bad, form) for route in ROUTES
     for bad in ("r_inner", "r_outer", "k0") for form in ("number", "element")
-    # a LayerStack holds numbers only; a two-layer stack has one radius
-    if not (route == "layer_stack" and form == "element"
-            or route == "two_layer" and bad == "r_outer")
+    # a two-layer stack has one radius
+    if not (route == "two_layer" and bad == "r_outer")
 ])
 def test_nan_radius_or_wavenumber_is_a_domain_error(route, bad, form):
     nan = math.nan if form == "number" else np.array([0.7, math.nan])

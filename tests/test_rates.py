@@ -17,6 +17,11 @@ from conftest import passive_eps_samples
 
 EPS_RES = 5 + 2.5j  # oscillator medium at its absorption resonance
 
+
+def cavity_stack(eps):
+    """A vacuum cavity inside a sphere of eps in an absorbing host."""
+    return ml.LayerStack((0.3, 2.0), (1.0, eps, 1.5 + 0.1j))
+
 bounded_eps = st.builds(
     complex,
     st.floats(min_value=-3.0, max_value=10.0),
@@ -38,6 +43,14 @@ class TestLocalFieldFactors:
     def test_pole(self):
         with pytest.raises(DomainError):
             rates.onsager_factor(-0.5)
+        # the bare sphere's rate and shift have no pole there; the
+        # local-field rate shares their solve but not their definition
+        with pytest.raises(DomainError, match="pole"):
+            rates.gamma_sc_loc(-0.5, 1.0, 2.0, 1.0)
+        assert rates.gamma_sc(-0.5, 1.0, 2.0, 1.0) \
+            == pytest.approx(0.20907, abs=1e-5)
+        assert rates.delta_sc(-0.5, 1.0, 2.0, 1.0) \
+            == pytest.approx(0.11661, abs=1e-5)
 
 
 class TestGamma0Macroscopic:
@@ -163,14 +176,16 @@ class TestPEffExpansion:
 
 class TestGammaHatTotal:
     def test_free_space(self):
-        stack = ml.LayerStack((1.0,), (1.0, 1.0))
-        assert rates.gamma_hat_total(stack, 1.0) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+        for core in (1.0, np.array([1 + 0j, 1 + 0j])):
+            stack = ml.LayerStack((1.0,), (core, 1.0))
+            assert rates.gamma_hat_total(stack, 1.0) \
+                == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_vacuum_core(self):
-        stack = ml.LayerStack((1.0,), (2.0, 1.0))
-        with pytest.raises(DomainError):
-            rates.gamma_hat_total(stack, 1.0)
+        for core in (2.0, np.array([1.0, 2.0])):
+            stack = ml.LayerStack((1.0,), (core, 1.0))
+            with pytest.raises(DomainError):
+                rates.gamma_hat_total(stack, 1.0)
 
     def test_two_layer_agrees_with_expansion(self):
         eps, k0, x = EPS_RES, 1.0, 1e-3
@@ -430,13 +445,13 @@ class TestRateReport:
 
     def test_one_engine_call_per_report(self, monkeypatch):
         calls = []
-        true_fn = ml.coefficients
+        true_fn = ml._amplitudes
 
         def counted(*args):
             calls.append(args)
             return true_fn(*args)
 
-        monkeypatch.setattr(ml, "coefficients", counted)
+        monkeypatch.setattr(ml, "_amplitudes", counted)
         rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
         assert len(calls) == 1
 
@@ -496,6 +511,10 @@ class TestRateReport:
         (lambda e, k: rates.gamma_sc_loc(e, 1.0, 2.0, k), ()),
         (lambda e, k: ml.coeffs_three_layer(1.0, e, 1.0, 0.3, 2.0, k).c1, ()),
         (lambda e, k: vars(rates.rate_report(e, 1.5, 2.0, 0.2, 0.3, k)), ()),
+        # one array stack, the vacuum-cavity route of many frequencies
+        (lambda e, k: rates.gamma_hat_total(cavity_stack(e), k), ()),
+        (lambda e, k: rates.external_dipole(cavity_stack(e), k), ()),
+        (lambda e, k: rates.external_power(cavity_stack(e), k), ()),
     ])
     def test_functions_take_frequency_arrays(self, fn, args):
         eps = [EPS_RES, 2 + 0.1j, -1 + 3j, 4 + 0j]
