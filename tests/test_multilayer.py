@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -497,6 +498,8 @@ ROUTES = {  # radii (one or two) and k0 -> amplitudes
     "two_layer": lambda r, k0: ml.coeffs_two_layer(5 + 2.5j, 1.0, *r, k0),
     "three_layer": lambda r, k0: ml.coeffs_three_layer(*EPS_ROUTE, *r, k0),
     "general_n": lambda r, k0: ml.coeffs_general_n(
+        SimpleNamespace(radii=r, eps=EPS_ROUTE[-len(r) - 1:]), k0),
+    "layer_stack": lambda r, k0: ml.coeffs_general_n(
         ml.LayerStack(r, EPS_ROUTE[-len(r) - 1:]), k0),
 }
 
