@@ -553,3 +553,50 @@ def test_closed_forms_evaluate_each_wave_once(monkeypatch, form, args,
     assert np.array_equal(form(*args).c1, expected.c1)
     assert len(calls) == count
     assert len(set(calls)) == count, "a wave evaluated twice"
+
+
+# the residual's groups for a three-layer solve: row defects, row sums,
+# amplitudes and the two source terms
+RESIDUAL_GROUPS = ([1e-17, 3e-17, 2e-17, 1e-17], [1.0, 2.0, 1.5, 0.5],
+                   [1.0, 0.3, 0.2, 0.1, 0.4, 0.5, 0.6], [0.7, 0.8])
+NAN_CASES = [(form, group, position) for form in ("number", "array")
+             for group in range(4) for position in (0, -1)]
+NAN_IDS = [f"{form}-{name}-{'first' if position == 0 else 'later'}"
+           for form, group, position in NAN_CASES
+           for name in [("defects", "norms", "amps", "sources")[group]]]
+
+
+def with_nan(groups, form, group, position):
+    """groups with one NaN: the value itself for numbers, the second
+    sample of a (2,) array for arrays."""
+    groups = [list(g) for g in groups]
+    value = groups[group][position]
+    groups[group][position] = (math.nan if form == "number"
+                               else value * np.array([1.0, math.nan]))
+    return groups
+
+
+@pytest.mark.parametrize("form, group, position", NAN_CASES, ids=NAN_IDS)
+def test_nan_in_any_residual_group_gives_nan(form, group, position):
+    groups = RESIDUAL_GROUPS
+    if form == "array":  # two samples, the second one slightly apart
+        groups = [[v * np.array([1.0, 1.1]) for v in g] for g in groups]
+    assert ml.peak_ratio(*groups) <= ml._RESIDUAL_LIMIT
+    assert math.isnan(ml.peak_ratio(*with_nan(groups, form, group,
+                                              position)))
+
+
+@pytest.mark.parametrize("form, group, position", NAN_CASES, ids=NAN_IDS)
+def test_engine_rejects_nan_in_any_residual_group(monkeypatch, form, group,
+                                                  position):
+    reduce = ml.peak_ratio
+
+    def injected(*groups):
+        return reduce(*with_nan(groups, form, group, position))
+
+    monkeypatch.setattr(ml, "peak_ratio", injected)
+    eps = (1.0, 5 + 2.5j, 1.5 + 0.2j)
+    if form == "array":
+        eps = (1.0, np.array([5 + 2.5j, 4 + 1j]), 1.5 + 0.2j)
+    with pytest.raises(IllConditioned, match="residual nan"):
+        ml.coeffs_general_n(ml.LayerStack((0.3, 1.0), eps), 1.1)

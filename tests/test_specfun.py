@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -215,3 +216,44 @@ def test_array_guards_reject_any_bad_element():
     for z in (1 + 800j, np.array([1.0, 1 + 800j])):
         with pytest.raises(OverflowError):
             sf.sph_j1(z)
+
+
+# z -> float.hex of (re, im) of j1 e^{iz}, then of d/dz [z j1] e^{iz}: the
+# series branch of j1_scaled, |z| < 0.5, as a number
+J1_SCALED_SERIES_BITS = {
+    0j: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    1e-9 + 0j: ("0x1.6e80fe033c8c6p-32", "0x1.8987d17c304e5p-62",
+                "0x1.6e80fe033c8c6p-31", "0x1.8987d17c304e5p-61"),
+    0.3 + 0.2j: ("0x1.00c301a95ed3cp-4", "0x1.3411927f8191bp-4",
+                 "0x1.0331af89e876dp-3", "0x1.2f72ed71f4179p-3"),
+    -0.25 + 0.1j: ("-0x1.0c407a82dcb52p-4", "0x1.837c7824ec461p-5",
+                   "-0x1.0bd0a30cf3333p-3", "0x1.7ec2d411038c8p-4"),
+    -0.1 - 0.4j: ("-0x1.26abcb23d06adp-4", "-0x1.8ff79b25801bdp-3",
+                  "-0x1.316c36feb9114p-3", "-0x1.94c798c1f85f9p-2"),
+    0.45j: ("0x0.0p+0", "0x1.8fbfdb49ea769p-4",
+            "0x0.0p+0", "0x1.97cc465a83e2ep-3"),
+    0.49 + 0.01j: ("0x1.1a4e92ce0e20fp-3", "0x1.3b640b766118dp-4",
+                   "0x1.13a4313198bf8p-2", "0x1.3335404d8a5dcp-3"),
+}
+# sha256 over float.hex of the (2, n) array's parts, for the points above
+# as an array, and with two points beyond the series radius appended
+J1_SCALED_ARRAY_DIGESTS = {
+    (): "fed9d290e908dcd778d04a243383c3ccbc8f62c0a81148ca13425083fc507406",
+    (0.7 + 0.1j, 3 - 1j):
+        "654e217ce82a9f696a280aaac9f9a6a892b998c5b789b5985020110cbc15e0a8",
+}
+
+
+@pytest.mark.parametrize("z", list(J1_SCALED_SERIES_BITS))
+def test_j1_scaled_series_bits(z):
+    got = tuple(p.hex() for w in sf.j1_scaled(z) for p in (w.real, w.imag))
+    assert got == J1_SCALED_SERIES_BITS[z]
+
+
+@pytest.mark.parametrize("beyond", list(J1_SCALED_ARRAY_DIGESTS),
+                         ids=["series", "across"])
+def test_j1_scaled_series_array_bits(beyond):
+    zs = np.array([*J1_SCALED_SERIES_BITS, *beyond])
+    parts = np.ravel(sf.j1_scaled(zs).view(float)).tolist()
+    digest = hashlib.sha256(" ".join(map(float.hex, parts)).encode())
+    assert digest.hexdigest() == J1_SCALED_ARRAY_DIGESTS[beyond]
