@@ -1,11 +1,13 @@
 """The one place that tells a Python number from a numpy array.
 
-Formulas are written once, with operators that work on both.  Only the
-elementary functions, the guards, the residual's reduction and the
-small-argument series switch see the type: a number goes through cmath
-and a plain `if`, keeping its exact bits and its cost; an array goes
-through numpy, a form runs only if some element needs it (`np.where` picks
-when both do), and a guard raises if any element is bad.
+Formulas are written once, with operators that work on both.  The type is
+decided once per call, where the call enters: an elementary function and
+a guard test their argument, and a rate report, the amplitude engine and
+a layer stack test all their inputs at once (`route`), then run on the
+forms of `Numbers` or of `Mixed` alone.  A number goes through cmath and
+plain comparisons, keeping its exact bits and its cost; an array goes
+through numpy, a form runs only if some element needs it (`np.where`
+picks when both do), and a guard raises if any element is bad.
 """
 
 import cmath
@@ -14,6 +16,8 @@ import functools
 import numpy as np
 
 from .errors import DomainError
+
+_FLOAT, _NUMBERS = frozenset((float,)), frozenset((float, complex))
 
 
 def _range_error(kind, flag):
@@ -50,8 +54,8 @@ def peak_ratio(defects, norms, amps, sources) -> float:
     if type(defects[-1]) is float:
         ratio = max(defects) / (max(norms) * max(amps) + max(sources))
         # max skips a NaN that is not first; every value is >= 0 or NaN,
-        # so the sum is NaN exactly when one of them is
-        total = sum(defects + norms + amps + sources)
+        # so a sum is NaN exactly when one of its terms is
+        total = sum(defects, sum(norms, sum(amps, sum(sources, 0.0))))
         return ratio if total == total else total
     defect, norm, amp, source = (functools.reduce(np.maximum, g)
                                  for g in (defects, norms, amps, sources))
@@ -62,16 +66,30 @@ def exp(z):
     return _ArrayMath.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
 
 
-def exp_for(values):
-    """cmath.exp if every value is a complex or float number, else exp."""
-    return cmath.exp if set(map(type, values)) <= {complex, float} else exp
+class Numbers:
+    """The forms of a call whose values are all float or complex numbers."""
+    exp = cmath.exp
+    positive = (0.0).__lt__  # 0 < x
+    smallest = largest = float  # a float is its own extreme element
+
+
+class Mixed:
+    """The forms of a call whose values may include numpy arrays."""
+    exp, positive, smallest, largest = exp, positive, smallest, largest
+
+
+def route(reals, values):
+    """Numbers if every one of reals is a float and every one of values a
+    float or complex number, else Mixed: the type decision of one call."""
+    return (Numbers if _FLOAT.issuperset(map(type, reals))
+            and _NUMBERS.issuperset(map(type, values)) else Mixed)
 
 
 def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
     """Decorate f(z, m) into a function of a complex number or array z.
 
     f gets z as complex with m = cmath, or as a complex array with m =
-    _ArrayMath.  With a series, series(z) replaces f(z, m) where |z| <
+    _ArrayMath.  With a series, series(z, m) replaces f(z, m) where |z| <
     radius; with a pole, z == 0 raises DomainError(pole); with an
     im_limit, |Im z| above it raises OverflowError.
     """
@@ -86,7 +104,7 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
             if im_limit is not None:
                 guard_im(z, im_limit)
             if series is not None and abs(z) < radius:
-                return series(z)
+                return series(z, cmath)
             return fn(z, cmath)
 
         def on_array(z):
@@ -98,16 +116,30 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
                 return fn(z, _ArrayMath)
             small = abs(z) < radius
             if small.all():
-                return np.asarray(series(z))
+                return np.asarray(series(z, _ArrayMath))
             if not small.any():
                 return np.asarray(fn(z, _ArrayMath))
             # each form sees only its own points, the others a stand-in
-            return np.where(small, series(np.where(small, z, 0)),
+            return np.where(small, series(np.where(small, z, 0), _ArrayMath),
                             fn(np.where(small, radius, z), _ArrayMath))
 
         functools.update_wrapper(call, fn)
         del call.__wrapped__  # callers pass z alone, not (z, m)
         return call
+    return decorate
+
+
+def elementary(name, pole):
+    """Decorate a stub, which gives the name and the docstring, into
+    cmath's function `name` of a number and _ArrayMath's of an array, with
+    DomainError(pole) at z == 0.  A nonzero complex number takes one call."""
+    number = getattr(cmath, name)
+    other = elementwise(pole=pole)(lambda z, m: getattr(m, name)(z))
+
+    def decorate(stub):
+        def call(z):
+            return number(z) if type(z) is complex and z else other(z)
+        return functools.update_wrapper(call, stub)
     return decorate
 
 

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._elementwise import elementwise, smallest
+from ._elementwise import elementary, smallest
 from .errors import DomainError
 
 
-@elementwise(pole="square root branch undefined at eps = 0")
-def sqrt_eps(eps, m):
+@elementary("sqrt", pole="square root branch undefined at eps = 0")
+def sqrt_eps(eps):
     """Complex refractive index: principal square root of eps.
 
     The real part is the refraction coefficient eta, the imaginary part
     the extinction coefficient kappa; (eta + i kappa)**2 reconstructs eps.
     For real positive eps the positive real root is returned.
     """
-    return m.sqrt(eps)
 
 
 def eta_kappa(eps: complex) -> tuple[float, float]:

@@ -27,8 +27,8 @@ from operator import sub
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import (exp, exp_for, guard_im, largest, peak_ratio,
-                           positive, smallest)
+from ._elementwise import (Numbers, exp, guard_im, largest, peak_ratio,
+                           positive, route, smallest)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -52,14 +52,20 @@ class LayerStack:
     eps: tuple[complex | np.ndarray, ...]
 
     def __init__(self, radii, eps):
-        object.__setattr__(self, "radii", radii := _entries(radii, float))
-        object.__setattr__(self, "eps", eps := _entries(eps, complex))
+        radii, eps = tuple(radii), tuple(eps)
+        if np.ndarray in {*map(type, radii), *map(type, eps)}:
+            radii, eps = _entries(radii, float), _entries(eps, complex)
+            m = route(radii, ())
+        else:
+            radii, eps = tuple(map(float, radii)), tuple(map(complex, eps))
+            m = Numbers
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "eps", eps)
         if len(eps) != len(radii) + 1 or len(eps) < 2:
             raise DomainError(
                 f"need len(eps) == len(radii) + 1 >= 2, got "
                 f"{len(eps)} permittivities for {len(radii)} radii")
-        if not all(map(positive, map(sub, radii, (0.0, *radii)))):
-            raise DomainError("the radii must be positive and increasing")
+        _widths(radii, m)
 
     @property
     def n_layers(self) -> int:
@@ -110,10 +116,17 @@ class WaveCoefficients:
 
 def _entries(values, kind):
     """values as kind (float or complex), numpy arrays as arrays of kind."""
-    if np.ndarray not in map(type, values := tuple(values)):
-        return tuple(map(kind, values))
     return tuple(np.asarray(v, kind) if type(v) is np.ndarray else kind(v)
                  for v in values)
+
+
+def _widths(radii, m):
+    """The layer widths r_1, r_2 - r_1, ... on route m; DomainError unless
+    the radii are positive and increasing, that is every width is > 0."""
+    widths = [radii[0], *map(sub, radii[1:], radii)]
+    if not all(map(m.positive, widths)):
+        raise DomainError("the radii must be positive and increasing")
+    return widths
 
 
 def _wavenumbers(eps, k0):
@@ -217,16 +230,18 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     return _amplitudes(stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0)
 
 
-def _amplitudes(radii, eps, roots, k0) -> WaveCoefficients:
+def _amplitudes(radii, eps, roots, k0, m=None) -> WaveCoefficients:
     """coeffs_general_n's recursion, given each layer's sqrt(eps) in roots
-    (an iterable, read once the radii and k0 have passed their checks)."""
-    if not positive(k0):
+    (an iterable, read once the radii and k0 have passed their checks), on
+    the route m of the caller or, without one, of these inputs."""
+    # the roots, sqrt_eps of eps, are complex numbers unless eps has arrays
+    m = m or route((k0, *radii), eps)
+    if not m.positive(k0):
         raise DomainError("k0 must be positive")
-    if not all(map(positive, gaps := [radii[0], *map(sub, radii[1:], radii)])):
-        raise DomainError("the radii must be positive and increasing")
+    gaps = _widths(radii, m)
     last = len(radii) - 1
     ks = [root * k0 for root in roots]
-    exp = exp_for(ks + gaps)  # these carry the type of every exponent
+    exp, smallest = m.exp, m.smallest
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
     # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in
     # layer 1), the outer layer's h1 wave p and h2 wave q (none outermost);

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import exp, largest, smallest
+from ._elementwise import Mixed, exp, largest, route, smallest
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -53,12 +53,12 @@ def onsager_factor(eps: complex) -> float:
     return _real_cavity(eps)[2]
 
 
-def _expansion_guard(k0: float, r_c: float, what: str) -> float:
+def _expansion_guard(k0: float, r_c: float, what: str, m=Mixed) -> float:
     """k0 r_c, for a positive r_c; warns outside the small-cavity range."""
-    if smallest(r_c) <= 0:
+    if m.smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
     x = k0 * r_c
-    x_max = largest(x)
+    x_max = m.largest(x)
     if x_max >= EXPANSION_LIMIT:
         warnings.warn(
             f"{what}: k0*r_c = {x_max:.3g} is outside the small-cavity range "
@@ -82,16 +82,16 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
 
 
-def _gamma0(eps, eta, abs2, k0, r_m):
-    if smallest(r_m) <= 0:
+def _gamma0(eps, eta, abs2, k0, r_m, m=Mixed):
+    if m.smallest(r_m) <= 0:
         raise DomainError("r_m must be positive")
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
 def _power_beyond(eps: complex, root: complex, k0: float, r: float,
-                  p=1) -> float:
+                  p=1, m=Mixed) -> float:
     """Analytic power crossing radius r in an infinite medium from a dipole
-    of moment p (the unit dipole by default), root = sqrt(eps).
+    of moment p (the unit dipole by default), root = sqrt(eps), on route m.
 
     Equals the flux through the sphere of radius r, or equivalently the
     total power dissipated beyond r (flux out plus downstream absorption).
@@ -100,9 +100,9 @@ def _power_beyond(eps: complex, root: complex, k0: float, r: float,
     eta, kappa = root.real, root.imag
     k = root * k0
     x = k0 * r
-    envelope = abs((1 - 1j * k * r) * exp(1j * k * r)) ** 2
+    envelope = abs((1 - 1j * k * r) * m.exp(1j * k * r)) ** 2
     absorption = eps.imag / abs(eps) ** 2 * envelope / x ** 3
-    radiation = eta * exp(-2 * kappa * x).real
+    radiation = eta * m.exp(-2 * kappa * x).real
     return weight * (absorption + radiation)
 
 
@@ -179,12 +179,12 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     return 1 + coeffs.c1.real
 
 
-def _bare_sphere(eps, eps_ext, radius, k0):
+def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
     shift Im[sqrt(eps) c1]/2, its amplitudes, sqrt(eps) and sqrt(eps_ext):
     each root is formed once, and the amplitude recursion takes them."""
     roots = sqrt_eps(eps), sqrt_eps(eps_ext)
-    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0)
+    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0, m)
     root_c1 = roots[0] * coeffs.c1
     return root_c1.real, 0.5 * root_c1.imag, coeffs, *roots
 
@@ -279,10 +279,10 @@ def external_power(stack: ml.LayerStack, k0: float,
     outer_radius = stack.radii[-1]
     if r_obs is None:
         r_obs = outer_radius
-    elif r_obs < outer_radius:
+    elif smallest(r_obs - outer_radius) < 0:
         raise DomainError(
-            f"r_obs = {r_obs:g} lies inside the outermost interface "
-            f"{outer_radius:g}")
+            f"r_obs = {smallest(r_obs):g} lies inside the outermost interface "
+            f"{largest(outer_radius):g}")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
     return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
 
@@ -295,14 +295,15 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     Units of W_free, so the full-sphere integral in a lossless exterior
     equals the radiation part of external_power.
     """
-    if r < stack.radii[-1]:
-        raise DomainError(f"r = {r:g} lies inside the outermost interface")
+    if smallest(r - stack.radii[-1]) < 0:
+        raise DomainError(
+            f"r = {smallest(r):g} lies inside the outermost interface")
     eps_n = stack.eps[-1]
     eta_n, kappa_n = eta_kappa(eps_n)
     p_n = external_dipole(stack, k0)
     theta = np.asarray(theta)
     return (3 / (8 * math.pi)) * eta_n * abs(p_n) ** 2 \
-        * math.exp(-2 * kappa_n * k0 * r) * np.sin(theta) ** 2
+        * exp(-2 * kappa_n * k0 * r).real * np.sin(theta) ** 2
 
 
 @dataclass
@@ -335,16 +336,17 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     radius; r_c is the empty-cavity radius of the local-field model and r_m
     the regularization distance of the macroscopic rate.
     """
+    m = route((radius, r_c, r_m, k0), (eps, eps_ext))
     g_sc, d_sc, coeffs, root, root_ext = _bare_sphere(eps, eps_ext, radius,
-                                                      k0)
+                                                      k0, m)
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps)
     g_sc_loc = _gamma_sc_loc(eps, root, den, coeffs.c1)
-    g0 = _gamma0(eps, root.real, abs2, k0, r_m)
-    x = _expansion_guard(k0, r_c, "rate_report")
+    g0 = _gamma0(eps, root.real, abs2, k0, r_m, m)
+    x = _expansion_guard(k0, r_c, "rate_report", m)
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
-                          _moment(eps, eps_ext, coeffs))
+                          _moment(eps, eps_ext, coeffs), m)
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
                       w_ext, factor * w_ext, factor, lorentz_factor(eps))

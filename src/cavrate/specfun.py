@@ -11,13 +11,14 @@ riccati_h*) are the reference route only: the N = 2 and N = 3 closed forms
 and the battery's Hankel identities.
 """
 
-from ._elementwise import elementwise, exp
+from ._elementwise import elementwise
 
 # e^{|Im z|} overflows double precision near |Im z| ~ 709.
 IM_GUARD = 700.0
 
 # series crossover: below this the sin/cos closed forms of j1 lose digits
-# to cancellation, the Taylor series is exact to machine precision
+# to cancellation, the Taylor series is exact to machine precision; each
+# series is an unrolled Horner form in z**2, with no loop or generator
 _SERIES_RADIUS = 0.5
 
 _J1_OVER_Z = (1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
@@ -29,15 +30,14 @@ _hankel = elementwise(pole="Hankel functions have a pole at z = 0",
                       im_limit=IM_GUARD)
 
 
-def _even_series(coeffs, z: complex) -> complex:
-    z2 = z * z
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z2 + c
-    return acc
+def _even_series(coeffs, z2):
+    """sum_k coeffs[k] z2**k by Horner's rule, from 0j."""
+    c0, c1, c2, c3, c4, c5, c6 = coeffs
+    return ((((((0j * z2 + c6) * z2 + c5) * z2 + c4) * z2 + c3) * z2 + c2)
+            * z2 + c1) * z2 + c0
 
 
-@elementwise(lambda z: z * _even_series(_J1_OVER_Z, z), _SERIES_RADIUS)
+@elementwise(lambda z, m: z * _even_series(_J1_OVER_Z, z * z), _SERIES_RADIUS)
 def sph_j1(z, m):
     """j1(z) = sin(z)/z**2 - cos(z)/z, with j1(0) = 0."""
     return m.sin(z) / (z * z) - m.cos(z) / z
@@ -67,7 +67,8 @@ def sph_h2_1(z, m):
     return -(m.exp(-1j * z) / z) * (1 - 1j / z)
 
 
-@elementwise(lambda z: z * _even_series(_RICCATI_J1_OVER_Z, z), _SERIES_RADIUS)
+@elementwise(lambda z, m: z * _even_series(_RICCATI_J1_OVER_Z, z * z),
+             _SERIES_RADIUS)
 def riccati_j1(z, m):
     """d/dz [z j1(z)], evaluated in closed form (z j0(z) - j1(z))."""
     return m.sin(z) - sph_j1(z)
@@ -85,10 +86,10 @@ def riccati_h2(z, m):
     return m.exp(-1j * z) * (1j + 1 / z - 1j / (z * z))
 
 
-def _j1_scaled_series(z):
-    phase = exp(1j * z)
-    return tuple(z * _even_series(c, z) * phase
-                 for c in (_J1_OVER_Z, _RICCATI_J1_OVER_Z))
+def _j1_scaled_series(z, m):
+    phase, z2 = m.exp(1j * z), z * z
+    return (z * _even_series(_J1_OVER_Z, z2) * phase,
+            z * _even_series(_RICCATI_J1_OVER_Z, z2) * phase)
 
 
 @elementwise(_j1_scaled_series, _SERIES_RADIUS)

@@ -258,6 +258,10 @@ def check_external_scaling(eps, radius, k0) -> CheckResult:
     with_cavity = ml.coefficients(
         ml.LayerStack((r_c, radius), (1.0, eps, 1.0)), k0)
     bare = ml.coefficients(ml.LayerStack((radius,), (eps, 1.0)), k0)
+    if bare.c_outer == 0:
+        raise ArithmeticError(
+            f"the bare sphere's c_outer underflows to 0 at |Im k R| = "
+            f"{abs((sqrt_eps(eps) * k0 * radius).imag):.1f}")
     ratio = with_cavity.c_outer / (eps * bare.c_outer)
     target = 3 * eps / (2 * eps + 1)
     err = np.max([abs(ratio / target - 1),

@@ -967,6 +967,16 @@ class TestVerifyBattery:
                    and "numeric failure: |Im z| = " in line
                    and "overflow guard" in line for line in out), out
 
+    def test_underflowing_outer_amplitude_named_in_the_detail(self):
+        # fig3 at R = 1400: the bare sphere's c_outer is an exact 0
+        config = replace(cli.get_preset("fig3"), sphere_radius=1400.0)
+        report = verify_mod.run_battery(config)
+        [check] = [c for c in report.checks
+                   if c.name == "external_field_scaling"]
+        assert not check.passed
+        assert check.detail == ("numeric failure: the bare sphere's c_outer "
+                                "underflows to 0 at |Im k R| = 760.5")
+
     @pytest.mark.parametrize("radius", [61.0, 100.0, 600.0])
     def test_energy_balance_for_spheres_beyond_60_over_k0(self, radius):
         # 1.05 R, as a host shell's inner radius, passes its outer radius
@@ -1040,9 +1050,9 @@ class TestVerifyBattery:
         # every quantity of a sample block comes from one rate_report
         true_fn, solves = ml._amplitudes, []
 
-        def counted(radii, eps, roots, k0):
+        def counted(radii, eps, roots, k0, *route):
             solves.append(k0)
-            return true_fn(radii, eps, roots, k0)
+            return true_fn(radii, eps, roots, k0, *route)
 
         monkeypatch.setattr(ml, "_amplitudes", counted)
         assert check(np.random.default_rng(7)).passed

@@ -600,3 +600,29 @@ def test_engine_rejects_nan_in_any_residual_group(monkeypatch, form, group,
         eps = (1.0, np.array([5 + 2.5j, 4 + 1j]), 1.5 + 0.2j)
     with pytest.raises(IllConditioned, match="residual nan"):
         ml.coeffs_general_n(ml.LayerStack((0.3, 1.0), eps), 1.1)
+
+
+def test_number_route_never_reaches_numpy(monkeypatch):
+    """A scalar rate report and a scalar N = 8 solve run on cmath and plain
+    comparisons alone: numpy's elementary functions and reductions, as
+    _elementwise sees them, raise, and the results keep their bits."""
+    from cavrate import _elementwise
+
+    args = (5 + 2.5j, 1.5 + 0.1j, 2.0, 0.2, 0.3, 1.1)
+    report, coeffs = rates.rate_report(*args), ml.coeffs_general_n(
+        graded_stack(8), 1.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a number reached numpy")
+
+    class NoNumpy:
+        ndarray = np.ndarray  # the type test itself stays
+
+        def __getattr__(self, name):
+            raise AssertionError(f"a number reached numpy.{name}")
+
+    for name in ("exp", "sin", "cos", "sqrt"):
+        monkeypatch.setattr(_elementwise._ArrayMath, name, refuse)
+    monkeypatch.setattr(_elementwise, "np", NoNumpy())
+    assert repr(rates.rate_report(*args)) == repr(report)
+    assert repr(ml.coeffs_general_n(graded_stack(8), 1.1)) == repr(coeffs)

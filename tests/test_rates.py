@@ -333,6 +333,37 @@ class TestExternal:
         with pytest.raises(DomainError):
             rates.angular_radiation(stack, 1.0, 1.5, 0.3)
 
+    # (2,) samples of the outer radius, of k0 or of the observation radius;
+    # each sample matches the call on its own numbers
+    SAMPLED = {
+        "outer_radius": (lambda r: ((0.3, r), 1.0, 3.0), [2.0, 2.5]),
+        "k0": (lambda k: ((0.3, 2.0), k, 3.0), [0.9, 1.1]),
+        "r": (lambda r: ((0.3, 2.0), 1.0, r), [2.0, 3.0]),
+    }
+
+    @pytest.mark.parametrize("name", list(SAMPLED))
+    def test_outer_samples_match_their_numbers(self, name):
+        build, samples = self.SAMPLED[name]
+
+        def both(radii, k0, r):
+            stack = ml.LayerStack(radii, (1.0, EPS_RES, 1.2 + 0.1j))
+            return (rates.external_power(stack, k0, r),
+                    rates.angular_radiation(stack, k0, r, 0.7))
+
+        arrays = both(*build(np.array(samples)))
+        for i, sample in enumerate(samples):
+            for got, ref in zip(arrays, both(*build(sample))):
+                assert abs(got[i] - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("r", [2.2, np.array([3.0, 2.2])])
+    def test_any_sample_inside_the_outer_radius_rejected(self, r):
+        stack = ml.LayerStack((0.3, np.array([2.0, 2.5])),
+                              (1.0, EPS_RES, 1.0))
+        with pytest.raises(DomainError, match="inside the outermost"):
+            rates.external_power(stack, 1.0, r)
+        with pytest.raises(DomainError, match="inside the outermost"):
+            rates.angular_radiation(stack, 1.0, r, 0.3)
+
 
 class TestGreenRestatement:
     def test_rate_from_raw_field(self):
