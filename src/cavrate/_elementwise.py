@@ -6,8 +6,8 @@ a guard test their argument, and a rate report, the amplitude engine and
 a layer stack test all their inputs at once (`route`), then run on the
 forms of `Numbers` or of `Mixed` alone.  A number goes through cmath and
 plain comparisons, keeping its exact bits and its cost; an array goes
-through numpy, a form runs only if some element needs it (`np.where`
-picks when both do), and a guard raises if any element is bad.
+through numpy, a series runs only if some element needs it (`np.where`
+picks per element), and a guard raises if any element is bad.
 """
 
 import cmath
@@ -115,8 +115,6 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
             if series is None:
                 return fn(z, _ArrayMath)
             small = abs(z) < radius
-            if small.all():
-                return np.asarray(series(z, _ArrayMath))
             if not small.any():
                 return np.asarray(fn(z, _ArrayMath))
             # each form sees only its own points, the others a stand-in
@@ -126,20 +124,6 @@ def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):
         functools.update_wrapper(call, fn)
         del call.__wrapped__  # callers pass z alone, not (z, m)
         return call
-    return decorate
-
-
-def elementary(name, pole):
-    """Decorate a stub, which gives the name and the docstring, into
-    cmath's function `name` of a number and _ArrayMath's of an array, with
-    DomainError(pole) at z == 0.  A nonzero complex number takes one call."""
-    number = getattr(cmath, name)
-    other = elementwise(pole=pole)(lambda z, m: getattr(m, name)(z))
-
-    def decorate(stub):
-        def call(z):
-            return number(z) if type(z) is complex and z else other(z)
-        return functools.update_wrapper(call, stub)
     return decorate
 
 

@@ -25,8 +25,8 @@ split would leave the double range, and nan and the infinities go through
 dropped at the end.
 
 Each block pays the kernel's numpy calls a fixed cost, about 0.2 ms
-(2 vCPUs, Python 3.11, numpy 2.4) whatever its size, so the writers'
-blocks are large (cli._BLOCK).  Every array of the kernel is one quantity
+(2 vCPUs, Python 3.11, numpy 2.4) whatever its size, so the blocks are
+large (_BLOCK values).  Every array of the kernel is one quantity
 or one 64-bit word of each value of the block, in one dimension, and
 stays below glibc's 128 KiB mmap threshold: a (3, n) or (4, n) stack
 would cross it and be mapped, faulted in and unmapped again in every
@@ -47,6 +47,7 @@ _U = np.uint64
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
 _TINY, _HUGE = 1e-270, 1e300
 _DOUBT = 2.0 ** -20         # closer than this to a rounding boundary: uncertain
+_BLOCK = 8192               # values per block: 64 KiB per kernel array
 # 10**k for k = 16 - E: log10 puts E of a value in range in -270..299, and
 # the correction moves it by one at most
 _K_MIN, _K_MAX = 16 - 300, 16 + 271
@@ -277,22 +278,22 @@ def _words(x, shortest):
     return text + [exponent]
 
 
-def format_rows(columns, rows_per_block: int, names=None):
+def format_rows(columns, names=None):
     """The text of a table given as its columns (float64 arrays or lists
-    of floats), rows_per_block rows at a time.  Without names, its CSV
-    lines: each value as '%.17g' writes it, commas between the values of a
-    row, a newline after each row.  With the columns' names, its JSON
-    objects as json.dump(..., indent=1) writes them in a list, each led by
-    the ',\\n' that separates it from the one before."""
+    of floats), whole rows of at most _BLOCK values at a time.  Without
+    names, its CSV lines: each value as '%.17g' writes it, commas between
+    the values of a row, a newline after each row.  With the columns'
+    names, its JSON objects as json.dump(..., indent=1) writes them in a
+    list, each led by the ',\\n' that separates it from the one before."""
     shortest = names is not None
     before, after = _frame(names, len(columns))
     size = before.shape[1]
-    rows = len(columns[0])
+    rows, per_block = len(columns[0]), max(1, _BLOCK // len(columns))
     # made once per write, with the text before each value; blocks reuse it
-    out = np.empty((min(rows, rows_per_block), len(columns), size + 4), _U)
+    out = np.empty((min(rows, per_block), len(columns), size + 4), _U)
     out[..., :size] = before
-    for start in range(0, rows, rows_per_block):
-        block = np.array([values[start:start + rows_per_block]
+    for start in range(0, rows, per_block):
+        block = np.array([values[start:start + per_block]
                           for values in columns], float)     # column by column
         laid = out[:block.shape[1]]
         for w, word in enumerate(_words(block.ravel(), shortest)):

@@ -2,8 +2,9 @@
 
 A sweep walks a frequency grid (in units of the medium resonance omega0),
 evaluates the full set of normalized rates at each point and emits one row
-per frequency.  Output is deterministic: identical configuration gives
-byte-identical files.  Built-in presets reproduce the standard parameter
+per frequency.  Identical configuration gives byte-identical files under
+one numpy SIMD level only: the X86_V2 baseline moves last bits that AVX2
+and AVX-512 agree on.  Built-in presets reproduce the standard parameter
 sets (absorbing sphere of background constant 5, radius 2 c/omega0, in
 air), differing in the local-field cavity radius.  A sweep whose grid
 leaves the small-cavity range warns once, from its rates, naming the
@@ -200,21 +201,16 @@ def run_sweep(config: SweepConfig) -> Sweep:
     return Sweep(sweep_row(config, config._omega_array()))
 
 
-# values per block of the writers: few blocks, as each costs the kernel about
-# 0.2 ms, and each kernel array (64 KiB) below glibc's 128 KiB mmap threshold
-_BLOCK = 8192
-
-
 def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
-    """The writers' text of the rows from the numpy kernel, _BLOCK values
-    (481 rows of 17 columns) at a time: CSV lines, or with the columns'
-    names JSON objects.  Each block is stacked from the columns' slices,
-    at no more than a copy for float64 arrays; the whole table is never
-    copied at once."""
+    """The writers' text of the rows from the numpy kernel, a block
+    (_gformat._BLOCK values, 481 rows of 17 columns) at a time: CSV lines,
+    or with the columns' names JSON objects.  Each block is stacked from
+    the columns' slices, at no more than a copy for float64 arrays; the
+    whole table is never copied at once."""
     # imported here: only a write builds the kernel's tables
     from ._gformat import format_rows
     columns = [rows.columns[name] for name in config.columns]
-    return format_rows(columns, max(1, _BLOCK // len(columns)), names)
+    return format_rows(columns, names)
 
 
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
@@ -246,12 +242,10 @@ def _parse_columns(text: str):
 
 
 def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:  # the eight strings of configparser's getboolean
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 # section -> key -> converter; [medium] keys are LorentzMedium fields, the

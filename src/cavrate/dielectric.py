@@ -14,13 +14,17 @@ and frequencies may be numpy arrays: a whole grid is evaluated at once.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-from ._elementwise import elementary, smallest
+from ._elementwise import elementwise, smallest
 from .errors import DomainError
 
 
-@elementary("sqrt", pole="square root branch undefined at eps = 0")
+_sqrt = elementwise(pole="square root branch undefined at eps = 0")(
+    lambda z, m: m.sqrt(z))
+
+
 def sqrt_eps(eps):
     """Complex refractive index: principal square root of eps.
 
@@ -28,6 +32,8 @@ def sqrt_eps(eps):
     the extinction coefficient kappa; (eta + i kappa)**2 reconstructs eps.
     For real positive eps the positive real root is returned.
     """
+    # a nonzero complex number, the scalar stacks' case, takes one call
+    return cmath.sqrt(eps) if type(eps) is complex and eps else _sqrt(eps)
 
 
 def eta_kappa(eps: complex) -> tuple[float, float]:

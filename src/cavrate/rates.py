@@ -301,9 +301,10 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     eps_n = stack.eps[-1]
     eta_n, kappa_n = eta_kappa(eps_n)
     p_n = external_dipole(stack, k0)
-    theta = np.asarray(theta)
-    return (3 / (8 * math.pi)) * eta_n * abs(p_n) ** 2 \
+    density = (3 / (8 * math.pi)) * eta_n * abs(p_n) ** 2 \
         * exp(-2 * kappa_n * k0 * r).real * np.sin(theta) ** 2
+    # np.sin makes a numpy scalar of a number
+    return density if isinstance(density, np.ndarray) else float(density)
 
 
 @dataclass

@@ -106,11 +106,11 @@ def check_sqrt_branch(rng) -> CheckResult:
     return _check("sqrt_branch_reconstruction", np.max(errors), 1e-14)
 
 
-def check_solver_vs_closed_forms(rng, samples=60) -> CheckResult:
+def check_solver_vs_closed_forms(rng) -> CheckResult:
     # row by row, the draws of one sample: e1, e2, e3 as (re, im), r1,
     # r2 - r1, k0
     draws = rng.uniform((0.5, 0, 0.5, 0, 0.5, 0, 0.05, 0.2, 0.3),
-                        (8, 4, 8, 4, 8, 4, 1.5, 2.0, 2.5), size=(samples, 9))
+                        (8, 4, 8, 4, 8, 4, 1.5, 2.0, 2.5), size=(60, 9))
     e1, e2, e3 = draws[:, :6].view(complex).T
     r1, gap, k0 = draws[:, 6:].T
     r2 = r1 + gap
@@ -125,9 +125,9 @@ def check_solver_vs_closed_forms(rng, samples=60) -> CheckResult:
     return _check("solver_matches_closed_forms", worst, 1e-10)
 
 
-def check_oracle_power(rng, samples=4) -> CheckResult:
+def check_oracle_power(rng) -> CheckResult:
     errors = []
-    for _ in range(samples):
+    for _ in range(4):
         eps = complex(rng.uniform(0.5, 9), rng.uniform(0.1, 5))
         k0 = 1.0
         for x in (0.3, 1.0):
@@ -164,17 +164,17 @@ def check_energy_balance(eps_sphere, eps_ext, radius, r_c, k0) -> CheckResult:
     return _check("energy_balance_layers", np.max(errors), 1e-8)
 
 
-def check_cutoff_free_identity(rng, samples=500) -> CheckResult:
-    eps = np.array(_sample_passive_eps(rng, samples))
+def check_cutoff_free_identity(rng) -> CheckResult:
+    eps = np.array(_sample_passive_eps(rng, 500))
     lhs, rhs = rates.identity_rep_decomposition(eps)
     worst = np.max(abs(lhs - rhs) / np.maximum(1.0, abs(lhs)))
     return _check("cutoff_free_identity", worst, 1e-12)
 
 
-def check_cavity_rate_forms(rng, samples=500) -> CheckResult:
-    eps = np.array(_sample_passive_eps(rng, samples))
+def check_cavity_rate_forms(rng) -> CheckResult:
+    eps = np.array(_sample_passive_eps(rng, 500))
     # row by row, the same draws as one (radius, k0) pair per sample
-    radius, k0 = rng.uniform((0.5, 0.5), (4.0, 2.0), size=(samples, 2)).T
+    radius, k0 = rng.uniform((0.5, 0.5), (4.0, 2.0), size=(eps.size, 2)).T
     # both forms from the same amplitudes, those of the report the sweep
     # writes from: the identity, not two solvers; k0 r_c = 0.1 keeps the
     # report's expansions in range
@@ -222,10 +222,11 @@ def check_expansion_orders(eps) -> list[CheckResult]:
         coeffs2 = ml.coefficients(ml.LayerStack((r_c,), (1.0, eps)), k0)
         res_peff.append(abs(coeffs2.c_outer / eps
                             - rates.p_eff_expansion(eps, k0, r_c)))
-        res_g0loc.append(abs(1 + coeffs2.c1.real - rates.gamma0_loc(eps, k0, r_c)))
+        g0_loc = rates.gamma0_loc(eps, k0, r_c)
+        res_g0loc.append(abs(1 + coeffs2.c1.real - g0_loc))
         coeffs3 = ml.coefficients(
             ml.LayerStack((r_c, radius), (1.0, eps, eps_ext)), k0)
-        expansion = rates.gamma0_loc(eps, k0, r_c) + g_sc_loc - 1
+        expansion = g0_loc + g_sc_loc - 1
         res_c1.append(abs(coeffs3.c1.real - expansion))
     out = []
     for name, order, res in zip(_ORDER_CHECKS, (4, 1, 1),
@@ -336,39 +337,36 @@ def run_battery(config=None, seed: int = DEFAULT_SEED) -> VerificationReport:
     # terms carry the absorption); fall back to the reference otherwise
     eps_orders = eps if abs(eps.imag) > 0.05 * abs(eps) else reference_eps
 
+    # in report order: the names a check reports, the check, looked up
+    # now so that a replaced verify.check_* runs, and its arguments
+    table = (
+        (_HANKEL_CHECKS, check_specfun_identities, (rng,)),
+        (("sqrt_branch_reconstruction",), check_sqrt_branch, (rng,)),
+        (("solver_matches_closed_forms",), check_solver_vs_closed_forms,
+         (rng,)),
+        (("oracle_matches_analytic_power",), check_oracle_power, (rng,)),
+        (("energy_balance_layers",), check_energy_balance,
+         (eps, eps_ext, radius, r_c, k0)),
+        (("cutoff_free_identity",), check_cutoff_free_identity, (rng,)),
+        (("cavity_rate_forms_agree",), check_cavity_rate_forms, (rng,)),
+        (("lossless_collapse",), check_lossless_collapse, (rng,)),
+        (_ORDER_CHECKS, check_expansion_orders, (eps_orders,)),
+        (("rate_decomposition_slope",), check_decomposition,
+         (eps_orders, radius, k0)),
+        (("external_field_scaling",), check_external_scaling,
+         (eps, radius, k0)),
+        (("green_function_restatement",), check_green_restatement,
+         (eps, eps_ext, radius, k0)),
+        (("quadrature_convergence",), check_quadrature_convergence,
+         (eps_orders, k0)),
+    )
     checks: list[CheckResult] = []
-
-    def run(fn, *args, names):
-        """names: that of the result fn returns, or those of its list."""
+    for names, check, args in table:
         try:
-            result = fn(*args)
+            result = check(*args)
         except (ArithmeticError, QuadratureFailure, DomainError) as exc:
             result = [CheckResult(
                 name=name, passed=False, measured=math.inf, tolerance=0.0,
-                detail=f"numeric failure: {exc}")
-                for name in ((names,) if isinstance(names, str) else names)]
-        if isinstance(result, list):
-            checks.extend(result)
-        else:
-            checks.append(result)
-
-    run(check_specfun_identities, rng, names=_HANKEL_CHECKS)
-    run(check_sqrt_branch, rng, names="sqrt_branch_reconstruction")
-    run(check_solver_vs_closed_forms, rng,
-        names="solver_matches_closed_forms")
-    run(check_oracle_power, rng, names="oracle_matches_analytic_power")
-    run(check_energy_balance, eps, eps_ext, radius, r_c, k0,
-        names="energy_balance_layers")
-    run(check_cutoff_free_identity, rng, names="cutoff_free_identity")
-    run(check_cavity_rate_forms, rng, names="cavity_rate_forms_agree")
-    run(check_lossless_collapse, rng, names="lossless_collapse")
-    run(check_expansion_orders, eps_orders, names=_ORDER_CHECKS)
-    run(check_decomposition, eps_orders, radius, k0,
-        names="rate_decomposition_slope")
-    run(check_external_scaling, eps, radius, k0,
-        names="external_field_scaling")
-    run(check_green_restatement, eps, eps_ext, radius, k0,
-        names="green_function_restatement")
-    run(check_quadrature_convergence, eps_orders, k0,
-        names="quadrature_convergence")
+                detail=f"numeric failure: {exc}") for name in names]
+        checks += result if isinstance(result, list) else [result]
     return VerificationReport(checks=tuple(checks))

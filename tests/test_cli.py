@@ -393,7 +393,7 @@ class TestArrayColumns:
     def test_lists_and_arrays_write_the_same_bytes(self, columns):
         # one full block of the writers, a block and one row, and two full
         # blocks and a part block
-        per_block = cli._BLOCK // len(columns)
+        per_block = _gformat._BLOCK // len(columns)
         for count in (per_block, per_block + 1, 2 * per_block + 11):
             self.assert_lists_and_arrays_write_the_same_bytes(columns, count)
 
@@ -451,7 +451,8 @@ class TestWriterMemory:
         # the kernel lays out each value in 8-byte words: the text before
         # it, and four for the value and the text after it
         words = _gformat._frame(names, len(cli.COLUMNS))[0].shape[1] + 4
-        laid = cli._BLOCK // len(cli.COLUMNS) * len(cli.COLUMNS) * words * 8
+        laid = (_gformat._BLOCK // len(cli.COLUMNS) * len(cli.COLUMNS)
+                * words * 8)
         peaks = []
         for count in (10000, 40000):
             rng = np.random.default_rng(count)
@@ -494,7 +495,7 @@ class TestCsvFormat:
     def test_random_bit_patterns(self):
         # every sign and exponent field, subnormals and NaN payloads among
         # them; full blocks of the writers and a part block
-        rows = 25 * (cli._BLOCK // 17) + 240
+        rows = 25 * (_gformat._BLOCK // 17) + 240
         rng = np.random.default_rng(20261018)
         fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
         mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
@@ -507,7 +508,7 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_one_full_block_and_one_row_after_it(self, extra):
-        rows = cli._BLOCK // 17 + extra
+        rows = _gformat._BLOCK // 17 + extra
         values = np.random.default_rng(5).integers(
             0, 2 ** 64, 17 * rows, dtype=np.uint64).view(float)
         self.assert_per_value_bytes(values)
@@ -612,7 +613,7 @@ class TestJsonFormat:
     def test_random_bit_patterns(self):
         # every sign and exponent field, subnormals and NaN payloads among
         # them; full blocks of the writers and a part block
-        rows = 2 * (cli._BLOCK // 17) + 240
+        rows = 2 * (_gformat._BLOCK // 17) + 240
         rng = np.random.default_rng(20261019)
         fields = np.arange(2 * 2048, dtype=np.uint64) << np.uint64(52)
         mantissas = rng.integers(0, 2 ** 52, fields.size, dtype=np.uint64)
@@ -630,7 +631,7 @@ class TestJsonFormat:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_one_full_block_and_one_row_after_it(self, extra):
-        rows = cli._BLOCK // 17 + extra
+        rows = _gformat._BLOCK // 17 + extra
         values = np.random.default_rng(6).integers(
             0, 2 ** 64, 17 * rows, dtype=np.uint64).view(float)
         self.assert_json_dump_bytes(values)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -623,3 +624,47 @@ class TestLargeSpheres:
         assert abs(coeffs.c1) <= 1e-12
         for cp, cm in zip(coeffs.c_plus, coeffs.c_minus):
             assert abs(cp - 1) <= 1e-12 and abs(cm) <= 1e-12
+
+
+PUBLIC_FUNCTIONS = sorted(
+    name for name, fn in vars(rates).items()
+    if inspect.isfunction(fn) and fn.__module__ == rates.__name__
+    and not name.startswith("_"))
+_GEOMETRY = (EPS_RES, 1.0, 0.1)             # eps, k0, r_c or r_m
+_BARE = (EPS_RES, 1 + 0j, 2.0, 1.0)         # eps, eps_ext, radius, k0
+# name -> number arguments, and the builtin type of the result or the
+# types of its elements or of a report's fields
+NUMBER_CALLS = {
+    "lorentz_factor": ((EPS_RES,), float),
+    "onsager_factor": ((EPS_RES,), float),
+    "cavity_nearfield": (_GEOMETRY, float),
+    "gamma0_macroscopic": (_GEOMETRY, float),
+    "w0_cutoff": (_GEOMETRY, float),
+    "w0_expanded": (_GEOMETRY, float),
+    "gamma0_loc": (_GEOMETRY, float),
+    "p_eff_expansion": (_GEOMETRY, complex),
+    "gamma_hat_total": ((cavity_stack(EPS_RES), 1.0), float),
+    "gamma_sc": (_BARE, float),
+    "delta_sc": (_BARE, float),
+    "gamma_sc_loc": (_BARE, float),
+    "gamma_sc_loc_from_bare": ((EPS_RES, 0.2, 0.1), float),
+    "identity_rep_decomposition": ((EPS_RES,), (float, float)),
+    "external_dipole": ((cavity_stack(EPS_RES), 1.0), complex),
+    "external_power": ((cavity_stack(EPS_RES), 1.0, 3.0), float),
+    "angular_radiation": ((cavity_stack(EPS_RES), 1.0, 3.0, 0.5), float),
+    "rate_report": ((EPS_RES, 1 + 0j, 2.0, 0.1, 0.1, 1.0),
+                    (float,) * len(dataclasses.fields(rates.RateReport))),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+def test_number_inputs_give_builtin_numbers(name):
+    """Numbers in, Python numbers out: no numpy scalar from any public
+    function of rates, whose repr would differ from a float's."""
+    args, expected = NUMBER_CALLS[name]
+    result = getattr(rates, name)(*args)
+    if isinstance(result, rates.RateReport):
+        result = tuple(vars(result).values())
+    kinds = tuple(map(type, result)) if isinstance(result, tuple) \
+        else type(result)
+    assert kinds == expected

@@ -8,6 +8,12 @@ to exact zeros; the stacks are a three-layer cavity and a graded N = 8
 stack.  A digest pins every amplitude and the residual of seeded stacks
 with 2 to 32 layers, as numbers and as arrays, and the errors of a few
 inputs the amplitude engine rejects.
+
+The array digests assume numpy's AVX2 dispatch or above (AVX2 and AVX-512
+give the same bits).  At the X86_V2 baseline, e.g. numpy 2.4.6 with
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR", every
+test_seeded_stack_amplitude_digest case fails on its array digest, while
+its number digest still holds.
 """
 
 import hashlib

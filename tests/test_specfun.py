@@ -1,3 +1,12 @@
+"""Spherical waves of order 0 and 1 against series, mpmath and their
+identities, and the exact bits of j1_scaled's series branch.
+
+The array digests of test_j1_scaled_series_array_bits assume numpy's AVX2
+dispatch or above (AVX2 and AVX-512 give the same bits); at the X86_V2
+baseline, e.g. numpy 2.4.6 with NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
+AVX512_ICL AVX512_SPR", both cases fail.
+"""
+
 import cmath
 import hashlib
 import math
@@ -236,7 +245,8 @@ J1_SCALED_SERIES_BITS = {
                    "0x1.13a4313198bf8p-2", "0x1.3335404d8a5dcp-3"),
 }
 # sha256 over float.hex of the (2, n) array's parts, for the points above
-# as an array, and with two points beyond the series radius appended
+# as an array, and with two points beyond the series radius appended; with
+# numpy's AVX2 kernels or above (see the module docstring)
 J1_SCALED_ARRAY_DIGESTS = {
     (): "fed9d290e908dcd778d04a243383c3ccbc8f62c0a81148ca13425083fc507406",
     (0.7 + 0.1j, 3 - 1j):
