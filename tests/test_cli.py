@@ -294,6 +294,19 @@ class TestSweep:
             for row in rows]
         assert out.getvalue() == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("shortest", [False, True])
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+    def test_writers_certify_the_preset_values(self, preset, shortest):
+        # a value the kernel cannot certify goes through Python's own
+        # formatter, one call each: a wider doubt band or a worse exponent
+        # estimate would slow the writers without changing a byte.  None
+        # does with numpy 2.4; the bound allows for the last bits, which
+        # differ between numpy's SIMD levels
+        columns = cli.run_sweep(cli.get_preset(preset)).columns
+        x = np.concatenate([columns[c] for c in cli.COLUMNS])
+        _, _, certified = _gformat._decimal(x.copy(), shortest)
+        assert (~certified & (x != 0)).sum() * 1000 <= x.size
+
     def test_off_resonance_amplitude_scaling(self):
         # where absorption is negligible, the corrected cavity rate is the
         # bare one scaled by the static local-field factor (about 1.85)
@@ -441,8 +454,11 @@ class TestArrayColumns:
 class TestWriterMemory:
     """The writers hold one block at a time: their tracemalloc peak does
     not grow with the sweep's length.  Measured with numpy 2.4: 1.53 MB
-    for CSV and 1.88 MB for JSON at 10,000 and at 40,000 rows, within
-    0.1 kB of each other; 5.8 and 3.6 times one block's laid-out text."""
+    for CSV and 2.15 MB for JSON at 10,000 and at 40,000 rows, within
+    4 kB of each other; 5.8 and 4.1 times one block's laid-out text.  Nor
+    may it grow past those peaks."""
+
+    PEAKS = {"write_csv": 1_529_382, "write_json": 2_151_236}
 
     @pytest.mark.parametrize("write", [cli.write_csv, cli.write_json])
     def test_peak_does_not_grow_with_the_sweep(self, write):
@@ -468,6 +484,7 @@ class TestWriterMemory:
                     tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * 1024
         assert max(peaks) < 7 * laid
+        assert max(peaks) <= self.PEAKS[write.__name__]
 
 
 def ulps_around(values, reach):
@@ -557,6 +574,19 @@ class TestCsvFormat:
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(
             -30, 30, shape)
         self.assert_per_value_bytes(values, cli.COLUMNS[:shape[1]])
+
+    def test_short_decimals(self):
+        # the 17 digits of a value rounded to a few decimals end in one,
+        # two or three all-zero groups of four
+        rng = np.random.default_rng(13)
+        size = 17 * 1000
+        x = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-6, 17, size)
+        values = [round(v, k) for v, k in zip(x.tolist(),
+                                              rng.integers(0, 16, size))]
+        digits = [("%.16e" % v)[:18].replace(".", "") for v in values if v]
+        groups = Counter((17 - len(d.rstrip("0"))) // 4 for d in digits)
+        assert min(groups[1], groups[2], groups[3]) > 400
+        self.assert_per_value_bytes(values)
 
 
 def repr_route(value):
