@@ -48,9 +48,10 @@ _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
 _TINY, _HUGE = 1e-270, 1e300
 _DOUBT = 2.0 ** -20         # closer than this to a rounding boundary: uncertain
 _BLOCK = 8192               # values per block: 64 KiB per kernel array
-# 10**k for k = 16 - E: log10 puts E of a value in range in -270..299, and
-# the correction moves it by one at most
-_K_MIN, _K_MAX = 16 - 300, 16 + 271
+# the tables of exponents E are indexed by E - _E_MIN: log10 puts E of a
+# value in range in -270..299, and the correction moves it by one at most
+_E_MIN, _E_MAX = -271, 300
+_E0 = -_E_MIN               # the index of E = 0
 
 
 def _split(a):
@@ -61,22 +62,20 @@ def _split(a):
 
 
 def _powers():
-    """Rows hi, hi's two halves and lo, with 10**k = hi + lo to about
-    2**-106 for k from _K_MIN to _K_MAX, from exact integer arithmetic."""
+    """Rows hi, hi's two halves and lo, with 10**(16 - E) = hi + lo to
+    about 2**-106 at E - _E_MIN, from exact integer arithmetic."""
     hi, lo = [], []
-    power = 10 ** -_K_MIN
-    for k in range(_K_MIN, 0):          # 10**k = 1 / power
-        h = float(f"1e{k}")             # correctly rounded; so is int / int
-        num, den = h.as_integer_ratio()
-        hi.append(h)
-        # 10**k - h = (den - num * power) / power / den, den a power of 2
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+            continue
+        power = 10 ** -k                # 10**k = 1 / power
+        hi.append(float(f"1e{k}"))      # correctly rounded; so is int / int
+        num, den = hi[-1].as_integer_ratio()
+        # 10**k - hi = (den - num * power) / power / den, den a power of 2
         lo.append(math.ldexp((den - num * power) / power,
                              1 - den.bit_length()))
-        power //= 10
-    for k in range(_K_MAX + 1):         # power = 10**k
-        hi.append(float(power))
-        lo.append(float(power - int(hi[-1])))
-        power *= 10
     hi = np.array(hi)
     return np.array([hi, *_split(hi), lo])
 
@@ -87,48 +86,81 @@ def _text(chars: bytes) -> int:
 
 _POWERS = _powers()
 _n = np.arange(10000)
-# the four ASCII digits of 0..9999, the first in the lowest byte
+# the four ASCII digits of 0..9999, the first in the lowest byte; from
+# 10000 on, the same without their trailing zeros
 _DIGITS4 = sum((_n // 10 ** (3 - i) % 10 + 48) << 8 * i
                for i in range(4)).astype(_U)
-# at g + 10000 * z: the trailing zeros of a digit group g that z all-zero
-# groups follow
-_TRAILING = np.zeros(10000, np.int8)
+_DIGITS4 = np.concatenate([_DIGITS4, _DIGITS4])
 for _j in range(1, 5):
-    _TRAILING[::10 ** _j] = _j
-_TRAILING = (_TRAILING + np.arange(0, 16, 4, dtype=np.int8)[:, None]).ravel()
-# at n: the largest power of ten up to n + 1
-_STEP = 10 ** np.floor(np.log10(np.arange(1, 100))).astype(np.int64)
+    _DIGITS4[10000::10 ** _j] &= _U((1 << 32 - 8 * _j) - 1)
+_TRIMMED = _DIGITS4[10000:]
 del _n, _j
 
 
 def _per_byte(text):
-    """Column q: the first 24 bytes of text(q), as three words."""
-    table = b"".join(text(q)[:24].ljust(24, b"\0") for q in range(25))
-    return np.frombuffer(table, "<u8").reshape(25, 3).T.copy()
+    """Column q: the first 16 bytes of text(q), as two words."""
+    table = b"".join(text(q)[:16].ljust(16, b"\0") for q in range(17))
+    return np.frombuffer(table, "<u8").reshape(17, 2).T.copy()
 
 
-# at byte q of the first three words: the bytes below q, and '.' at q
+# at byte q of the 16 digits after the first: the bytes below q, and '.'
+# or '0' at q
 _BELOW = _per_byte(lambda q: b"\xff" * q)
 _POINT = _per_byte(lambda q: b"\0" * q + b".")
-# bytes 1..5 before the digits of a value of exponent -lead: '0.' and zeros
-_LEADING = np.array([_text(b"\0" + b"0." + b"0" * (lead - 1)) if lead else 0
-                     for lead in range(5)], _U)
-# per style, shortest or not: the largest E in fixed notation, and the
-# route of an uncertain or non-finite value
-_STYLES = {False: (16, _FORMAT.__mod__), True: (15, json.dumps)}
+_ZERO = _per_byte(lambda q: b"\0" * q + b"0")
 
 
-def _scaled(ax, e):
-    """The integer part and fraction of ax * 10**(16 - e), exact to about
+def _style(last_fixed, uncertain):
+    """The largest E in fixed notation, and per exponent E: word 0 of a
+    value without its separator, sign and first digit ('0.' and zeros
+    before the first digit for E < 0 in fixed notation, the point after it
+    where it goes there), the place of its first digit, and word 3, the
+    exponent; and the route of an uncertain or non-finite value."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    fixed = (e >= -4) & (e <= last_fixed)
+    small = fixed & (e < 0)
+    prefix = np.where(small | (e >= 1) & fixed, _U(0),
+                      _U(_text(b"\0" * 7 + b".")))
+    for lead in range(1, 5):
+        prefix[_E0 - lead] = _text(b"\0" * (6 - lead) + b"0."
+                                   + b"0" * (lead - 1))
+    size = np.abs(e)
+    exponent = (_U(ord("e")) | np.where(e < 0, _U(ord("-")), _U(ord("+")))
+                << _U(8) | _DIGITS4.take(size)
+                >> np.where(size < 100, _U(16), _U(8)) << _U(16))
+    exponent[fixed] = 0
+    return (last_fixed, prefix, np.where(small, _U(56), _U(48)), exponent,
+            uncertain)
+
+
+# per style, shortest or not
+_STYLES = {False: _style(16, _FORMAT.__mod__), True: _style(15, json.dumps)}
+
+
+def _scaled(ax, i):
+    """The integer part and fraction of ax * 10**(16 - E), exact to about
     2**-40 wherever that product is at least 2**53."""
-    hi, hi_high, hi_low, lo = (row.take(16 - _K_MIN - e) for row in _POWERS)
+    hi, hi_high, hi_low, lo = (row.take(i) for row in _POWERS)
     p = ax * hi
     high, low = _split(ax)
-    # ax * hi - p exactly (Dekker), plus ax * lo
-    err = (((high * hi_high - p) + high * hi_low) + low * hi_high
-           + low * hi_low) + ax * lo
+    # ax * hi - p exactly (Dekker), plus ax * lo, summed in this order:
+    # (((high * hi_high - p) + high * hi_low) + low * hi_high
+    #  + low * hi_low) + ax * lo
+    err = high * hi_high
+    err -= p
+    high *= hi_low
+    err += high
+    hi_high *= low
+    err += hi_high
+    hi_low *= low
+    err += hi_low
+    lo *= ax
+    err += lo
     floor = np.floor(err)
-    return p.astype(np.int64) + floor.astype(np.int64), err - floor
+    err -= floor
+    d = p.astype(np.int64)
+    d += floor.astype(np.int64)
+    return d, err
 
 
 def _sure(t):
@@ -136,169 +168,228 @@ def _sure(t):
     return np.abs(t - np.rint(t)) >= _DOUBT
 
 
-def _shortest(ax, e, d, frac):
+def _shortest(ax, i, d, frac):
     """The fewest digits that read back as ax, nearest to ax among them, as
     a 17-digit D = d + frac rounded to a multiple of a power of ten; and
     whether they are certain."""
-    mantissa, exponent = np.frexp(ax)
-    # half the gap to the next double up, scaled: a power of two times
-    # 10**(16 - e), whose table entry is within 2**-53 of it, far inside
-    # _DOUBT; the gap below a power of two is half as large
-    up = np.ldexp(_POWERS[0].take(16 - _K_MIN - e), exponent - 54)
-    top, bottom = frac + up, frac - np.where(mantissa == 0.5, 0.5 * up, up)
-    sure = _sure(top) & _sure(bottom)
-    upper = d + np.floor(top).astype(np.int64)
-    lower = d + np.ceil(bottom).astype(np.int64)
-    # the upper - lower + 1 integers of [lower, upper] hold a multiple of
-    # step, the largest power of ten up to their count, and at most one of
-    # 10 * step: that one has the fewest digits; failing it, the multiple
-    # of step nearest to ax that lies inside
-    step = _STEP.take(upper - lower)
-    shorter = upper // (10 * step) * (10 * step)
-    at_shorter = shorter >= lower
-    floor = d - d % step
-    rest = d - floor + frac
-    nearest = floor + step * (rest > 0.5 * step)
-    nearest += step * ((nearest < lower).astype(np.int64)
-                       - (nearest > upper))
-    sure &= at_shorter | (np.abs(rest - 0.5 * step) >= _DOUBT)
-    return np.where(at_shorter, shorter, nearest), sure
+    # half the gap to the next double up, scaled: ax's power of two times
+    # 2**-53 times 10**(16 - E), whose table entry is within 2**-53 of it,
+    # far inside _DOUBT; the gap below a power of two is half as large
+    power = (ax.view(_U) & _U(0x7FF << 52)).view(float)
+    at_power = np.flatnonzero(ax == power)
+    up = _POWERS[0].take(i)
+    up *= power
+    up *= 2.0 ** -53
+    top = frac + up
+    down = 0.5 * up[at_power]
+    bottom = np.subtract(frac, up, out=up)
+    bottom[at_power] = frac[at_power] - down
+    sure = _sure(top)
+    sure &= _sure(bottom)
+    # the integers of [d + ceil(bottom), d + floor(top)], some 2 to 23 of
+    # them, as l..u: offsets from d - r, a multiple of 100
+    r = d % 100
+    u = np.floor(top, out=top)
+    u += r
+    l = np.ceil(bottom, out=bottom)
+    l += r
+    # they hold a multiple of step, the largest power of ten up to their
+    # count, 1 or 10, and at most one of 10 * step: that one has the
+    # fewest digits; failing it, the multiple of step nearest to ax that
+    # lies inside
+    step = np.subtract(u, l, out=power) >= 9
+    step = np.multiply(step, 9.0, out=power)
+    step += 1.0
+    rest = r % step
+    nearest = r - rest
+    rest += frac
+    nearest += step * (rest > 0.5 * step)
+    nearest -= step * (nearest > u)
+    nearest += step * (nearest < l)
+    tie = np.abs(rest - 0.5 * step) < _DOUBT
+    step *= 10.0
+    shorter = np.divide(u, step, out=u)
+    np.floor(shorter, out=shorter)
+    shorter *= step
+    at_shorter = shorter >= l
+    sure &= at_shorter | ~tie
+    d -= r
+    d += np.where(at_shorter, shorter, nearest).astype(np.int64)
+    return d, sure
 
 
 def _decimal(x, shortest):
-    """Per value: the exponent E and the digits D, 17 of them (0 for a
-    zero), of '%.17g' or, when shortest, of repr with trailing zeros; and
-    whether D is certain."""
+    """Per value: the index E - _E_MIN of its exponent E, and its digits D,
+    17 of them (0 for a zero), of '%.17g' or, when shortest, of repr with
+    trailing zeros; and whether D is certain."""
     ax = np.abs(x)
     certified = (ax >= _TINY) & (ax < _HUGE)
-    ax[~certified] = 5.0            # any value in range: its text is replaced
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    d, frac = _scaled(ax, e)
+    if not certified.all():
+        ax[~certified] = 5.0        # any value in range: its text is replaced
+    i = np.log10(ax)
+    i -= _E_MIN                     # at least 1: truncating is flooring
+    i = i.astype(np.intp)
+    d, frac = _scaled(ax, i)
     # log10 only estimates the exponent: a product off the 17-digit range
     # takes the next one
-    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
-    if off.size:
-        e[off] += np.where(d[off] < 10 ** 16, -1, 1)
-        d[off], frac[off] = _scaled(ax[off], e[off])
+    off = (d - 10 ** 16).view(_U) >= _U(9 * 10 ** 16)
+    if off.any():
+        off = np.flatnonzero(off)
+        i[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off], frac[off] = _scaled(ax[off], i[off])
         certified[off] &= (d[off] >= 10 ** 16) & (d[off] < 10 ** 17)
     if shortest:
-        d, sure = _shortest(ax, e, d, frac)
+        d, sure = _shortest(ax, i, d, frac)
         certified &= sure
     else:
         certified &= np.abs(frac - 0.5) >= _DOUBT
         d += frac > 0.5
     carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
-    d[x == 0] = 0
-    return e, d, certified
-
-
-def _digit_words(d):
-    """The 17 ASCII digits of each D at bytes 6..22 of three words, and
-    the number of significant digits, 17 less the trailing zeros."""
-    first, rest = np.divmod(d, 10 ** 16)
-    upper, lower = np.divmod(rest, 10 ** 8)
-    g1, g2 = np.divmod(upper, 10000)
-    g3, g4 = np.divmod(lower, 10000)
-    upper = _DIGITS4.take(g1) | _DIGITS4.take(g2) << _U(32)
-    lower = _DIGITS4.take(g3) | _DIGITS4.take(g4) << _U(32)
-    words = [(first.astype(_U) | _U(ord("0"))) << _U(48) | upper << _U(56),
-             upper >> _U(8) | lower << _U(56), lower >> _U(8)]
-    return words, 17 - _TRAILING.take(np.where(g4, g4, np.where(
-        g3, g3 + 10000, np.where(g2, g2 + 20000, g1 + 30000))))
+    if carry.any():
+        d[carry] = 10 ** 16
+        i += carry
+    if not certified.all():
+        d[x == 0] = 0
+    return i, d, certified
 
 
 @functools.lru_cache(maxsize=4)
 def _frame(names, columns):
-    """Per column: the words of the text before each value, and a word
-    that ends in the text after it, in the JSON style when names are given
-    and in the CSV style otherwise."""
+    """Per column: the words of the text before each value, and the byte
+    that separates it from the value before, in the JSON style when names
+    are given and in the CSV style otherwise.  Each row, or each object, is
+    led by what ends the one before it."""
     if names is None:
         before = [b""] * columns
-        after = [b","] * (columns - 1) + [b"\n"]
+        separator = [b"\n"] + [b","] * (columns - 1)
     else:
         members = [f"  {json.dumps(name)}: ".encode() for name in names]
-        before = [b",\n {\n" + members[0]] + [b",\n" + member
-                                             for member in members[1:]]
-        after = [b""] * (columns - 1) + [b"\n }"]
+        before = [b"\n },\n {\n" + members[0]] + [b",\n" + member
+                                                  for member in members[1:]]
+        separator = [b"\0"] * columns
     size = -(-max(map(len, before)) // 8)
     return (np.array([[_text(text[i:i + 8]) for i in range(0, 8 * size, 8)]
                       for text in before], _U).reshape(columns, size),
-            np.array([_text(text.rjust(8, b"\0")) for text in after], _U))
+            np.array([_text(text) for text in separator], _U))
 
 
-def _words(x, shortest):
-    """The text of each value in four words: the sign at byte 0, the
-    '0.000' of a small value at bytes 1..5 and the digits from byte 6,
-    with '.' inserted after the integer digits, in words 0..2; the
-    exponent from byte 24 in word 3, which ends in _frame's text after
-    the value."""
-    last_fixed, uncertain = _STYLES[shortest]
-    e, d, certified = _decimal(x, shortest)
-    text, digits = _digit_words(d)
-    # '%g' writes -4 <= E <= 16 in fixed notation, repr -4 <= E <= 15.
-    # The first 'keep' digits stay even when zero: E + 1 in fixed
-    # notation, 1 before an exponent, none after the '0.' of E < 0, where
-    # the point goes to byte 23 and is cut off with the trailing zeros
-    fixed = (e >= -4) & (e <= last_fixed)
-    lead = np.where(fixed & (e < 0), -e, 0)
-    keep = np.where(fixed & (e >= 0), e + 1, lead == 0)
-    point = 6 + np.where(lead, 17, keep)
-    # repr ends a fixed value of E >= 0 in '.0' where '%g' has no point
-    shown = np.maximum(digits, keep + (shortest & fixed & (e >= 0)))
-    end = 6 + shown + (shown + 6 > point)
-    carry = _U(0)
-    for word, below_at, point_at in zip(text, _BELOW, _POINT):
-        below = word & below_at.take(point)
-        word ^= below               # the bytes from the point on
-        moved = word >> _U(56)      # the byte the shift moves out
-        word <<= _U(8)
-        word |= below | point_at.take(point) | carry
-        word &= below_at.take(end)
-        carry = moved
-    text[0] |= _LEADING.take(lead) | np.signbit(x) * _U(ord("-"))
-    exponent = np.zeros(x.size, _U)
-    scientific = np.flatnonzero(~fixed)
-    if scientific.size:
-        e = e[scientific]
-        size = np.abs(e)
-        exponent[scientific] = (
-            _U(ord("e")) | np.where(e < 0, _U(ord("-")), _U(ord("+")))
-            << _U(8) | _DIGITS4.take(size)
-            >> np.where(size < 100, _U(16), _U(8)) << _U(16))
-    other = np.flatnonzero(~certified & (x != 0))
-    if other.size:
-        exponent[other] = 0
-        texts = np.frombuffer(b"".join(
-            uncertain(v).encode().ljust(24, b"\0")
-            for v in x[other].tolist()), _U).reshape(-1, 3)
-        for w, word in enumerate(text):
-            word[other] = texts[:, w]
-    return text + [exponent]
+def _wide(x, e, certified, shortest):
+    """Whether a value of the block needs a fourth word: an exponent, or
+    the text of the uncertain route."""
+    last_fixed = _STYLES[shortest][0]
+    return bool(e.min() < _E0 - 4 or e.max() > _E0 + last_fixed
+                or not (certified | (x == 0)).all())
+
+
+def _words(x, i, d, certified, shortest, out):
+    """Write words 1..2, and 3 if out has it, of the text of each value
+    x[j] to out[j], and return word 0; d is used up.  Word 0 holds the
+    sign at byte 1, and the first digit at byte 7 after the '0.000' of a
+    small value or at byte 6 before a point; words 1..2 the other 16
+    digits without trailing zeros, with the point among them in fixed
+    notation for 1 <= E, which moves the digits before it a byte down;
+    word 3 the exponent."""
+    last_fixed, prefixes, places, exponents, uncertain = _STYLES[shortest]
+    d = d.view(_U)
+    first = d // _U(10 ** 16)
+    d -= first * _U(10 ** 16)
+    word0 = prefixes.take(i)
+    word0 |= (x.view(_U) >> _U(63)) * _U(ord("-") << 8)
+    first |= _U(ord("0"))
+    word0 |= first << places.take(i)
+    del first
+    # the four groups of four digits after the first: g2 and g4 in place
+    # of their upper and lower halves
+    g2 = d // _U(10 ** 8)
+    d -= g2 * _U(10 ** 8)
+    g1, g3, g4 = g2 // _U(10000), d // _U(10000), d
+    g2 -= g1 * _U(10000)
+    g4 -= g3 * _U(10000)
+    np.bitwise_or(_DIGITS4.take(g1), _DIGITS4.take(g2) << _U(32),
+                  out=out[:, 1])
+    np.bitwise_or(_DIGITS4.take(g3), _TRIMMED.take(g4) << _U(32),
+                  out=out[:, 2])
+    if out.shape[1] > 3:
+        out[:, 3] = exponents.take(i)
+    if not g4.all():
+        # the groups before trailing all-zero ones lose their trailing zeros
+        z = np.flatnonzero(g4 == 0)
+        h1, h2, h3 = g1[z], g2[z], g3[z]
+        zero3 = h3 == 0
+        zero2 = zero3 & (h2 == 0)
+        out[z, 2] = _TRIMMED.take(h3)
+        out[z, 1] = (_DIGITS4.take(h1 + _U(10000) * zero2)
+                     | _DIGITS4.take(h2 + _U(10000) * zero3) << _U(32))
+        none = z[zero2 & (h1 == 0)]
+        if none.size:
+            # a single digit: no point after it, but repr writes d.0
+            e = i[none] - _E0
+            ones = shortest & (e == 0)
+            word0[none] &= np.where((e < -4) | (e >= 0) & ~ones,
+                                    _U(2 ** 56 - 1), ~_U(0))
+            out[none, 1] = ones * _U(ord("0"))
+    mid = np.flatnonzero((i > _E0) & (i <= _E0 + last_fixed))
+    if mid.size:
+        # fixed notation with 1 <= E: the first E of the 16 digits all
+        # stay, and move a byte down, the lowest to byte 7 of word 0, for
+        # the point after them
+        k = i[mid] - _E0
+        below = _BELOW[:, k]
+        trimmed = out[mid, 1:3].T
+        full = np.array([_DIGITS4.take(g1[mid]) | _DIGITS4.take(g2[mid])
+                         << _U(32), _DIGITS4.take(g3[mid])
+                         | _DIGITS4.take(g4[mid]) << _U(32)])
+        empty = ~(trimmed & ~below).any(axis=0)
+        digits = full & below | trimmed
+        if shortest:
+            digits |= _ZERO[:, k] * empty       # repr writes .0
+        low = digits & below
+        digits ^= low
+        digits |= _POINT[:, k - 1] * (shortest | ~empty)
+        digits[0] |= low[0] >> _U(8) | low[1] << _U(56)
+        digits[1] |= low[1] >> _U(8)
+        out[mid, 1:3] = digits.T
+        word0[mid] |= low[0] << _U(56)
+    if not certified.all():
+        other = np.flatnonzero(~certified & (x != 0))
+        if other.size:
+            text = np.frombuffer(b"".join(
+                b"\0" + uncertain(v).encode().ljust(31, b"\0")
+                for v in x[other].tolist()), _U).reshape(-1, 4)
+            word0[other] = text[:, 0]
+            out[other, 1:] = text[:, 1:]
+    return word0
 
 
 def format_rows(columns, names=None):
     """The text of a table given as its columns (float64 arrays or lists
     of floats), whole rows of at most _BLOCK values at a time.  Without
-    names, its CSV lines: each value as '%.17g' writes it, commas between
-    the values of a row, a newline after each row.  With the columns'
+    names, its CSV lines, each led by a newline: each value as '%.17g'
+    writes it, commas between the values of a row.  With the columns'
     names, its JSON objects as json.dump(..., indent=1) writes them in a
-    list, each led by the ',\\n' that separates it from the one before."""
+    list, each led by the '\\n },\\n' that ends the one before it."""
     shortest = names is not None
-    before, after = _frame(names, len(columns))
+    before, separators = _frame(names, len(columns))
     size = before.shape[1]
     rows, per_block = len(columns[0]), max(1, _BLOCK // len(columns))
-    # made once per write, with the text before each value; blocks reuse it
-    out = np.empty((min(rows, per_block), len(columns), size + 4), _U)
-    out[..., :size] = before
+    # made once per write; blocks lay out their text in its first part,
+    # in three words a value or, where one needs it, four
+    space = np.empty(min(rows, per_block) * len(columns) * (size + 4), _U)
+    filled = None
     for start in range(0, rows, per_block):
         block = np.array([values[start:start + per_block]
                           for values in columns], float)     # column by column
-        laid = out[:block.shape[1]]
-        for w, word in enumerate(_words(block.ravel(), shortest)):
-            laid[..., size + w] = word.reshape(block.shape).T
-        laid[..., -1] |= after
+        x = block.T.ravel()
+        i, d, certified = _decimal(x, shortest)
+        width = size + 3 + _wide(x, i, certified, shortest)
+        laid = space[:x.size * width].reshape(-1, len(columns), width)
+        if filled != width:
+            laid[..., :size] = before
+            filled = width
+        word0 = _words(x, i, d, certified, shortest,
+                       laid.reshape(-1, width)[:, size:])
+        np.bitwise_or(word0.reshape(laid.shape[:2]), separators,
+                      out=laid[..., size])
         # bytes.translate drops the NULs at the speed of numpy's boolean
         # mask, without np.compress's index array of 8 bytes a character
         yield laid.tobytes().translate(None, b"\0").decode("ascii")

@@ -216,8 +216,9 @@ def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
     """Write the header and a line per row, each value as '%.17g' writes
     it: 17 significant digits, enough to round-trip."""
-    stream.write(",".join(config.columns) + "\n")
-    stream.writelines(_text_blocks(rows, config))
+    stream.write(",".join(config.columns))
+    stream.writelines(_text_blocks(rows, config))    # each line led by \n
+    stream.write("\n")
 
 
 def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
@@ -229,9 +230,10 @@ def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
     if first is None:
         stream.write("[]\n")
         return
-    stream.write("[" + first[1:])     # the first object has no ',' before it
+    # each object is led by the end of the one before it
+    stream.write("[" + first[len("\n },"):])
     stream.writelines(blocks)
-    stream.write("\n]\n")
+    stream.write("\n }\n]\n")
 
 
 def _parse_columns(text: str):
