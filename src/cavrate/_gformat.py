@@ -188,7 +188,8 @@ def _shortest(ax, i, d, frac):
     sure &= _sure(bottom)
     # the integers of [d + ceil(bottom), d + floor(top)], some 2 to 23 of
     # them, as l..u: offsets from d - r, a multiple of 100
-    r = d % 100
+    hundreds = d // 100
+    r = (d - hundreds * 100).astype(float)
     u = np.floor(top, out=top)
     u += r
     l = np.ceil(bottom, out=bottom)
@@ -200,8 +201,10 @@ def _shortest(ax, i, d, frac):
     step = np.subtract(u, l, out=power) >= 9
     step = np.multiply(step, 9.0, out=power)
     step += 1.0
-    rest = r % step
-    nearest = r - rest
+    nearest = r / step
+    np.floor(nearest, out=nearest)
+    nearest *= step
+    rest = np.subtract(r, nearest, out=r)
     rest += frac
     nearest += step * (rest > 0.5 * step)
     nearest -= step * (nearest > u)
@@ -213,9 +216,10 @@ def _shortest(ax, i, d, frac):
     shorter *= step
     at_shorter = shorter >= l
     sure &= at_shorter | ~tie
-    d -= r
-    d += np.where(at_shorter, shorter, nearest).astype(np.int64)
-    return d, sure
+    np.copyto(nearest, shorter, where=at_shorter)
+    hundreds *= 100
+    hundreds += nearest.astype(np.int64)
+    return hundreds, sure
 
 
 def _decimal(x, shortest):

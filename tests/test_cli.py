@@ -493,6 +493,20 @@ def ulps_around(values, reach):
     return (bits[:, None] + np.arange(-reach, reach + 1)).view(np.float64)
 
 
+def mixed_blocks():
+    """Whole blocks of the writers' 17 columns that take turns: values in
+    fixed notation only, which the kernel lays out in three words each,
+    and with one value that needs a fourth, for its exponent or for the
+    uncertain route."""
+    rows = _gformat._BLOCK // 17
+    rng = np.random.default_rng(8)
+    table = rng.uniform(-99, 99, (5, rows, 17)) * 10.0 ** rng.integers(
+        -4, 4, (5, rows, 17))
+    table[1, 7, 3] = 1.5e-7
+    table[3, rows - 1, 16] = math.nan
+    return table.ravel()
+
+
 class TestCsvFormat:
     """write_csv formats a block of rows at a time; its bytes must be those
     of per-value '%.17g' on every kind of double."""
@@ -574,6 +588,9 @@ class TestCsvFormat:
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(
             -30, 30, shape)
         self.assert_per_value_bytes(values, cli.COLUMNS[:shape[1]])
+
+    def test_blocks_with_and_without_a_fourth_word(self):
+        self.assert_per_value_bytes(mixed_blocks())
 
     def test_short_decimals(self):
         # the 17 digits of a value rounded to a few decimals end in one,
@@ -689,6 +706,9 @@ class TestJsonFormat:
         values = np.arange(2 ** 53 - 1000, 2 ** 53 + 1000).astype(float)
         routes = self.assert_json_dump_bytes(values, ("kappa",))
         assert routes["end"] > 1000
+
+    def test_blocks_with_and_without_a_fourth_word(self):
+        self.assert_json_dump_bytes(mixed_blocks())
 
     def test_short_decimals(self):
         rng = np.random.default_rng(11)
