@@ -20,19 +20,28 @@ between two candidates, lies within 2**-20 of an integer.
 Uncertain values, values next to a power of ten, whose exponent the
 product leaves open, |x| outside 1e-270..1e300, where the table or the
 split would leave the double range, and nan and the infinities go through
-'%.17g' or json.dumps itself.  The text of each value is laid out in
-64-bit words, with NUL where a character is absent, and the NULs are
-dropped at the end.
+'%.17g' or json.dumps itself.
 
-Each block pays the kernel's numpy calls a fixed cost, about 0.2 ms
-(2 vCPUs, Python 3.11, numpy 2.4) whatever its size, so the blocks are
-large (_BLOCK values).  Every array of the kernel is one quantity
-or one 64-bit word of each value of the block, in one dimension, and
-stays below glibc's 128 KiB mmap threshold: a (3, n) or (4, n) stack
-would cross it and be mapped, faulted in and unmapped again in every
-block.  Besides each block's text, the laid-out (rows, columns, words)
-array is the one allocation that crosses it: a write makes it once, and
-every block reuses it.
+The text of each value is laid out in 64-bit words, with NUL where a
+character is absent, and the NULs are dropped at the end.  Word 0 holds
+the separator before the value, its sign, the '0.' and zeros of a small
+value, its first digit and the point after it; words 1 and 2 the other
+16 digits, four at a time from a table, with the point among them where
+fixed notation puts it there; word 3, which a block lays out only when
+one of its values needs it, the exponent or the end of an uncertain
+value's text.  Tables per exponent give word 0 and word 3.
+
+Each block pays the kernel's numpy calls a fixed cost, whatever its size:
+a 1-row write takes about 0.16 ms as CSV and 0.32 ms as JSON (2 vCPUs,
+Python 3.11, numpy 2.4).  So the blocks are large (_BLOCK values); a full
+one takes about 1.2 ms as CSV, a third of it in bytes.translate, and
+2.0 ms as JSON.  Every array of the kernel is one quantity or one 64-bit
+word of each value of the block, in one dimension, and stays below
+glibc's 128 KiB mmap threshold: a (3, n) or (4, n) stack would cross it
+and be mapped, faulted in and unmapped again in every block.  Besides
+each block's text, the laid-out (rows, columns, words) array is the one
+allocation that crosses it: a write makes it once, and every block
+reuses it.
 """
 
 import functools
@@ -65,19 +74,21 @@ def _powers():
     """Rows hi, hi's two halves and lo, with 10**(16 - E) = hi + lo to
     about 2**-106 at E - _E_MIN, from exact integer arithmetic."""
     hi, lo = [], []
-    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
-        if k >= 0:
-            hi.append(float(10 ** k))
-            lo.append(float(10 ** k - int(hi[-1])))
-            continue
-        power = 10 ** -k                # 10**k = 1 / power
-        hi.append(float(f"1e{k}"))      # correctly rounded; so is int / int
-        num, den = hi[-1].as_integer_ratio()
-        # 10**k - hi = (den - num * power) / power / den, den a power of 2
+    power = 10 ** (_E_MAX - 16)
+    for k in range(16 - _E_MAX, 0):     # 10**k = 1 / power
+        h = float(f"1e{k}")             # correctly rounded; so is int / int
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        # 10**k - h = (den - num * power) / power / den, den a power of 2
         lo.append(math.ldexp((den - num * power) / power,
                              1 - den.bit_length()))
-    hi = np.array(hi)
-    return np.array([hi, *_split(hi), lo])
+        power //= 10
+    for k in range(17 - _E_MIN):        # power = 10**k
+        hi.append(float(power))
+        lo.append(float(power - int(hi[-1])))
+        power *= 10
+    hi = np.array(hi[::-1])
+    return np.array([hi, *_split(hi), lo[::-1]])
 
 
 def _text(chars: bytes) -> int:
@@ -111,26 +122,26 @@ _ZERO = _per_byte(lambda q: b"\0" * q + b"0")
 
 
 def _style(last_fixed, uncertain):
-    """The largest E in fixed notation, and per exponent E: word 0 of a
-    value without its separator, sign and first digit ('0.' and zeros
-    before the first digit for E < 0 in fixed notation, the point after it
-    where it goes there), the place of its first digit, and word 3, the
+    """The largest E in fixed notation; at 10 * (E - _E_MIN) + f, word 0 of
+    a value of exponent E and first digit f without its separator and sign:
+    f at byte 7 after '0.' and zeros for E < 0 in fixed notation, else at
+    byte 6 before a point, where the point goes there; per E, word 3, the
     exponent; and the route of an uncertain or non-finite value."""
     e = np.arange(_E_MIN, _E_MAX + 1)
     fixed = (e >= -4) & (e <= last_fixed)
-    small = fixed & (e < 0)
-    prefix = np.where(small | (e >= 1) & fixed, _U(0),
-                      _U(_text(b"\0" * 7 + b".")))
+    heads = np.where((e >= 1) & fixed, _U(0), _U(_text(b"\0" * 7 + b".")))
     for lead in range(1, 5):
-        prefix[_E0 - lead] = _text(b"\0" * (6 - lead) + b"0."
-                                   + b"0" * (lead - 1))
+        heads[_E0 - lead] = _text(b"\0" * (6 - lead) + b"0."
+                                  + b"0" * (lead - 1))
+    places = np.where(fixed & (e < 0), _U(56), _U(48))
+    heads = heads[:, None] | (np.arange(10, dtype=_U) + _U(ord("0"))
+                              << places[:, None])
     size = np.abs(e)
     exponent = (_U(ord("e")) | np.where(e < 0, _U(ord("-")), _U(ord("+")))
                 << _U(8) | _DIGITS4.take(size)
                 >> np.where(size < 100, _U(16), _U(8)) << _U(16))
     exponent[fixed] = 0
-    return (last_fixed, prefix, np.where(small, _U(56), _U(48)), exponent,
-            uncertain)
+    return last_fixed, heads.ravel(), exponent, uncertain
 
 
 # per style, shortest or not
@@ -176,50 +187,30 @@ def _shortest(ax, i, d, frac):
     # 2**-53 times 10**(16 - E), whose table entry is within 2**-53 of it,
     # far inside _DOUBT; the gap below a power of two is half as large
     power = (ax.view(_U) & _U(0x7FF << 52)).view(float)
-    at_power = np.flatnonzero(ax == power)
-    up = _POWERS[0].take(i)
-    up *= power
-    up *= 2.0 ** -53
-    top = frac + up
-    down = 0.5 * up[at_power]
-    bottom = np.subtract(frac, up, out=up)
-    bottom[at_power] = frac[at_power] - down
-    sure = _sure(top)
-    sure &= _sure(bottom)
+    up = _POWERS[0].take(i) * power * 2.0 ** -53
+    top, bottom = frac + up, frac - np.where(ax == power, 0.5 * up, up)
+    del power, up
+    sure = _sure(top) & _sure(bottom)
     # the integers of [d + ceil(bottom), d + floor(top)], some 2 to 23 of
     # them, as l..u: offsets from d - r, a multiple of 100
-    hundreds = d // 100
-    r = (d - hundreds * 100).astype(float)
-    u = np.floor(top, out=top)
-    u += r
-    l = np.ceil(bottom, out=bottom)
-    l += r
+    base = d // 100 * 100
+    r = (d - base).astype(float)
+    u, l = np.floor(top) + r, np.ceil(bottom) + r
+    del top, bottom
     # they hold a multiple of step, the largest power of ten up to their
     # count, 1 or 10, and at most one of 10 * step: that one has the
     # fewest digits; failing it, the multiple of step nearest to ax that
     # lies inside
-    step = np.subtract(u, l, out=power) >= 9
-    step = np.multiply(step, 9.0, out=power)
-    step += 1.0
-    nearest = r / step
-    np.floor(nearest, out=nearest)
-    nearest *= step
-    rest = np.subtract(r, nearest, out=r)
-    rest += frac
+    step = np.where(u - l >= 9, 10.0, 1.0)
+    shorter = np.floor(u / (10 * step)) * (10 * step)
+    at_shorter = shorter >= l
+    nearest = np.floor(r / step) * step
+    rest = r - nearest + frac
     nearest += step * (rest > 0.5 * step)
     nearest -= step * (nearest > u)
     nearest += step * (nearest < l)
-    tie = np.abs(rest - 0.5 * step) < _DOUBT
-    step *= 10.0
-    shorter = np.divide(u, step, out=u)
-    np.floor(shorter, out=shorter)
-    shorter *= step
-    at_shorter = shorter >= l
-    sure &= at_shorter | ~tie
-    np.copyto(nearest, shorter, where=at_shorter)
-    hundreds *= 100
-    hundreds += nearest.astype(np.int64)
-    return hundreds, sure
+    sure &= at_shorter | (np.abs(rest - 0.5 * step) >= _DOUBT)
+    return base + np.where(at_shorter, shorter, nearest).astype(np.int64), sure
 
 
 def _decimal(x, shortest):
@@ -231,7 +222,7 @@ def _decimal(x, shortest):
     if not certified.all():
         ax[~certified] = 5.0        # any value in range: its text is replaced
     i = np.log10(ax)
-    i -= _E_MIN                     # at least 1: truncating is flooring
+    i -= _E_MIN                     # not negative: truncating floors
     i = i.astype(np.intp)
     d, frac = _scaled(ax, i)
     # log10 only estimates the exponent: a product off the 17-digit range
@@ -282,7 +273,7 @@ def _wide(x, e, certified, shortest):
     the text of the uncertain route."""
     last_fixed = _STYLES[shortest][0]
     return bool(e.min() < _E0 - 4 or e.max() > _E0 + last_fixed
-                or not (certified | (x == 0)).all())
+                or not certified.all() and not (certified | (x == 0)).all())
 
 
 def _words(x, i, d, certified, shortest, out):
@@ -293,15 +284,15 @@ def _words(x, i, d, certified, shortest, out):
     digits without trailing zeros, with the point among them in fixed
     notation for 1 <= E, which moves the digits before it a byte down;
     word 3 the exponent."""
-    last_fixed, prefixes, places, exponents, uncertain = _STYLES[shortest]
+    last_fixed, heads, exponents, uncertain = _STYLES[shortest]
     d = d.view(_U)
     first = d // _U(10 ** 16)
     d -= first * _U(10 ** 16)
-    word0 = prefixes.take(i)
-    word0 |= (x.view(_U) >> _U(63)) * _U(ord("-") << 8)
-    first |= _U(ord("0"))
-    word0 |= first << places.take(i)
+    head = i * 10
+    head += first.view(np.int64)
     del first
+    word0 = heads.take(head)
+    word0 |= (x.view(_U) >> _U(63)) * _U(ord("-") << 8)
     # the four groups of four digits after the first: g2 and g4 in place
     # of their upper and lower halves
     g2 = d // _U(10 ** 8)
@@ -332,11 +323,11 @@ def _words(x, i, d, certified, shortest, out):
             word0[none] &= np.where((e < -4) | (e >= 0) & ~ones,
                                     _U(2 ** 56 - 1), ~_U(0))
             out[none, 1] = ones * _U(ord("0"))
-    mid = np.flatnonzero((i > _E0) & (i <= _E0 + last_fixed))
-    if mid.size:
+    if i.max() > _E0:
         # fixed notation with 1 <= E: the first E of the 16 digits all
         # stay, and move a byte down, the lowest to byte 7 of word 0, for
         # the point after them
+        mid = np.flatnonzero((i > _E0) & (i <= _E0 + last_fixed))
         k = i[mid] - _E0
         below = _BELOW[:, k]
         trimmed = out[mid, 1:3].T
@@ -381,9 +372,8 @@ def format_rows(columns, names=None):
     space = np.empty(min(rows, per_block) * len(columns) * (size + 4), _U)
     filled = None
     for start in range(0, rows, per_block):
-        block = np.array([values[start:start + per_block]
-                          for values in columns], float)     # column by column
-        x = block.T.ravel()
+        x = np.array([values[start:start + per_block]
+                      for values in columns], float).T.ravel()   # row by row
         i, d, certified = _decimal(x, shortest)
         width = size + 3 + _wide(x, i, certified, shortest)
         laid = space[:x.size * width].reshape(-1, len(columns), width)
