@@ -253,7 +253,7 @@ def _frame(names, columns):
     """Per column: the words of the text before each value, and the byte
     that separates it from the value before, in the JSON style when names
     are given and in the CSV style otherwise.  Each row, or each object, is
-    led by what ends the one before it."""
+    led by the end of the one before it."""
     if names is None:
         before = [b""] * columns
         separator = [b"\n"] + [b","] * (columns - 1)
@@ -359,14 +359,21 @@ def _words(x, i, d, certified, shortest, out):
 def format_rows(columns, names=None):
     """The text of a table given as its columns (float64 arrays or lists
     of floats), whole rows of at most _BLOCK values at a time.  Without
-    names, its CSV lines, each led by a newline: each value as '%.17g'
-    writes it, commas between the values of a row.  With the columns'
-    names, its JSON objects as json.dump(..., indent=1) writes them in a
-    list, each led by the '\\n },\\n' that ends the one before it."""
+    names, its CSV lines: each value as '%.17g' writes it, commas between
+    the values of a row, a newline after each row.  With the columns'
+    names, the list of its rows as JSON objects, as json.dump(...,
+    indent=1) writes it, and a newline."""
     shortest = names is not None
     before, separators = _frame(names, len(columns))
+    # the text of each row, or each object, is led by the end of the one
+    # before it: the first row drops it, and the last one's follows
+    lead, opening, end = ("\n },", "[", "\n }\n]\n") if shortest else \
+        ("\n", "", "\n")
     size = before.shape[1]
     rows, per_block = len(columns[0]), max(1, _BLOCK // len(columns))
+    if not rows:
+        yield "[]\n" if shortest else ""
+        return
     # made once per write; blocks lay out their text in its first part,
     # in three words a value or, where one needs it, four
     space = np.empty(min(rows, per_block) * len(columns) * (size + 4), _U)
@@ -386,4 +393,9 @@ def format_rows(columns, names=None):
                       out=laid[..., size])
         # bytes.translate drops the NULs at the speed of numpy's boolean
         # mask, without np.compress's index array of 8 bytes a character
-        yield laid.tobytes().translate(None, b"\0").decode("ascii")
+        text = laid.tobytes().translate(None, b"\0").decode("ascii")
+        if not start:
+            text = opening + text[len(lead):]
+        yield text
+        del text                    # not kept while the next block is laid
+    yield end

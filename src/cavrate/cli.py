@@ -204,7 +204,7 @@ def run_sweep(config: SweepConfig) -> Sweep:
 def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
     """The writers' text of the rows from the numpy kernel, a block
     (_gformat._BLOCK values, 481 rows of 17 columns) at a time: CSV lines,
-    or with the columns' names JSON objects.  Each block is stacked from
+    or with the columns' names the JSON list.  Each block is stacked from
     the columns' slices, at no more than a copy for float64 arrays; the
     whole table is never copied at once."""
     # imported here: only a write builds the kernel's tables
@@ -216,24 +216,15 @@ def _text_blocks(rows: Sweep, config: SweepConfig, names=None):
 def write_csv(rows: Sweep, config: SweepConfig, stream) -> None:
     """Write the header and a line per row, each value as '%.17g' writes
     it: 17 significant digits, enough to round-trip."""
-    stream.write(",".join(config.columns))
-    stream.writelines(_text_blocks(rows, config))    # each line led by \n
-    stream.write("\n")
+    stream.write(",".join(config.columns) + "\n")
+    stream.writelines(_text_blocks(rows, config))
 
 
 def write_json(rows: Sweep, config: SweepConfig, stream) -> None:
     """Write the bytes of json.dump(list(rows), indent=1) and a newline:
     each value as float.__repr__ writes it, NaN, Infinity and -Infinity
     as json does."""
-    blocks = _text_blocks(rows, config, tuple(config.columns))
-    first = next(blocks, None)
-    if first is None:
-        stream.write("[]\n")
-        return
-    # each object is led by the end of the one before it
-    stream.write("[" + first[len("\n },"):])
-    stream.writelines(blocks)
-    stream.write("\n }\n]\n")
+    stream.writelines(_text_blocks(rows, config, tuple(config.columns)))
 
 
 def _parse_columns(text: str):

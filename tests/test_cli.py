@@ -592,6 +592,9 @@ class TestCsvFormat:
     def test_blocks_with_and_without_a_fourth_word(self):
         self.assert_per_value_bytes(mixed_blocks())
 
+    def test_no_rows(self):
+        self.assert_per_value_bytes(np.empty(0))
+
     def test_short_decimals(self):
         # the 17 digits of a value rounded to a few decimals end in one,
         # two or three all-zero groups of four
@@ -709,6 +712,9 @@ class TestJsonFormat:
 
     def test_blocks_with_and_without_a_fourth_word(self):
         self.assert_json_dump_bytes(mixed_blocks())
+
+    def test_no_rows(self):
+        self.assert_json_dump_bytes(np.empty(0))
 
     def test_short_decimals(self):
         rng = np.random.default_rng(11)
