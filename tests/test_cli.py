@@ -453,11 +453,14 @@ class TestArrayColumns:
 
 class TestWriterMemory:
     """The writers hold one block at a time: their tracemalloc peak does
-    not grow with the sweep's length.  Measured with numpy 2.4: 1.53 MB
-    for CSV and 2.15 MB for JSON at 10,000 and at 40,000 rows, within
-    4 kB of each other; 5.8 and 4.1 times one block's laid-out text.  Nor
-    may it grow past those peaks."""
+    not grow with the sweep's length.  Measured with numpy 2.4: 1.40 MB
+    for CSV and 1.69 MB for JSON at 10,000 and at 40,000 rows, within
+    4 kB of each other; 5.3 and 3.7 times one block's text laid out in
+    four words a value."""
 
+    # in bytes, and not relative to the laid-out text, which a change of
+    # layout can shrink: the peaks of a kernel that laid out every value
+    # in four words
     PEAKS = {"write_csv": 1_529_382, "write_json": 2_151_236}
 
     @pytest.mark.parametrize("write", [cli.write_csv, cli.write_json])
@@ -465,7 +468,7 @@ class TestWriterMemory:
         config = cli.SweepConfig()
         names = tuple(cli.COLUMNS) if write is cli.write_json else None
         # the kernel lays out each value in 8-byte words: the text before
-        # it, and four for the value and the text after it
+        # it, and at most four for the value and the separator before it
         words = _gformat._frame(names, len(cli.COLUMNS))[0].shape[1] + 4
         laid = (_gformat._BLOCK // len(cli.COLUMNS) * len(cli.COLUMNS)
                 * words * 8)
@@ -498,12 +501,12 @@ def mixed_blocks():
     fixed notation only, which the kernel lays out in three words each,
     and with one value that needs a fourth, for its exponent or for the
     uncertain route."""
-    rows = _gformat._BLOCK // 17
+    shape = (5, _gformat._BLOCK // 17, 17)
     rng = np.random.default_rng(8)
-    table = rng.uniform(-99, 99, (5, rows, 17)) * 10.0 ** rng.integers(
-        -4, 4, (5, rows, 17))
+    table = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1, 10, shape)
+             * 10.0 ** rng.integers(-4, 7, shape))
     table[1, 7, 3] = 1.5e-7
-    table[3, rows - 1, 16] = math.nan
+    table[3, -1, 16] = math.nan
     return table.ravel()
 
 
