@@ -461,7 +461,7 @@ class TestWriterMemory:
     # in bytes, and not relative to the laid-out text, which a change of
     # layout can shrink: the peaks of a kernel that laid out every value
     # in four words
-    PEAKS = {"write_csv": 1_529_382, "write_json": 2_151_236}
+    PEAKS = {"write_csv": 1_529_382, "write_json": 2_151_148}
 
     @pytest.mark.parametrize("write", [cli.write_csv, cli.write_json])
     def test_peak_does_not_grow_with_the_sweep(self, write):
