@@ -268,11 +268,11 @@ def _frame(names, columns):
             np.array([_text(text) for text in separator], _U))
 
 
-def _wide(x, e, certified, shortest):
+def _wide(x, i, certified, shortest):
     """Whether a value of the block needs a fourth word: an exponent, or
     the text of the uncertain route."""
     last_fixed = _STYLES[shortest][0]
-    return bool(e.min() < _E0 - 4 or e.max() > _E0 + last_fixed
+    return bool(i.min() < _E0 - 4 or i.max() > _E0 + last_fixed
                 or not certified.all() and not (certified | (x == 0)).all())
 
 
