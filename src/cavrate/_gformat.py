@@ -154,19 +154,15 @@ def _scaled(ax, i):
     hi, hi_high, hi_low, lo = (row.take(i) for row in _POWERS)
     p = ax * hi
     high, low = _split(ax)
-    # ax * hi - p exactly (Dekker), plus ax * lo, summed in this order:
+    # ax * hi - p exactly (Dekker), plus ax * lo, in place and in the order
     # (((high * hi_high - p) + high * hi_low) + low * hi_high
     #  + low * hi_low) + ax * lo
     err = high * hi_high
     err -= p
-    high *= hi_low
-    err += high
-    hi_high *= low
-    err += hi_high
-    hi_low *= low
-    err += hi_low
-    lo *= ax
-    err += lo
+    for term, factor in ((high, hi_low), (hi_high, low), (hi_low, low),
+                         (lo, ax)):
+        term *= factor
+        err += term
     floor = np.floor(err)
     err -= floor
     d = p.astype(np.int64)
