@@ -32,10 +32,10 @@ one of its values needs it, the exponent or the end of an uncertain
 value's text.  Tables per exponent give word 0 and word 3.
 
 Each block pays the kernel's numpy calls a fixed cost, whatever its size:
-a 1-row write takes about 0.16 ms as CSV and 0.32 ms as JSON (2 vCPUs,
+a 1-row write takes about 0.08 ms as CSV and 0.14 ms as JSON (2 vCPUs,
 Python 3.11, numpy 2.4).  So the blocks are large (_BLOCK values); a full
-one takes about 1.2 ms as CSV, a third of it in bytes.translate, and
-2.0 ms as JSON.  Every array of the kernel is one quantity or one 64-bit
+one takes about 1.0 ms as CSV, a fifth of it in bytes.translate, and
+1.9 ms as JSON.  Every array of the kernel is one quantity or one 64-bit
 word of each value of the block, in one dimension, and stays below
 glibc's 128 KiB mmap threshold: a (3, n) or (4, n) stack would cross it
 and be mapped, faulted in and unmapped again in every block.  Besides
