@@ -14,7 +14,7 @@ from .multilayer import (LayerStack, WaveCoefficients, coefficients,
                          homogeneous_field, stack_field_evaluator)
 from .oracle import (QuadratureSpec, absorbed_power, energy_balance,
                      flux_through_sphere)
-from .rates import (RateReport, angular_radiation, delta_sc, external_dipole,
+from .rates import (RateReport, angular_radiation, external_dipole,
                     external_power, gamma0_loc, gamma0_macroscopic,
                     gamma_hat_total, gamma_sc, gamma_sc_loc,
                     identity_rep_decomposition, lorentz_factor,
@@ -34,7 +34,7 @@ __all__ = [
     "stack_field_evaluator",
     "QuadratureSpec", "absorbed_power", "energy_balance",
     "flux_through_sphere",
-    "RateReport", "angular_radiation", "delta_sc", "external_dipole",
+    "RateReport", "angular_radiation", "external_dipole",
     "external_power", "gamma0_loc", "gamma0_macroscopic",
     "gamma_hat_total", "gamma_sc", "gamma_sc_loc",
     "identity_rep_decomposition", "lorentz_factor", "onsager_factor",

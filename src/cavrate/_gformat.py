@@ -46,7 +46,6 @@ reuses it.
 
 import functools
 import json
-import math
 
 import numpy as np
 
@@ -72,23 +71,15 @@ def _split(a):
 
 def _powers():
     """Rows hi, hi's two halves and lo, with 10**(16 - E) = hi + lo to
-    about 2**-106 at E - _E_MIN, from exact integer arithmetic."""
+    about 2**-106 at E - _E_MIN, each a correctly rounded int / int."""
     hi, lo = [], []
-    power = 10 ** (_E_MAX - 16)
-    for k in range(16 - _E_MAX, 0):     # 10**k = 1 / power
-        h = float(f"1e{k}")             # correctly rounded; so is int / int
-        num, den = h.as_integer_ratio()
-        hi.append(h)
-        # 10**k - h = (den - num * power) / power / den, den a power of 2
-        lo.append(math.ldexp((den - num * power) / power,
-                             1 - den.bit_length()))
-        power //= 10
-    for k in range(17 - _E_MIN):        # power = 10**k
-        hi.append(float(power))
-        lo.append(float(power - int(hi[-1])))
-        power *= 10
-    hi = np.array(hi[::-1])
-    return np.array([hi, *_split(hi), lo[::-1]])
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        n, d = (num / den).as_integer_ratio()
+        hi.append(n / d)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    return np.array([hi, *_split(hi), lo])
 
 
 def _text(chars: bytes) -> int:

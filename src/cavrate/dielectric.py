@@ -50,11 +50,6 @@ class ComplexPermittivity:
     eta: float
     kappa: float
 
-    @classmethod
-    def from_eps(cls, eps: complex) -> "ComplexPermittivity":
-        eta, kappa = eta_kappa(eps)
-        return cls(eps=eps, eta=eta, kappa=kappa)
-
 
 @dataclass(frozen=True)
 class LorentzMedium:
@@ -93,5 +88,5 @@ def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
         raise DomainError(f"omega = {smallest(omega):g} must be > 0")
     den = medium.omega0 ** 2 - omega ** 2 - 1j * omega * medium.gamma
     eps = medium.eps_b + medium.Omega ** 2 / den
-    return ComplexPermittivity.from_eps(eps)
+    return ComplexPermittivity(eps, *eta_kappa(eps))
 

@@ -15,6 +15,7 @@ of the free-space radiated power W_free = c k0**4 / 3 of the unit dipole.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ from .errors import DomainError, QuadratureFailure
 
 _GAUSS_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-_GL_THETA = np.arccos(_GL_NODES)
+# math.acos: numpy's AVX-512 arccos moves a last bit, and the battery with it
+_GL_THETA = np.array([math.acos(x) for x in _GL_NODES])
 # radial panels: the 16-node rule's nodes and weights, then the 32-node rule's
 _PANEL_NODES, _PANEL_WEIGHTS = map(np.concatenate, zip(
     np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(32)))

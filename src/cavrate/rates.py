@@ -40,10 +40,10 @@ def lorentz_factor(eps: complex) -> float:
 
 
 # the _kernels take root = sqrt(eps), abs2 = |eps|**2 and _real_cavity(eps)
-def _real_cavity(eps):
+def _real_cavity(eps, m=Mixed):
     """(den, |den|, |3 eps/den|**2), den = 2 eps + 1, off its pole."""
     den = 2 * eps + 1
-    if smallest(abs_den := abs(den)) < _ONSAGER_POLE_TOL:
+    if m.smallest(abs_den := abs(den)) < _ONSAGER_POLE_TOL:
         raise DomainError("real-cavity factor has a pole at eps = -1/2")
     return den, abs_den, abs(3 * eps / den) ** 2
 
@@ -195,12 +195,6 @@ def gamma_sc(eps: complex, eps_ext: complex, radius: float,
     return _bare_sphere(eps, eps_ext, radius, k0)[0]
 
 
-def delta_sc(eps: complex, eps_ext: complex, radius: float,
-             k0: float) -> float:
-    """Cavity-induced level shift of the bare sphere: Im[sqrt(eps) c1]/2."""
-    return _bare_sphere(eps, eps_ext, radius, k0)[1]
-
-
 def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
                            delta_sc_hat: float) -> float:
     """Local-field-corrected cavity rate from the bare-sphere rate and shift.
@@ -250,7 +244,7 @@ def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
     lhs = _c1_weight(eps, root, den).real
     rhs = factor * root.real - 18 * eps.imag * (
         (2 * abs(eps) ** 2 + eps.real) * root.imag + eps.imag * root.real
-    ) / abs_den ** 4
+    ) / (abs_den * abs_den) ** 2  # not ** 4: AVX-512's pow moves a bit
     return lhs, rhs
 
 
@@ -341,7 +335,7 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     g_sc, d_sc, coeffs, root, root_ext = _bare_sphere(eps, eps_ext, radius,
                                                       k0, m)
     abs2 = abs(eps) ** 2
-    den, abs_den, factor = _real_cavity(eps)
+    den, abs_den, factor = _real_cavity(eps, m)
     g_sc_loc = _gamma_sc_loc(eps, root, den, coeffs.c1)
     g0 = _gamma0(eps, root.real, abs2, k0, r_m, m)
     x = _expansion_guard(k0, r_c, "rate_report", m)

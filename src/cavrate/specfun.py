@@ -1,4 +1,4 @@
-"""Spherical Bessel/Hankel functions of orders 0 and 1 for complex argument.
+"""Spherical Bessel/Hankel functions of order 1 for complex argument.
 
 Only the closed forms needed by the electric-dipole problem are provided,
 together with d/dz [z f(z)] (the combination entering the tangential-field
@@ -6,9 +6,9 @@ boundary conditions).  Every function takes a complex scalar or a numpy
 array of arguments.  All functions are pure and thread-safe.
 
 Amplitudes and fields use only j1_scaled, through the scaled-wave kernel
-of multilayer.  The unscaled waves (sph_j1, riccati_j1, sph_h*_0, sph_h*_1,
-riccati_h*) are the reference route only: the N = 2 and N = 3 closed forms
-and the battery's Hankel identities.
+of multilayer.  The unscaled waves (sph_j1, riccati_j1, sph_h*_1,
+riccati_h*) are the reference route only: the N = 2 and N = 3 closed
+forms and the battery's Hankel identities.
 """
 
 from ._elementwise import elementwise
@@ -44,21 +44,9 @@ def sph_j1(z, m):
 
 
 @_hankel
-def sph_h1_0(z, m):
-    """h0(z) of the first kind: -i e^{iz}/z."""
-    return -1j * m.exp(1j * z) / z
-
-
-@_hankel
 def sph_h1_1(z, m):
     """h1(z) of the first kind: -(e^{iz}/z)(1 + i/z)."""
     return -(m.exp(1j * z) / z) * (1 + 1j / z)
-
-
-@_hankel
-def sph_h2_0(z, m):
-    """h0(z) of the second kind: +i e^{-iz}/z."""
-    return 1j * m.exp(-1j * z) / z
 
 
 @_hankel

@@ -3,7 +3,8 @@
 Each check compares an analytic expression against an independent route
 (numerical quadrature, the layer recursion, an algebraic identity, a limit)
 and records the worst measured error against its tolerance.  The battery
-is deterministic: random samples come from a seeded generator.  A sampled
+is deterministic: random samples come from a seeded generator, and its
+report reads the same under numpy's AVX2 and AVX-512 kernels.  A sampled
 check draws all its samples in one block, in the order of one draw after
 another, and evaluates each route once on the arrays of samples.  A NaN
 error counts as the worst: its check fails.
@@ -87,10 +88,10 @@ def check_specfun_identities(rng) -> list[CheckResult]:
     z = rng.uniform((-10, -5), (10, 5), size=(100, 2)).view(complex).ravel()
     z = z[(0.05 < abs(z)) & (abs(z) < 30)]
     h1, h2 = sf.sph_h1_1(z), sf.sph_h2_1(z)
-    dh1 = sf.sph_h1_0(z) - 2 * h1 / z   # d/dz h1^(1)_1
-    dh2 = sf.sph_h2_0(z) - 2 * h2 / z
-    target = -2j / (z * z)
-    wronskian = abs(h1 * dh2 - h2 * dh1 - target) / abs(target)
+    # z W{h1, h2} = -2i/z (A&S 10.1.6), on the Riccati waves d/dz [z h]
+    target = -2j / z
+    wronskian = abs(h1 * sf.riccati_h2(z) - h2 * sf.riccati_h1(z) - target) \
+        / abs(target)
     total = h1 + h2
     superposition = abs(total - 2 * sf.sph_j1(z)) \
         / np.maximum(abs(total), 1e-30)
@@ -308,34 +309,29 @@ DEFAULT_SEED = 20260810
 def run_battery(config=None, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run every invariant check and collect the results.
 
-    config (a SweepConfig) supplies the medium and geometry for the
-    system-specific checks; without one, the reference sphere (eps obtained
-    at the absorption resonance of the standard oscillator) is used.  A
-    check that fails numerically (an ArithmeticError such as OverflowError,
-    a QuadratureFailure or a DomainError) is recorded as a failed check in
-    its place, one per name it reports and under the names of a passing
-    run, so the report always holds the same verdicts.
+    config (a SweepConfig, by default SweepConfig(), the fig3 sphere)
+    supplies the medium and geometry for the system-specific checks, at
+    the medium's resonance.  A check that fails numerically (an
+    ArithmeticError such as OverflowError, a QuadratureFailure or a
+    DomainError) is recorded as a failed check in its place, one per name
+    it reports and under the names of a passing run, so the report always
+    holds the same verdicts.
     """
+    if config is None:
+        from .cli import SweepConfig  # cli imports this module
+        config = SweepConfig()
     rng = np.random.default_rng(seed)
-    reference_eps = 5 + 2.5j
-    if config is not None:
-        medium = config.medium
-        omega = medium.omega0
-        eps = eval_lorentz(medium, omega).eps
-        radius = config.sphere_radius
-        k0 = omega
-        r_c = config.onsager_radius(omega)
-        eps_ext = config.eps_ext
-        if r_c >= radius:
-            raise ConfigError(
-                f"cavity radius {r_c:g} reaches the sphere radius "
-                f"{radius:g} at the resonance frequency")
-    else:
-        eps, radius, k0, r_c, eps_ext = reference_eps, 2.0, 1.0, \
-            0.2 * math.pi, 1.0
+    k0 = config.medium.omega0  # the resonance, with k0 = omega
+    eps = eval_lorentz(config.medium, k0).eps
+    radius, eps_ext = config.sphere_radius, config.eps_ext
+    r_c = config.onsager_radius(k0)
+    if r_c >= radius:
+        raise ConfigError(
+            f"cavity radius {r_c:g} reaches the sphere radius "
+            f"{radius:g} at the resonance frequency")
     # order checks need a visibly absorbing medium (the linear residual
-    # terms carry the absorption); fall back to the reference otherwise
-    eps_orders = eps if abs(eps.imag) > 0.05 * abs(eps) else reference_eps
+    # terms carry the absorption); fall back to fig3's eps otherwise
+    eps_orders = eps if abs(eps.imag) > 0.05 * abs(eps) else 5 + 2.5j
 
     # in report order: the names a check reports, the check, looked up
     # now so that a replaced verify.check_* runs, and its arguments

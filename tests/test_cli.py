@@ -376,6 +376,7 @@ class TestSweepRows:
         back[300]["gamma_hat"] *= 1 + 1e-15
         assert rows != back and back != rows
         assert rows != back[:-1]
+        assert (rows == 3) is False and (rows != 3) is True
 
     @pytest.mark.parametrize("columns", [("kappa",), ("eta",)])
     def test_sweep_without_an_omega_column(self, columns):
@@ -820,6 +821,17 @@ verify = false
         with pytest.raises(ConfigError, match="omega_min"):
             cli.load_config_file(str(path))
 
+    def test_bad_boolean_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[output]\nverify = maybe\n")
+        with pytest.raises(ConfigError, match="not a boolean: 'maybe'"):
+            cli.load_config_file(str(path))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: [output] verify = "
+                                "'maybe': not a boolean: 'maybe'\n")
+        assert captured.out == ""
+
     def test_empty_columns_are_config_error(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="no output columns"):
             quick_config(columns=())
@@ -981,7 +993,9 @@ class TestVerifyBattery:
         (rates, "p_eff_expansion", ("expansion_order_p_eff",
                                     "expansion_order_gamma0_loc",
                                     "expansion_order_central_c1")),
-        (specfun, "sph_h1_0", ("hankel_wronskian", "hankel_superposition")),
+        # the closed forms read every wave of the Wronskian too
+        (specfun, "riccati_h2", ("hankel_wronskian", "hankel_superposition",
+                                 "solver_matches_closed_forms")),
     ])
     def test_numeric_failure_of_a_list_check_keeps_every_name(
             self, monkeypatch, module, name, failing):
@@ -1125,8 +1139,8 @@ class TestVerifyBattery:
             c1=k0 * math.nan, c_plus=(k0 + 0j,) * len(stack.radii),
             c_minus=(0j,) * len(stack.radii)),
          {"solver_matches_closed_forms"}),
-        (specfun, "sph_h1_0", lambda z: z * math.nan,
-         {"hankel_wronskian"}),
+        (specfun, "riccati_h2", lambda z: z * math.nan,
+         {"hankel_wronskian", "solver_matches_closed_forms"}),
         (specfun, "sph_j1", lambda z: z * math.nan,
          {"hankel_superposition"}),
         (verify_mod, "sqrt_eps", lambda eps: eps * math.nan,
@@ -1134,7 +1148,8 @@ class TestVerifyBattery:
         (verify_mod, "eta_kappa", lambda eps: (eps.real * math.nan,) * 2,
          {"lossless_collapse"}),
         (rates, "_real_cavity",
-         lambda eps: (2 * eps + 1, abs(2 * eps + 1), abs(eps) * math.nan),
+         lambda eps, *route: (2 * eps + 1, abs(2 * eps + 1),
+                              abs(eps) * math.nan),
          {"external_field_scaling", "lossless_collapse",
           "cavity_rate_forms_agree"}),
     ])
@@ -1202,6 +1217,20 @@ class TestMain:
                          "--out", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())) == 3
+
+    def test_all_columns_write_the_default_bytes(self, tmp_path):
+        default, every = tmp_path / "default.cfg", tmp_path / "all.cfg"
+        default.write_text("[sweep]\nomega_count = 9\n")
+        every.write_text("[sweep]\nomega_count = 9\n[output]\ncolumns = all\n")
+        texts = []
+        for args in (["--config", str(default)], ["--config", str(every)],
+                     ["--config", str(default), "--columns", "all"],
+                     ["--config", str(every), "--columns", " ALL "]):
+            out = tmp_path / "rows.csv"
+            assert cli.main(["sweep", *args, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[1:] == texts[:1] * 3
+        assert len(texts[0].splitlines()) == 10
 
     def test_bad_preset_is_config_error(self, capsys):
         assert cli.main(["sweep", "--preset", "fig9"]) == 1

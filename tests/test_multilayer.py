@@ -78,6 +78,8 @@ class TestLayerStack:
         assert stack.layer_at(2.0) == 3
         assert stack.layer_at(7.0) == 3
         assert stack.n_layers == 3
+        with pytest.raises(DomainError, match="non-negative"):
+            stack.layer_at(-1.0)
 
 
 class TestWaveCoefficients:
@@ -482,6 +484,13 @@ class TestFields:
                                       include_source=source)
         inside = ml.field_in_layer(stack, coeffs, 0.99 * limit, 0.7, k0)
         assert all(np.isfinite(x) for x in inside)
+
+    def test_named_layer_must_exist(self):
+        stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))
+        coeffs = ml.coefficients(stack, 1.0)
+        for layer in (0, 4):
+            with pytest.raises(DomainError, match=r"layer .* outside 1\.\.3"):
+                ml.field_in_layer(stack, coeffs, 1.0, 0.3, 1.0, layer=layer)
 
     def test_radius_arrays_must_stay_in_one_layer(self):
         stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))

@@ -50,7 +50,7 @@ class TestLocalFieldFactors:
             rates.gamma_sc_loc(-0.5, 1.0, 2.0, 1.0)
         assert rates.gamma_sc(-0.5, 1.0, 2.0, 1.0) \
             == pytest.approx(0.20907, abs=1e-5)
-        assert rates.delta_sc(-0.5, 1.0, 2.0, 1.0) \
+        assert rates._bare_sphere(-0.5, 1.0, 2.0, 1.0)[1] \
             == pytest.approx(0.11661, abs=1e-5)
 
 
@@ -78,6 +78,11 @@ class TestGamma0Macroscopic:
 class TestW0:
     def test_lossless_cutoff_value(self):
         assert rates.w0_cutoff(4.0, 1.0, 0.37) == pytest.approx(2.0, rel=1e-15)
+
+    def test_cutoff_must_be_positive(self):
+        for r_c in (0.0, np.array([0.1, 0.0])):
+            with pytest.raises(DomainError, match="r_c must be positive"):
+                rates.w0_cutoff(EPS_RES, 1.0, r_c)
 
     def test_matches_poynting_oracle(self, rng):
         for eps in passive_eps_samples(rng, 5):
@@ -213,7 +218,8 @@ class TestGammaHatTotal:
 class TestCavityRates:
     def test_no_sphere_no_rate(self):
         assert rates.gamma_sc(3.0, 3.0, 2.0, 1.0) == pytest.approx(0, abs=1e-14)
-        assert rates.delta_sc(3.0, 3.0, 2.0, 1.0) == pytest.approx(0, abs=1e-14)
+        assert rates._bare_sphere(3.0, 3.0, 2.0, 1.0)[1] \
+            == pytest.approx(0, abs=1e-14)
 
     def test_radius_sits_near_first_peak(self):
         # lossless reference sphere: the first local maximum of the
@@ -457,7 +463,7 @@ class TestRateReport:
         assert report.gamma0_hat == rates.gamma0_macroscopic(eps, k0, r_m)
         assert report.gamma0_loc_hat == rates.gamma0_loc(eps, k0, r_c)
         assert report.gamma_sc_hat == rates.gamma_sc(*bare)
-        assert report.delta_sc_hat == rates.delta_sc(*bare)
+        assert report.delta_sc_hat == rates._bare_sphere(*bare)[1]
         assert report.gamma_sc_loc_hat == rates.gamma_sc_loc(*bare)
         assert report.onsager_factor == rates.onsager_factor(eps)
         assert report.lorentz_factor == rates.lorentz_factor(eps)
@@ -539,7 +545,7 @@ class TestRateReport:
         (rates.w0_cutoff, (0.2,)), (rates.w0_expanded, (0.2,)),
         (rates.p_eff_expansion, (0.2,)),
         (lambda e, k: rates.gamma_sc(e, 1.0, 2.0, k), ()),
-        (lambda e, k: rates.delta_sc(e, 1.0, 2.0, k), ()),
+        (lambda e, k: rates._bare_sphere(e, 1.0, 2.0, k)[1], ()),
         (lambda e, k: rates.gamma_sc_loc(e, 1.0, 2.0, k), ()),
         (lambda e, k: ml.coeffs_three_layer(1.0, e, 1.0, 0.3, 2.0, k).c1, ()),
         (lambda e, k: vars(rates.rate_report(e, 1.5, 2.0, 0.2, 0.3, k)), ()),
@@ -645,7 +651,6 @@ NUMBER_CALLS = {
     "p_eff_expansion": (_GEOMETRY, complex),
     "gamma_hat_total": ((cavity_stack(EPS_RES), 1.0), float),
     "gamma_sc": (_BARE, float),
-    "delta_sc": (_BARE, float),
     "gamma_sc_loc": (_BARE, float),
     "gamma_sc_loc_from_bare": ((EPS_RES, 0.2, 0.1), float),
     "identity_rep_decomposition": ((EPS_RES,), (float, float)),
