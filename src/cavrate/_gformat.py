@@ -8,7 +8,9 @@ digits D = round(|x| * 10**(16 - E)) from Dekker's exact two-product of x
 with a double-double table of powers of ten (T. J. Dekker, Numer. Math.
 18, 224 (1971)), a whole block at a time.  The product is known to about
 2**-40 of a unit, so the rounding is certain unless the fraction lies
-within 2**-20 of one half.
+within 2**-20 of one half.  Where 10**(16 - E) is itself a double, for E
+from -6 to 16, the product is exact, and so is every rounding, ties
+included.
 
 repr writes the fewest digits that read back as x, the nearest to x among
 them.  The same product, with the half gaps to the neighbouring doubles
@@ -224,8 +226,15 @@ def _decimal(x, shortest):
         d, sure = _shortest(ax, i, d, frac)
         certified &= sure
     else:
-        certified &= np.abs(frac - 0.5) >= _DOUBT
+        near = np.abs(frac - 0.5) < _DOUBT
         d += frac > 0.5
+        if near.any():
+            # where 10**(16 - E) is a double (lo is 0: E in -6..16) the
+            # product is exact, and a tie is a true one: to the even digit
+            near = np.flatnonzero(near)
+            exact = _POWERS[3].take(i[near]) == 0
+            certified[near] &= exact
+            d[near] += exact & (frac[near] == 0.5) & (d[near] % 2 == 1)
     carry = d == 10 ** 17
     if carry.any():
         d[carry] = 10 ** 16

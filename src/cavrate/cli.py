@@ -7,8 +7,8 @@ one numpy SIMD level only: the X86_V2 baseline moves last bits that AVX2
 and AVX-512 agree on.  Built-in presets reproduce the standard parameter
 sets (absorbing sphere of background constant 5, radius 2 c/omega0, in
 air), differing in the local-field cavity radius.  A sweep whose grid
-leaves the small-cavity range warns once, from its rates, naming the
-largest k0*r_c it evaluates.
+leaves the small-cavity range warns once, naming the largest k0*r_c, the
+x_c of its rate reports.
 
 Exit codes: 0 success, 1 configuration or output error (an output file
 that cannot be written, or a reader that closes the pipe; an --out in a
@@ -32,7 +32,7 @@ import numpy as np
 from . import verify as verify_mod
 from .dielectric import LorentzMedium, eval_lorentz
 from .errors import ConfigError, DomainError, QuadratureFailure
-from .rates import rate_report
+from .rates import _warn_outside_range, rate_report
 
 COLUMNS = (
     "omega", "eps_re", "eps_im", "eta", "kappa",
@@ -149,12 +149,14 @@ def get_preset(name: str) -> SweepConfig:
 
 def sweep_row(config: SweepConfig, omega):
     """All reportable quantities at one frequency, or as columns over an
-    array of frequencies."""
+    array of frequencies; warns once if the largest k0*r_c of the call is
+    outside the small-cavity range."""
     perm = eval_lorentz(config.medium, omega)
     k0 = omega  # lengths in c/omega0, frequencies in omega0
     report = rate_report(perm.eps, config.eps_ext, config.sphere_radius,
                          config.onsager_radius(omega),
                          config.rm_radius(omega), k0)
+    _warn_outside_range(report.x_c, "rate_report")
     row = dict(vars(report), omega=omega, eps_re=perm.eps.real,
                eps_im=perm.eps.imag, eta=perm.eta, kappa=perm.kappa,
                gamma_hat=report.gamma_hat,

@@ -27,8 +27,8 @@ from operator import sub
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import (Numbers, exp, guard_im, largest, peak_ratio,
-                           positive, route, smallest)
+from ._elementwise import (Mixed, Numbers, exp, guard_im, largest,
+                           peak_ratio, positive, route, smallest)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -45,17 +45,20 @@ class LayerStack:
     layer permittivities, innermost first.  Each is a number, kept as float
     or complex, or a numpy array with one entry per sample; a bad sample
     raises as a bad number would.  A stack of arrays is neither hashable
-    nor comparable.
+    nor comparable.  It keeps the route (over radii and eps together) and
+    the widths that validating it decides, for solves at a float k0.
     """
 
     radii: tuple[float | np.ndarray, ...]
     eps: tuple[complex | np.ndarray, ...]
+    _route: type = field(init=False, repr=False, compare=False)
+    _widths: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, radii, eps):
         radii, eps = tuple(radii), tuple(eps)
         if np.ndarray in {*map(type, radii), *map(type, eps)}:
             radii, eps = _entries(radii, float), _entries(eps, complex)
-            m = route(radii, ())
+            m = Mixed
         else:
             radii, eps = tuple(map(float, radii)), tuple(map(complex, eps))
             m = Numbers
@@ -65,7 +68,8 @@ class LayerStack:
             raise DomainError(
                 f"need len(eps) == len(radii) + 1 >= 2, got "
                 f"{len(eps)} permittivities for {len(radii)} radii")
-        _widths(radii, m)
+        object.__setattr__(self, "_route", m)
+        object.__setattr__(self, "_widths", _widths(radii, m))
 
     @property
     def n_layers(self) -> int:
@@ -123,7 +127,7 @@ def _entries(values, kind):
 def _widths(radii, m):
     """The layer widths r_1, r_2 - r_1, ... on route m; DomainError unless
     the radii are positive and increasing, that is every width is > 0."""
-    widths = [radii[0], *map(sub, radii[1:], radii)]
+    widths = (radii[0], *map(sub, radii[1:], radii))
     if not all(map(m.positive, widths)):
         raise DomainError("the radii must be positive and increasing")
     return widths
@@ -226,19 +230,25 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is a LayerStack, or any
     object with radii and eps; each radius, each permittivity and k0 may
     be an (F,) array, and the amplitudes then hold one entry per sample.
+    Only a LayerStack at a float k0 skips the route and width checks.
     """
-    return _amplitudes(stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0)
+    m = gaps = None
+    if isinstance(stack, LayerStack) and type(k0) is float:
+        m, gaps = stack._route, stack._widths
+    return _amplitudes(stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0,
+                       m, gaps)
 
 
-def _amplitudes(radii, eps, roots, k0, m=None) -> WaveCoefficients:
+def _amplitudes(radii, eps, roots, k0, m=None, gaps=None) -> WaveCoefficients:
     """coeffs_general_n's recursion, given each layer's sqrt(eps) in roots
     (an iterable, read once the radii and k0 have passed their checks), on
-    the route m of the caller or, without one, of these inputs."""
+    the route m of the caller or, without one, of these inputs; gaps, if
+    given, are the layer widths the caller has checked."""
     # the roots, sqrt_eps of eps, are complex numbers unless eps has arrays
     m = m or route((k0, *radii), eps)
     if not m.positive(k0):
         raise DomainError("k0 must be positive")
-    gaps = _widths(radii, m)
+    gaps = gaps or _widths(radii, m)
     last = len(radii) - 1
     ks = [root * k0 for root in roots]
     exp, smallest = m.exp, m.smallest

@@ -53,18 +53,21 @@ def onsager_factor(eps: complex) -> float:
     return _real_cavity(eps)[2]
 
 
-def _expansion_guard(k0: float, r_c: float, what: str, m=Mixed) -> float:
-    """k0 r_c, for a positive r_c; warns outside the small-cavity range."""
+def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
+    """k0 r_c, for a positive r_c."""
     if m.smallest(r_c) <= 0:
         raise DomainError("r_c must be positive")
-    x = k0 * r_c
-    x_max = m.largest(x)
-    if x_max >= EXPANSION_LIMIT:
+    return k0 * r_c
+
+
+def _warn_outside_range(x, what: str) -> None:
+    """Warn, as what, if k0 r_c = x or its largest element is outside the
+    small-cavity range; the warning names the line that called the caller."""
+    if (x_max := largest(x)) >= EXPANSION_LIMIT:
         warnings.warn(
             f"{what}: k0*r_c = {x_max:.3g} is outside the small-cavity range "
             f"(< {EXPANSION_LIMIT:g}); omitted orders may reach percents",
             ExpansionRangeWarning, stacklevel=3)
-    return x
 
 
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
@@ -124,7 +127,8 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    x = _expansion_guard(k0, r_c, "w0_expanded")
+    x = _cavity_x(k0, r_c)
+    _warn_outside_range(x, "w0_expanded")
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
         - (2 / 3) * (eta * eps.imag + kappa * eps.real)
@@ -138,7 +142,8 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    x = _expansion_guard(k0, r_c, "gamma0_loc")
+    x = _cavity_x(k0, r_c)
+    _warn_outside_range(x, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
     return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
 
@@ -159,7 +164,8 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    x = _expansion_guard(k0, r_c, "p_eff_expansion")
+    x = _cavity_x(k0, r_c)
+    _warn_outside_range(x, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
     cubic = (2 / 3) * (eps * sqrt_eps(eps)) * (eps - 1) / den  # eps^{3/2}
@@ -184,7 +190,11 @@ def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     shift Im[sqrt(eps) c1]/2, its amplitudes, sqrt(eps) and sqrt(eps_ext):
     each root is formed once, and the amplitude recursion takes them."""
     roots = sqrt_eps(eps), sqrt_eps(eps_ext)
-    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0, m)
+    m = m or route((k0, radius), (eps, eps_ext))
+    # the one width is the radius; a bad one is left to the engine, which
+    # checks k0 first
+    width = (radius,) if m.positive(radius) else None
+    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0, m, width)
     root_c1 = roots[0] * coeffs.c1
     return root_c1.real, 0.5 * root_c1.imag, coeffs, *roots
 
@@ -304,7 +314,8 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
 @dataclass
 class RateReport:
     """All normalized rates and shifts for one frequency and geometry, in
-    a plain record: nothing assigns to a field after construction."""
+    a plain record: nothing assigns to a field after construction.  x_c is
+    k0 r_c, whose range the report's caller checks (EXPANSION_LIMIT)."""
 
     gamma0_hat: float
     gamma0_loc_hat: float
@@ -316,6 +327,7 @@ class RateReport:
     w_ext_loc_hat: float
     onsager_factor: float
     lorentz_factor: float
+    x_c: float
 
     @property
     def gamma_hat(self) -> float:
@@ -329,7 +341,8 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
 
     eps is the sphere permittivity, eps_ext the host, radius the sphere
     radius; r_c is the empty-cavity radius of the local-field model and r_m
-    the regularization distance of the macroscopic rate.
+    the regularization distance of the macroscopic rate.  It issues no
+    ExpansionRangeWarning, however large k0 r_c (its x_c) is.
     """
     m = route((radius, r_c, r_m, k0), (eps, eps_ext))
     g_sc, d_sc, coeffs, root, root_ext = _bare_sphere(eps, eps_ext, radius,
@@ -338,10 +351,10 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     den, abs_den, factor = _real_cavity(eps, m)
     g_sc_loc = _gamma_sc_loc(eps, root, den, coeffs.c1)
     g0 = _gamma0(eps, root.real, abs2, k0, r_m, m)
-    x = _expansion_guard(k0, r_c, "rate_report", m)
+    x = _cavity_x(k0, r_c, m)
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
                           _moment(eps, eps_ext, coeffs), m)
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
-                      w_ext, factor * w_ext, factor, lorentz_factor(eps))
+                      w_ext, factor * w_ext, factor, lorentz_factor(eps), x)

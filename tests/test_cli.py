@@ -579,6 +579,28 @@ class TestCsvFormat:
         assert 300 < sum(down) < len(down) - 300
         self.assert_per_value_bytes(ulps_around(ties, 1).ravel(), ("eta",))
 
+    def test_exact_ties_are_certified(self):
+        # n + m / 2**(17 - E) with m odd and 10**E <= n < 10**(E + 1) has
+        # 18 significant digits, the last a 5; below 2**51 it is a double.
+        # From E = 12 to 15, 10**(16 - E) is a double, so the kernel's
+        # product is exact and the tie certain
+        rng = np.random.default_rng(12)
+        rows = _gformat._BLOCK // 17
+        e = rng.integers(12, 16, (rows, 17))
+        n = rng.integers(10 ** e, np.where(e == 15, 2, 10) * 10 ** e)
+        scale = 2 ** (17 - e)
+        m = 2 * rng.integers(0, scale // 2) + 1
+        ties = (n + m / scale) * rng.choice([-1.0, 1.0], e.shape)
+        ties[0, :2] = 1e14 + 0.125, 1e14 + 0.375
+        assert ["%.17g" % t for t in ties[0, :2]] \
+            == ["100000000000000.12", "100000000000000.38"]
+        assert all(Decimal(t).as_tuple().digits[-1] == 5
+                   and len(Decimal(t).as_tuple().digits) == 18
+                   for t in ties.ravel().tolist())
+        _, _, certified = _gformat._decimal(ties.ravel(), False)
+        assert certified.all()
+        self.assert_per_value_bytes(ties)
+
     def test_zero_columns(self):
         rng = np.random.default_rng(3)
         table = rng.standard_normal((300, 17))

@@ -347,6 +347,44 @@ class TestGeneralSolver:
                 a = np.broadcast_to(a, scales.shape)[i]
                 assert abs(a - b) <= 1e-13 * max(1, abs(b))
 
+    @pytest.mark.parametrize("eps", [
+        (1.0, 5 + 2.5j, 1.5 + 0.2j), (1.0, np.array([5 + 2.5j, 4 + 1j]), 1.0)],
+        ids=["numbers", "array_eps"])
+    def test_stack_solve_reuses_its_validation(self, monkeypatch, eps):
+        """A LayerStack decides its route, over the radii and eps together,
+        and checks its widths once; a solve at a float k0 repeats neither.
+        Number radii with an array eps take the Mixed route."""
+        from cavrate import _elementwise
+        stack = ml.LayerStack((0.5, 1.0), eps)
+        plain = SimpleNamespace(radii=stack.radii, eps=stack.eps)
+        expected = ml.coeffs_general_n(stack, 1.1)
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        for module, name in ((_elementwise, "route"), (ml, "route"),
+                             (ml, "_widths")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        assert repr(ml.coeffs_general_n(stack, 1.1)) == repr(expected)
+        assert calls == []
+        # a plain object, or an array k0, is validated in the solve
+        assert repr(ml.coeffs_general_n(plain, 1.1)) == repr(expected)
+        assert calls == ["route", "_widths"]
+        ml.coeffs_general_n(stack, np.array([1.1, 1.2]))
+        assert calls == ["route", "_widths"] * 2
+        if isinstance(eps[1], np.ndarray):
+            for i, e in enumerate(eps[1].tolist()):
+                one = ml.coeffs_general_n(
+                    ml.LayerStack(stack.radii, (1.0, e, 1.0)), 1.1)
+                for a, b in coeff_pairs(expected, one):
+                    a = np.broadcast_to(a, eps[1].shape)[i]
+                    assert abs(a - b) <= 1e-13 * max(1, abs(b))
+
     def test_closed_forms_satisfy_continuity(self, rng):
         """Substituting the closed forms back into the boundary conditions."""
         for _ in range(10):

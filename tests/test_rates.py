@@ -468,18 +468,43 @@ class TestRateReport:
         assert report.onsager_factor == rates.onsager_factor(eps)
         assert report.lorentz_factor == rates.lorentz_factor(eps)
 
-    @pytest.mark.parametrize("r_c, count", [
-        (0.2, 0), (0.2999, 0), (0.3, 1), (0.63, 1),
-        (np.array([0.1, 0.2]), 0), (np.array([0.1, 0.4, 0.5]), 1)],
+    @pytest.mark.parametrize("r_c", [
+        0.2, 0.2999, 0.3, 0.63, np.array([0.1, 0.2]),
+        np.array([0.1, 0.4, 0.5])],
         ids=["below", "just_below", "at_limit", "above", "array_below",
              "array_partly_above"])
-    def test_one_expansion_warning_per_report(self, r_c, count):
+    def test_one_expansion_warning_per_report(self, r_c):
+        # a report carries k0*r_c and never warns, in range or out of it;
+        # a sweep warns once from its largest x_c (test_cli)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            rates.rate_report(EPS_RES, 1.0, 2.0, r_c, 0.2, 1.0)
-        assert [w.category for w in record] == [ExpansionRangeWarning] * count
-        # the warning names the line that asked for the report
-        assert all(w.filename == __file__ for w in record)
+            report = rates.rate_report(EPS_RES, 1.0, 2.0, r_c, 0.2, 1.0)
+        assert record == []
+        assert np.array_equal(report.x_c, 1.0 * r_c)
+
+    def test_scalar_report_loop_issues_no_warning(self):
+        # fig3's cavity at k0 across 0.2..2: x_c runs from 0.126 to 1.26
+        # and is out of range at 253 of the 300 points; Python's default
+        # filter shows each distinct message once, 212 of them here
+        r_c = 0.2 * math.pi
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            reports = [rates.rate_report(EPS_RES, 1.0, 2.0, r_c, r_c, k0)
+                       for k0 in np.linspace(0.2, 2.0, 300).tolist()]
+        assert record == []
+        assert sum(r.x_c >= rates.EXPANSION_LIMIT for r in reports) == 253
+
+    @pytest.mark.parametrize("k0, r_c", [
+        (1.1, 0.2), (0.7, 0.2 * math.pi),
+        (np.linspace(0.2, 2.0, 7), 0.2 * math.pi),
+        (np.linspace(0.2, 2.0, 7), 0.2 * math.pi / np.linspace(0.2, 2.0, 7))],
+        ids=["numbers", "numbers_out_of_range", "array_k0", "arrays"])
+    def test_report_x_c_is_k0_times_r_c(self, k0, r_c):
+        report = rates.rate_report(EPS_RES, 1.0, 2.0, r_c, 0.2, k0)
+        expected = k0 * r_c
+        assert type(report.x_c) is type(expected)
+        assert np.asarray(report.x_c).tobytes() \
+            == np.asarray(expected).tobytes()
 
     def test_one_engine_call_per_report(self, monkeypatch):
         calls = []
@@ -492,6 +517,20 @@ class TestRateReport:
         monkeypatch.setattr(ml, "_amplitudes", counted)
         rates.rate_report(EPS_RES, 1.0, 2.0, 0.2 * math.pi, 0.2 * math.pi, 1.0)
         assert len(calls) == 1
+
+    def test_report_checks_its_radius_directly(self, monkeypatch):
+        calls = []
+        true_fn = ml._widths
+        monkeypatch.setattr(ml, "_widths",
+                            lambda *args: calls.append(args) or true_fn(*args))
+        rates.rate_report(EPS_RES, 1.0, 2.0, 0.2, 0.2, 1.1)
+        assert calls == []
+        # a bad radius is the engine's to name, after a bad k0
+        for radius, k0, message in ((-2.0, 1.1, "the radii"),
+                                    (math.nan, 1.1, "the radii"),
+                                    (-2.0, -1.1, "k0 must")):
+            with pytest.raises(DomainError, match=message):
+                rates.rate_report(EPS_RES, 1.0, radius, 0.2, 0.2, k0)
 
     def test_roots_formed_once_per_report(self, monkeypatch):
         # sqrt(eps) and sqrt(eps_ext), each formed once and shared with
@@ -521,7 +560,7 @@ class TestRateReport:
         assert list(vars(report)) == names == [
             "gamma0_hat", "gamma0_loc_hat", "gamma_sc_hat", "delta_sc_hat",
             "gamma_sc_loc_hat", "gamma_loc_hat", "w_ext_hat",
-            "w_ext_loc_hat", "onsager_factor", "lorentz_factor"]
+            "w_ext_loc_hat", "onsager_factor", "lorentz_factor", "x_c"]
         again = rates.RateReport(**vars(report))
         assert again == report and repr(again) == repr(report)
         assert again == rates.RateReport(*vars(report).values())
