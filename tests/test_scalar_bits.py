@@ -2,18 +2,20 @@
 
 Each value is pinned as float.hex, so any change to the order or the form
 of a scalar computation shows here, whatever its size.  The bare spheres
-span a small sphere in vacuum and in an absorbing host, a large one whose
-outputs are around 1e-35, and R = 1400, where the cavity terms underflow
-to exact zeros; the stacks are a three-layer cavity and a graded N = 8
-stack.  A digest pins every amplitude and the residual of seeded stacks
-with 2 to 32 layers, as numbers and as arrays, and the errors of a few
-inputs the amplitude engine rejects.
+span a small sphere in vacuum and in an absorbing host, one inside
+j1_scaled's series radius, a lossless one in an absorbing host, a large
+one whose outputs are around 1e-35, and R = 1400, where the cavity terms
+underflow to exact zeros; the stacks are a three-layer cavity, whose
+total rate and external power are pinned too, and a graded N = 8 stack.  A digest pins every amplitude and the residual of seeded stacks
+with 2 to 32 layers, as numbers and, in a test of its own, as arrays, and
+the errors of a few inputs the amplitude engine rejects.
 
-The array digests assume numpy's AVX2 dispatch or above (AVX2 and AVX-512
-give the same bits).  At the X86_V2 baseline, e.g. numpy 2.4.6 with
-NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR", every
-test_seeded_stack_amplitude_digest case fails on its array digest, while
-its number digest still holds.
+The number route never reaches numpy, so the number pins hold at every
+SIMD level.  The array digests assume numpy's AVX2 dispatch or above (AVX2
+and AVX-512 give the same bits).  At the X86_V2 baseline, e.g. numpy 2.4.6
+with NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR", every
+test_seeded_array_stack_amplitude_digest case fails, while every other
+test here still passes.
 """
 
 import hashlib
@@ -62,25 +64,43 @@ REPORTS = {
         "0x0.0p+0", "0x0.0p+0",
         "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
         "0x1.41b2f769cf0e0p-1"),
+    # |k1 R| = 0.236, below j1_scaled's series radius 0.5
+    (EPS_RES, 1 + 0j, 0.1, 0.05, 0.05, 1.0): (
+        "0x1.e1268a9d2e312p+9", "0x1.365067f1b7dd9p+10",
+        "0x1.3dc7484886289p+6", "0x1.578d81bc9bbd2p+7",
+        "0x1.9ea895cc72ad2p+6", "0x1.503af14e7f086p+10",
+        "0x1.5393ac1007c2bp-3", "0x1.471346d2f26f2p-2",
+        "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
+        "0x1.999999999999ap-5"),
+    (4 + 0j, 1.5 + 0.1j, 2.0, 0.2, 0.3, 1.1): (
+        "0x1.0000000000000p+1", "0x1.c71c71c71c71cp+1",
+        "0x1.04b21247a2665p+0", "-0x1.6bb8c4375502cp-4",
+        "0x1.cf7575d4aeeecp+0", "0x1.576b9658b9f49p+2",
+        "0x1.82590923d1334p+1", "0x1.576b9658b9f4ap+2",
+        "0x1.c71c71c71c71cp+0", "0x1.0000000000000p+2",
+        "0x1.c28f5c28f5c2ap-3"),
 }
 
-# ((re c1, im c1), (re c_outer, im c_outer)), residual
+# ((re c1, im c1), (re c_outer, im c_outer)), residual, then
+# (gamma_hat_total, external_power) or None
 STACKS = {
     "cavity_n3": (
         (ml.LayerStack((0.2, 2.0), (1.0, EPS_RES, 1.5 + 0j)), 1.0),
         (("0x1.68c4cf3e8d692p+4", "-0x1.2ace5a647593fp+7"),
          ("-0x1.ad7f7199e6067p-2", "0x1.c392b3b7803f4p-1")),
-        "0x1.6f4bf75987c0bp-58"),
+        "0x1.6f4bf75987c0bp-58",
+        # gamma_hat_total, external_power
+        ("0x1.78c4cf3e8d692p+4", "0x1.09d2fe9a3b02bp-1")),
     "graded_n8": (
         (graded_stack(8), 1.1),
         (("0x1.3881bf90e9ebcp+7", "-0x1.afb4e38d66510p+8"),
          ("-0x1.96936057bbc8ep-2", "0x1.b8c535c1468d6p-1")),
-        "0x1.9783cebdca9ecp-62"),
+        "0x1.9783cebdca9ecp-62", None),
 }
 
 
-@pytest.mark.parametrize("args", list(REPORTS), ids=["R2", "R2_host", "R300",
-                                                     "R1400"])
+@pytest.mark.parametrize("args", list(REPORTS), ids=[
+    "R2", "R2_host", "R300", "R1400", "R0.1_series", "lossless_in_host"])
 def test_rate_report_bits(args):
     report = rates.rate_report(*args)
     assert tuple(v.hex() for v in vars(report).values()) == REPORTS[args]
@@ -88,12 +108,15 @@ def test_rate_report_bits(args):
 
 @pytest.mark.parametrize("name", list(STACKS))
 def test_stack_amplitude_bits(name):
-    (stack, k0), amplitudes, residual = STACKS[name]
+    (stack, k0), amplitudes, residual, stack_rates = STACKS[name]
     coeffs = ml.coefficients(stack, k0)
     got = tuple((z.real.hex(), z.imag.hex())
                 for z in (coeffs.c1, coeffs.c_outer))
     assert got == amplitudes
     assert coeffs.residual.hex() == residual
+    if stack_rates is not None:
+        assert (rates.gamma_hat_total(stack, k0).hex(),
+                rates.external_power(stack, k0).hex()) == stack_rates
 
 
 # N -> sha256 over float.hex of c1, c_plus, c_minus and residual: of
@@ -139,14 +162,21 @@ def amplitude_digest(solves):
 
 @pytest.mark.parametrize("n", list(DIGESTS))
 def test_seeded_stack_amplitude_digest(n):
+    """The number half: DRAWS stacks of numbers."""
     radii, eps, k0 = seeded_stacks(n)
     numbers = [ml.coeffs_general_n(ml.LayerStack(radii, e.tolist()),
                                    float(k))
                for e, k in zip(eps, k0)]
+    assert amplitude_digest(numbers) == DIGESTS[n][0]
+
+
+@pytest.mark.parametrize("n", list(DIGESTS))
+def test_seeded_array_stack_amplitude_digest(n):
+    """The array half: one stack of (DRAWS,) arrays."""
+    radii, eps, k0 = seeded_stacks(n)
     array = ml.coeffs_general_n(
         SimpleNamespace(radii=radii, eps=tuple(eps.T)), k0)
-    assert (amplitude_digest(numbers), amplitude_digest([array])) \
-        == DIGESTS[n]
+    assert amplitude_digest([array]) == DIGESTS[n][1]
 
 
 def _overflowing(omega):
