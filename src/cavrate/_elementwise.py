@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_FLOAT, _NUMBERS = frozenset((float,)), frozenset((float, complex))
-
 
 def _range_error(kind, flag):
     raise OverflowError("math range error")  # what cmath raises
@@ -45,6 +43,17 @@ def positive(x) -> bool:
     return x > 0 if type(x) is float else bool(np.greater(x, 0).all())
 
 
+def _peak(group) -> float:
+    """The largest of a group of numbers, or its first NaN."""
+    peak = group[0]
+    for value in group:
+        if not value <= peak:  # larger, or NaN
+            peak = value
+            if value != value:
+                break
+    return peak
+
+
 def peak_ratio(defects, norms, amps, sources) -> float:
     """max defects / (max norms * max amps + max sources), the maxima taken
     elementwise over arrays, then the largest element: the amplitude
@@ -52,11 +61,7 @@ def peak_ratio(defects, norms, amps, sources) -> float:
     The last defect, of the innermost interface, tells numbers from arrays:
     the recursion carries an array in any layer inward to it."""
     if type(defects[-1]) is float:
-        ratio = max(defects) / (max(norms) * max(amps) + max(sources))
-        # max skips a NaN that is not first; every value is >= 0 or NaN,
-        # so a sum is NaN exactly when one of its terms is
-        total = sum(defects, sum(norms, sum(amps, sum(sources, 0.0))))
-        return ratio if total == total else total
+        return _peak(defects) / (_peak(norms) * _peak(amps) + _peak(sources))
     defect, norm, amp, source = (functools.reduce(np.maximum, g)
                                  for g in (defects, norms, amps, sources))
     return float(np.max(defect / (norm * amp + source)))
@@ -81,8 +86,13 @@ class Mixed:
 def route(reals, values):
     """Numbers if every one of reals is a float and every one of values a
     float or complex number, else Mixed: the type decision of one call."""
-    return (Numbers if _FLOAT.issuperset(map(type, reals))
-            and _NUMBERS.issuperset(map(type, values)) else Mixed)
+    for x in reals:
+        if type(x) is not float:
+            return Mixed
+    for z in values:
+        if type(z) is not complex and type(z) is not float:
+            return Mixed
+    return Numbers
 
 
 def elementwise(series=None, radius=0.0, *, pole=None, im_limit=None):

@@ -62,14 +62,13 @@ class LayerStack:
         else:
             radii, eps = tuple(map(float, radii)), tuple(map(complex, eps))
             m = Numbers
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "eps", eps)
         if len(eps) != len(radii) + 1 or len(eps) < 2:
             raise DomainError(
                 f"need len(eps) == len(radii) + 1 >= 2, got "
                 f"{len(eps)} permittivities for {len(radii)} radii")
-        object.__setattr__(self, "_route", m)
-        object.__setattr__(self, "_widths", _widths(radii, m))
+        # frozen: the fields go into the instance dict directly
+        vars(self).update(radii=radii, eps=eps, _route=m,
+                          _widths=_widths(radii, m))
 
     @property
     def n_layers(self) -> int:
@@ -235,15 +234,16 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     m = gaps = None
     if isinstance(stack, LayerStack) and type(k0) is float:
         m, gaps = stack._route, stack._widths
-    return _amplitudes(stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0,
-                       m, gaps)
+    return WaveCoefficients(*_amplitudes(
+        stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0, m, gaps))
 
 
-def _amplitudes(radii, eps, roots, k0, m=None, gaps=None) -> WaveCoefficients:
-    """coeffs_general_n's recursion, given each layer's sqrt(eps) in roots
-    (an iterable, read once the radii and k0 have passed their checks), on
-    the route m of the caller or, without one, of these inputs; gaps, if
-    given, are the layer widths the caller has checked."""
+def _amplitudes(radii, eps, roots, k0, m=None, gaps=None):
+    """coeffs_general_n's recursion as (c1, c_plus, c_minus, residual),
+    given each layer's sqrt(eps) in roots (an iterable, read once the
+    radii and k0 have passed their checks), on the route m of the caller
+    or, without one, of these inputs; gaps, if given, are the layer widths
+    the caller has checked."""
     # the roots, sqrt_eps of eps, are complex numbers unless eps has arrays
     m = m or route((k0, *radii), eps)
     if not m.positive(k0):
@@ -259,7 +259,7 @@ def _amplitudes(radii, eps, roots, k0, m=None, gaps=None) -> WaveCoefficients:
     # fixes R, t fits the inner profile a + R b to it; row defects, sums,
     # amplitudes 1, R, t, tP; outward steps R e^{2iz_in}, e^{i(z_in-z_out)}, t
     ratio, qf, qd, steps = 0j, 0j, 0j, []
-    defects, norms, amps = [], [], [float(last > 0)]
+    defects, norms, amps = [], [], [1.0 if last else 0.0]
     for i in range(last, -1, -1):
         zin, zout = ks[i] * radii[i], ks[i + 1] * radii[i]
         iz = 1j / zin
@@ -290,18 +290,19 @@ def _amplitudes(radii, eps, roots, k0, m=None, gaps=None) -> WaveCoefficients:
         steps.append((r_in * phase, across, t))
         ratio = r_in * shift
 
-    # outward: c_in, the inner layer's incoming amplitude, c1 then each c_{l-}
-    cp, c_plus, c_in = 1 + 0j, [], []
-    for r_phase, across, t in reversed(steps):
-        c_in.append(r_phase * cp)
-        cp = cp * across * t
-        c_plus.append(cp)
-
-    residual = peak_ratio(defects, norms, amps, [abs(af), abs(ad)])
+    residual = peak_ratio(defects, norms, amps, (abs(af), abs(ad)))
     if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(
             f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    return WaveCoefficients(c_in[0], tuple(c_plus), (*c_in[1:], 0j), residual)
+    # outward, from the steps of the innermost interface: each c_{l-}, c1
+    # first, then each c_{l+}
+    c_minus, c_plus, cp = [], [], 1 + 0j
+    for r_phase, across, t in reversed(steps):
+        c_minus.append(r_phase * cp)
+        cp = cp * across * t
+        c_plus.append(cp)
+    c_minus.append(0j)
+    return c_minus.pop(0), (*c_plus,), (*c_minus,), residual
 
 
 coefficients = coeffs_general_n

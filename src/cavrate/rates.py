@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import Mixed, exp, largest, route, smallest
+from ._elementwise import Mixed, exp, largest, positive, route, smallest
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -53,6 +53,14 @@ def onsager_factor(eps: complex) -> float:
     return _real_cavity(eps)[2]
 
 
+def _k0(k0):
+    """k0, once it or each of its elements is > 0: the check of the
+    medium-only functions, which run no amplitude solve to check it."""
+    if not positive(k0):
+        raise DomainError("k0 must be positive")
+    return k0
+
+
 def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
     """k0 r_c, for a positive r_c."""
     if m.smallest(r_c) <= 0:
@@ -73,7 +81,8 @@ def _warn_outside_range(x, what: str) -> None:
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
-    return eps.imag / abs(eps) ** 2 / (k0 * r_c) ** 3
+    x = _cavity_x(_k0(k0), r_c)
+    return eps.imag / abs(eps) ** 2 / x ** 3
 
 
 def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
@@ -82,7 +91,7 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
+    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, _k0(k0), r_m)
 
 
 def _gamma0(eps, eta, abs2, k0, r_m, m=Mixed):
@@ -115,8 +124,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    if smallest(r_c) <= 0:
-        raise DomainError("r_c must be positive")
+    _cavity_x(_k0(k0), r_c)
     return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
 
@@ -127,7 +135,7 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    x = _cavity_x(k0, r_c)
+    x = _cavity_x(_k0(k0), r_c)
     _warn_outside_range(x, "w0_expanded")
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
@@ -142,7 +150,7 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    x = _cavity_x(k0, r_c)
+    x = _cavity_x(_k0(k0), r_c)
     _warn_outside_range(x, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
     return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
@@ -164,7 +172,7 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    x = _cavity_x(k0, r_c)
+    x = _cavity_x(_k0(k0), r_c)
     _warn_outside_range(x, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
@@ -187,16 +195,19 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
 
 def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
-    shift Im[sqrt(eps) c1]/2, its amplitudes, sqrt(eps) and sqrt(eps_ext):
-    each root is formed once, and the amplitude recursion takes them."""
+    shift Im[sqrt(eps) c1]/2, c1, its external dipole (see external_dipole),
+    sqrt(eps) and sqrt(eps_ext): each root is formed once, and the
+    amplitude recursion takes them."""
     roots = sqrt_eps(eps), sqrt_eps(eps_ext)
     m = m or route((k0, radius), (eps, eps_ext))
     # the one width is the radius; a bad one is left to the engine, which
     # checks k0 first
     width = (radius,) if m.positive(radius) else None
-    coeffs = ml._amplitudes((radius,), (eps, eps_ext), roots, k0, m, width)
-    root_c1 = roots[0] * coeffs.c1
-    return root_c1.real, 0.5 * root_c1.imag, coeffs, *roots
+    c1, (c_out,), _, _ = ml._amplitudes((radius,), (eps, eps_ext), roots,
+                                        k0, m, width)
+    root_c1 = roots[0] * c1
+    return (root_c1.real, 0.5 * root_c1.imag, c1, eps / eps_ext * c_out,
+            *roots)
 
 
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
@@ -225,10 +236,6 @@ def _c1_weight(eps, root, den):
     return 9 * (eps * eps * root) / (den * den)
 
 
-def _gamma_sc_loc(eps, root, den, c1):
-    return (_c1_weight(eps, root, den) * c1).real
-
-
 def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
                  k0: float) -> float:
     """Cavity-induced rate with real-cavity local-field corrections.
@@ -238,8 +245,8 @@ def gamma_sc_loc(eps: complex, eps_ext: complex, radius: float,
     built from the bare rate and shift, that the verification battery
     checks this one against.
     """
-    _, _, coeffs, root, _ = _bare_sphere(eps, eps_ext, radius, k0)
-    return _gamma_sc_loc(eps, root, _real_cavity(eps)[0], coeffs.c1)
+    _, _, c1, _, root, _ = _bare_sphere(eps, eps_ext, radius, k0)
+    return (_c1_weight(eps, root, _real_cavity(eps)[0]) * c1).real
 
 
 def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
@@ -264,11 +271,7 @@ def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
     The field there equals that of a dipole of moment (eps1/epsN) c_outer
     immersed in the infinite outer medium.
     """
-    return _moment(stack.eps[0], stack.eps[-1], ml.coefficients(stack, k0))
-
-
-def _moment(eps1, eps_n, coeffs):
-    return eps1 / eps_n * coeffs.c_outer
+    return stack.eps[0] / stack.eps[-1] * ml.coefficients(stack, k0).c_outer
 
 
 def external_power(stack: ml.LayerStack, k0: float,
@@ -345,16 +348,15 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     ExpansionRangeWarning, however large k0 r_c (its x_c) is.
     """
     m = route((radius, r_c, r_m, k0), (eps, eps_ext))
-    g_sc, d_sc, coeffs, root, root_ext = _bare_sphere(eps, eps_ext, radius,
-                                                      k0, m)
+    g_sc, d_sc, c1, p_ext, root, root_ext = _bare_sphere(eps, eps_ext,
+                                                         radius, k0, m)
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps, m)
-    g_sc_loc = _gamma_sc_loc(eps, root, den, coeffs.c1)
+    g_sc_loc = (_c1_weight(eps, root, den) * c1).real
     g0 = _gamma0(eps, root.real, abs2, k0, r_m, m)
     x = _cavity_x(k0, r_c, m)
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
-    w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
-                          _moment(eps, eps_ext, coeffs), m)
+    w_ext = _power_beyond(eps_ext, root_ext, k0, radius, p_ext, m)
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
                       w_ext, factor * w_ext, factor, lorentz_factor(eps), x)

@@ -1375,6 +1375,27 @@ class TestMain:
         assert err.startswith(b"output error: ")
         assert err.count(b"\n") == 1
 
+    def test_closed_pipe_mid_sweep_runs_the_module_guard(self):
+        # `python -m cavrate.cli` goes through the __main__ guard; the
+        # reader leaves after 100 bytes of fig3's rows, and the writer's
+        # stdout is moved to /dev/null so that the flush at exit is quiet
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cavrate.cli", "sweep", "--preset",
+             "fig3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert err.endswith(b"output error: [Errno 32] Broken pipe\n")
+        assert b"Traceback" not in err
+
     def test_verify_failure_exit_code(self, monkeypatch):
         failing = verify_mod.VerificationReport(checks=(
             verify_mod.CheckResult("broken", False, 2.0, 1.0),))

@@ -9,7 +9,7 @@ import mpref
 from cavrate import multilayer as ml
 from cavrate import rates, specfun
 from cavrate.dielectric import sqrt_eps
-from cavrate.errors import DomainError, IllConditioned
+from cavrate.errors import DomainError, IllConditioned, SingularDenominator
 
 
 def random_passive(rng, lo=0.5, hi=8.0, loss=4.0):
@@ -200,6 +200,16 @@ class TestThreeLayer:
     def test_ordering_validation(self):
         with pytest.raises(DomainError):
             ml.coeffs_three_layer(1.0, 2.0, 3.0, 2.0, 1.0, 1.0)
+
+    def test_singular_determinant_raises(self, monkeypatch):
+        # the shell's incoming wave made its outgoing one: the two columns
+        # of the determinant coincide, and a1 b2 - a2 b1 is exactly 0
+        monkeypatch.setattr(specfun, "sph_h2_1", specfun.sph_h1_1)
+        monkeypatch.setattr(specfun, "riccati_h2", specfun.riccati_h1)
+        with pytest.raises(SingularDenominator,
+                           match=r"^three-layer determinant "
+                                 r"\|a1 b2 - a2 b1\| = 0$"):
+            ml.coeffs_three_layer(1.0, 5 + 2.5j, 1.5, 0.5, 2.0, 1.0)
 
     def test_takes_sample_arrays(self, rng):
         e1, e2, e3 = (np.array([random_passive(rng) for _ in range(12)])

@@ -712,3 +712,27 @@ def test_number_inputs_give_builtin_numbers(name):
     kinds = tuple(map(type, result)) if isinstance(result, tuple) \
         else type(result)
     assert kinds == expected
+
+
+MEDIUM_ONLY = ("cavity_nearfield", "gamma0_macroscopic", "w0_cutoff",
+               "w0_expanded", "gamma0_loc", "p_eff_expansion")
+BAD_K0 = [0.0, -1.0, np.array([1.0, 0.0]), np.array([1.0, -1.0])]
+
+
+@pytest.mark.parametrize("k0", BAD_K0, ids=["zero", "negative",
+                                            "array_zero", "array_negative"])
+@pytest.mark.parametrize("name", MEDIUM_ONLY)
+def test_medium_only_functions_reject_nonpositive_k0(name, k0):
+    """They run no amplitude solve, whose k0 check the engine-based
+    functions share, so they check k0 themselves, before any formula."""
+    eps = np.array([EPS_RES, EPS_RES]) if isinstance(k0, np.ndarray) \
+        else EPS_RES
+    with pytest.raises(DomainError, match="^k0 must be positive$"):
+        getattr(rates, name)(eps, k0, 0.1)
+
+
+@pytest.mark.parametrize("r_c", [0.0, -0.1, np.array([0.1, 0.0])],
+                         ids=["zero", "negative", "array_zero"])
+def test_cavity_nearfield_rejects_nonpositive_r_c(r_c):
+    with pytest.raises(DomainError, match="^r_c must be positive$"):
+        rates.cavity_nearfield(EPS_RES, 1.0, r_c)
