@@ -249,19 +249,22 @@ def _amplitudes(radii, eps, roots, k0, m=None, gaps=None):
     if not m.positive(k0):
         raise DomainError("k0 must be positive")
     gaps = gaps or _widths(radii, m)
-    last = len(radii) - 1
-    ks = [root * k0 for root in roots]
+    last, roots = len(radii) - 1, [*roots]
     exp, smallest = m.exp, m.smallest
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
     # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in
     # layer 1), the outer layer's h1 wave p and h2 wave q (none outermost);
     # the outer profile p + P q per unit outgoing wave (P: the outer R here)
     # fixes R, t fits the inner profile a + R b to it; row defects, sums,
-    # amplitudes 1, R, t, tP; outward steps R e^{2iz_in}, e^{i(z_in-z_out)}, t
+    # amplitudes 1, R, t, tP; outward steps R e^{2iz_in}, e^{i(z_in-z_out)},
+    # t; each layer's wavenumber k = sqrt(eps) k0 is formed once, as k_in,
+    # and is the next interface's k_out
     ratio, qf, qd, steps = 0j, 0j, 0j, []
     defects, norms, amps = [], [], [1.0 if last else 0.0]
+    k_out = roots[-1] * k0
     for i in range(last, -1, -1):
-        zin, zout = ks[i] * radii[i], ks[i + 1] * radii[i]
+        k_in = roots[i] * k0
+        zin, zout = k_in * radii[i], k_out * radii[i]
         iz = 1j / zin
         af = (-1 - iz) / zin
         bf, bd = ((h2 := (iz - 1) / zin), 1j - h2) if i else sf.j1_scaled(zin)
@@ -272,7 +275,7 @@ def _amplitudes(radii, eps, roots, k0, m=None, gaps=None):
             qf = (iz - 1) / zout
             qd = (1j - qf) / eps[i + 1]
         pd = (-1j - pf) / eps[i + 1]
-        shift = exp(2j * ks[i] * gaps[i]) if i else 0j
+        shift = exp(2j * k_in * gaps[i]) if i else 0j
         phase, across = exp(2j * zin), exp(1j * (zin - zout))
         f, d = pf + ratio * qf, pd + ratio * qd
         den = bf * d - bd * f
@@ -288,7 +291,7 @@ def _amplitudes(radii, eps, roots, k0, m=None, gaps=None):
                   (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
         amps += abs(r_in), abs(t), abs(t * ratio)
         steps.append((r_in * phase, across, t))
-        ratio = r_in * shift
+        ratio, k_out = r_in * shift, k_in
 
     residual = peak_ratio(defects, norms, amps, (abs(af), abs(ad)))
     if not residual <= _RESIDUAL_LIMIT:

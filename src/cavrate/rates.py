@@ -124,7 +124,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    _cavity_x(_k0(k0), r_c)
+    _cavity_x(_k0(k0), r_c)  # checks k0, then r_c
     return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
 
@@ -198,13 +198,13 @@ def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     shift Im[sqrt(eps) c1]/2, c1, its external dipole (see external_dipole),
     sqrt(eps) and sqrt(eps_ext): each root is formed once, and the
     amplitude recursion takes them."""
-    roots = sqrt_eps(eps), sqrt_eps(eps_ext)
+    roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
     m = m or route((k0, radius), (eps, eps_ext))
     # the one width is the radius; a bad one is left to the engine, which
     # checks k0 first
-    width = (radius,) if m.positive(radius) else None
-    c1, (c_out,), _, _ = ml._amplitudes((radius,), (eps, eps_ext), roots,
-                                        k0, m, width)
+    width = radii if m.positive(radius) else None
+    c1, (c_out,), _, _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0, m,
+                                        width)
     root_c1 = roots[0] * c1
     return (root_c1.real, 0.5 * root_c1.imag, c1, eps / eps_ext * c_out,
             *roots)
