@@ -271,7 +271,8 @@ def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
     The field there equals that of a dipole of moment (eps1/epsN) c_outer
     immersed in the infinite outer medium.
     """
-    return stack.eps[0] / stack.eps[-1] * ml.coefficients(stack, k0).c_outer
+    c_outer = ml.coefficients(stack, k0).c_outer
+    return stack.eps[0] / stack.eps[-1] * c_outer
 
 
 def external_power(stack: ml.LayerStack, k0: float,

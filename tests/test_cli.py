@@ -1355,44 +1355,45 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
         assert kept.read_bytes() == b"earlier,rows\n1,2\n"
 
+    @staticmethod
+    def closed_pipe_sweep(preset, read):
+        """`python -m cavrate.cli sweep --preset preset`, through the
+        __main__ guard, whose stdout the reader closes after read(stdout);
+        the exit code and stderr."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cavrate.cli", "sweep", "--preset",
+             preset], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        try:
+            read(proc.stdout)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        return proc.returncode, err
+
     def test_closed_pipe_is_output_error(self):
         # the reader stops after the header; the 601 rows (about 200 kB)
         # cannot all fit in the pipe, so the writer meets the closed end
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cavrate.cli", "sweep", "--preset",
-             "fig4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=env)
-        try:
-            assert proc.stdout.readline().startswith(b"omega,")
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-        assert proc.returncode == 1
+        def header(stdout):
+            assert stdout.readline().startswith(b"omega,")
+
+        code, err = self.closed_pipe_sweep("fig4", header)
+        assert code == 1
         assert err.startswith(b"output error: ")
         assert err.count(b"\n") == 1
 
-    def test_closed_pipe_mid_sweep_runs_the_module_guard(self):
-        # `python -m cavrate.cli` goes through the __main__ guard; the
-        # reader leaves after 100 bytes of fig3's rows, and the writer's
-        # stdout is moved to /dev/null so that the flush at exit is quiet
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cavrate.cli", "sweep", "--preset",
-             "fig3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=env)
-        try:
-            assert len(proc.stdout.read(100)) == 100
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-        assert proc.returncode == 1
+    def test_closed_pipe_mid_sweep_leaves_no_traceback(self):
+        # fig3 warns on stderr first; the writer's stdout goes to /dev/null
+        # once the pipe breaks, so the flush at exit raises nothing
+        def first_bytes(stdout):
+            assert len(stdout.read(100)) == 100
+
+        code, err = self.closed_pipe_sweep("fig3", first_bytes)
+        assert code == 1
         assert err.endswith(b"output error: [Errno 32] Broken pipe\n")
         assert b"Traceback" not in err
 
