@@ -6,9 +6,10 @@ span a small sphere in vacuum and in an absorbing host, one inside
 j1_scaled's series radius, a lossless one in an absorbing host, a large
 one whose outputs are around 1e-35, and R = 1400, where the cavity terms
 underflow to exact zeros; the stacks are a three-layer cavity, whose
-total rate and external power are pinned too, and a graded N = 8 stack.  A digest pins every amplitude and the residual of seeded stacks
-with 2 to 32 layers, as numbers and, in a test of its own, as arrays, and
-the errors of a few inputs the amplitude engine rejects.
+total rate and external power are pinned too, and a graded N = 8 stack.
+A digest pins every amplitude and the residual of seeded stacks with 2 to
+32 layers, as numbers and, in a test of its own, as arrays, and the
+errors of a few inputs the amplitude engine rejects.
 
 The number route never reaches numpy, so the number pins hold at every
 SIMD level.  The array digests assume numpy's AVX2 dispatch or above (AVX2
@@ -89,7 +90,6 @@ STACKS = {
         (("0x1.68c4cf3e8d692p+4", "-0x1.2ace5a647593fp+7"),
          ("-0x1.ad7f7199e6067p-2", "0x1.c392b3b7803f4p-1")),
         "0x1.6f4bf75987c0bp-58",
-        # gamma_hat_total, external_power
         ("0x1.78c4cf3e8d692p+4", "0x1.09d2fe9a3b02bp-1")),
     "graded_n8": (
         (graded_stack(8), 1.1),
