@@ -91,7 +91,8 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, _k0(k0), r_m)
+    _k0(k0)
+    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
 
 
 def _gamma0(eps, eta, abs2, k0, r_m, m=Mixed):
