@@ -683,3 +683,41 @@ def test_number_route_never_reaches_numpy(monkeypatch):
     monkeypatch.setattr(_elementwise, "np", NoNumpy())
     assert repr(rates.rate_report(*args)) == repr(report)
     assert repr(ml.coeffs_general_n(graded_stack(8), 1.1)) == repr(coeffs)
+
+
+# one bad input of a cavity/shell/host solve: the change to the good
+# inputs (radii, eps, k0), then the error type and message it raises
+GOOD_INPUTS = ((0.5, 1.0), (1.0, 5 + 2.5j, 1.5 + 0.2j), 1.1)
+RADII_MESSAGE = "the radii must be positive and increasing"
+BAD_STACK_INPUTS = {
+    "k0_zero": ({"k0": 0.0}, DomainError, "k0 must be positive"),
+    "k0_negative": ({"k0": -1.1}, DomainError, "k0 must be positive"),
+    "k0_nan": ({"k0": math.nan}, DomainError, "k0 must be positive"),
+    "r_inner_negative": ({"radii": (-0.5, 1.0)}, DomainError, RADII_MESSAGE),
+    "r_inner_nan": ({"radii": (math.nan, 1.0)}, DomainError, RADII_MESSAGE),
+    "r_outer_not_increasing": ({"radii": (0.5, 0.4)}, DomainError,
+                               RADII_MESSAGE),
+    "r_outer_nan": ({"radii": (0.5, math.nan)}, DomainError, RADII_MESSAGE),
+    "eps_zero": ({"eps": (1.0, 0j, 1.5 + 0.2j)}, DomainError,
+                 "square root branch undefined at eps = 0"),
+}
+# the ways into the engine: a LayerStack at a float k0, any other object
+# with radii and eps, and a LayerStack at an array k0 (k0 its second sample)
+WAYS_IN = {
+    "layer_stack": lambda radii, eps, k0: ml.coeffs_general_n(
+        ml.LayerStack(radii, eps), k0),
+    "plain_object": lambda radii, eps, k0: ml.coeffs_general_n(
+        SimpleNamespace(radii=radii, eps=eps), k0),
+    "array_k0": lambda radii, eps, k0: ml.coeffs_general_n(
+        ml.LayerStack(radii, eps), np.array([1.1, k0])),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_STACK_INPUTS))
+@pytest.mark.parametrize("way", list(WAYS_IN))
+def test_each_way_in_names_its_bad_input(way, bad):
+    change, error, message = BAD_STACK_INPUTS[bad]
+    inputs = {**dict(zip(("radii", "eps", "k0"), GOOD_INPUTS)), **change}
+    with pytest.raises(error) as caught:
+        WAYS_IN[way](**inputs)
+    assert type(caught.value) is error and str(caught.value) == message

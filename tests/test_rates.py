@@ -736,3 +736,47 @@ def test_medium_only_functions_reject_nonpositive_k0(name, k0):
 def test_cavity_nearfield_rejects_nonpositive_r_c(r_c):
     with pytest.raises(DomainError, match="^r_c must be positive$"):
         rates.cavity_nearfield(EPS_RES, 1.0, r_c)
+
+
+# the bare sphere's inputs (eps, eps_ext, radius, k0), then one or two bad
+# ones, with the error type and message they raise
+BARE_SPHERE = (EPS_RES, 1.5 + 0.1j, 2.0, 1.1)
+RADII_MESSAGE = "the radii must be positive and increasing"
+BAD_BARE_INPUTS = {
+    "k0_zero": ({"k0": 0.0}, DomainError, "k0 must be positive"),
+    "k0_negative": ({"k0": -1.1}, DomainError, "k0 must be positive"),
+    "k0_nan": ({"k0": math.nan}, DomainError, "k0 must be positive"),
+    "k0_array": ({"k0": np.array([1.1, math.nan])}, DomainError,
+                 "k0 must be positive"),
+    "radius_zero": ({"radius": 0.0}, DomainError, RADII_MESSAGE),
+    "radius_negative": ({"radius": -2.0}, DomainError, RADII_MESSAGE),
+    "radius_nan": ({"radius": math.nan}, DomainError, RADII_MESSAGE),
+    "radius_array": ({"radius": np.array([2.0, -2.0])}, DomainError,
+                     RADII_MESSAGE),
+    "eps_zero": ({"eps": 0j}, DomainError,
+                 "square root branch undefined at eps = 0"),
+    "eps_ext_zero": ({"eps_ext": 0j}, DomainError,
+                     "square root branch undefined at eps = 0"),
+    # k0 is named before the radius
+    "k0_and_radius": ({"k0": -1.1, "radius": -2.0}, DomainError,
+                      "k0 must be positive"),
+    "k0_nan_and_radius_nan": ({"k0": math.nan, "radius": math.nan},
+                              DomainError, "k0 must be positive"),
+}
+BARE_SPHERE_FUNCTIONS = {
+    "rate_report": lambda eps, eps_ext, radius, k0: rates.rate_report(
+        eps, eps_ext, radius, 0.2, 0.3, k0),
+    "gamma_sc": rates.gamma_sc,
+    "gamma_sc_loc": rates.gamma_sc_loc,
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_BARE_INPUTS))
+@pytest.mark.parametrize("name", list(BARE_SPHERE_FUNCTIONS))
+def test_bare_sphere_names_its_bad_input(name, bad):
+    change, error, message = BAD_BARE_INPUTS[bad]
+    inputs = {**dict(zip(("eps", "eps_ext", "radius", "k0"), BARE_SPHERE)),
+              **change}
+    with pytest.raises(error) as caught:
+        BARE_SPHERE_FUNCTIONS[name](**inputs)
+    assert type(caught.value) is error and str(caught.value) == message
