@@ -2,12 +2,12 @@
 
 Formulas are written once, with operators that work on both.  The type is
 decided once per call, where the call enters: an elementary function and
-a guard test their argument, and a rate report, the amplitude engine and
-a layer stack test all their inputs at once (`route`), then run on the
-forms of `Numbers` or of `Mixed` alone.  A number goes through cmath and
-plain comparisons, keeping its exact bits and its cost; an array goes
-through numpy, a series runs only if some element needs it (`np.where`
-picks per element), and a guard raises if any element is bad.
+a guard test their argument, and a rate report and a layer stack test all
+their inputs at once (`route`), then run, as does the amplitude engine on
+their route, on the forms of `Numbers` or of `Mixed` alone.  A number goes
+through cmath and plain comparisons, keeping its exact bits and its cost;
+an array goes through numpy, a series runs only if some element needs it
+(`np.where` picks per element), and a guard raises if any element is bad.
 """
 
 import cmath
@@ -75,12 +75,12 @@ class Numbers:
     """The forms of a call whose values are all float or complex numbers."""
     exp = cmath.exp
     positive = (0.0).__lt__  # 0 < x
-    smallest = largest = float  # a float is its own extreme element
+    smallest = float  # a float is its own smallest element
 
 
 class Mixed:
     """The forms of a call whose values may include numpy arrays."""
-    exp, positive, smallest, largest = exp, positive, smallest, largest
+    exp, positive, smallest = exp, positive, smallest
 
 
 def route(reals, values):

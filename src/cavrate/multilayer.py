@@ -28,7 +28,7 @@ import numpy as np
 
 from . import specfun as sf
 from ._elementwise import (Mixed, Numbers, exp, guard_im, largest,
-                           peak_ratio, positive, route, smallest)
+                           peak_ratio, positive, smallest)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -46,7 +46,7 @@ class LayerStack:
     or complex, or a numpy array with one entry per sample; a bad sample
     raises as a bad number would.  A stack of arrays is neither hashable
     nor comparable.  It keeps the route (over radii and eps together) and
-    the widths that validating it decides, for solves at a float k0.
+    the widths that validating it decides, and every solve takes them.
     """
 
     radii: tuple[float | np.ndarray, ...]
@@ -217,6 +217,13 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     return WaveCoefficients(c1=c1, c_plus=(c2p, c3p), c_minus=(c2m, 0j))
 
 
+def _k0(k0, m=Mixed):
+    """k0, once it or each of its elements is > 0 on route m; NaN is not."""
+    if not m.positive(k0):
+        raise DomainError("k0 must be positive")
+    return k0
+
+
 def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     """Amplitudes for any layer count in one O(N) pass over the interfaces.
 
@@ -227,29 +234,24 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     wave outside per one inside; c1 = R_1 e^{2iz_1}.  An outward product
     then gives each c_{l+} (times e^{i(z_in - z_out)} t per interface) and
     c_{l-} = R_l e^{2ik_l r_l} c_{l+}.  stack is a LayerStack, or any
-    object with radii and eps; each radius, each permittivity and k0 may
-    be an (F,) array, and the amplitudes then hold one entry per sample.
-    Only a LayerStack at a float k0 skips the route and width checks.
+    object with radii and eps, which becomes one; a radius, a permittivity
+    or k0 may be an (F,) array, one entry per sample.  The route (Mixed at
+    a k0 that is not a float) and the widths are the stack's.
     """
-    m = gaps = None
-    if isinstance(stack, LayerStack) and type(k0) is float:
-        m, gaps = stack._route, stack._widths
+    if not isinstance(stack, LayerStack):
+        stack = LayerStack(stack.radii, stack.eps)
+    m = stack._route if type(k0) is float else Mixed
+    _k0(k0, m)
     return WaveCoefficients(*_amplitudes(
-        stack.radii, stack.eps, map(sqrt_eps, stack.eps), k0, m, gaps))
+        stack.radii, stack.eps, tuple(map(sqrt_eps, stack.eps)), k0, m,
+        stack._widths))
 
 
-def _amplitudes(radii, eps, roots, k0, m=None, gaps=None):
+def _amplitudes(radii, eps, roots, k0, m, gaps):
     """coeffs_general_n's recursion as (c1, c_plus, c_minus, residual),
-    given each layer's sqrt(eps) in roots (an iterable, read once the
-    radii and k0 have passed their checks), on the route m of the caller
-    or, without one, of these inputs; gaps, if given, are the layer widths
-    the caller has checked."""
-    # the roots, sqrt_eps of eps, are complex numbers unless eps has arrays
-    m = m or route((k0, *radii), eps)
-    if not m.positive(k0):
-        raise DomainError("k0 must be positive")
-    gaps = gaps or _widths(radii, m)
-    last, roots = len(radii) - 1, [*roots]
+    pure arithmetic on checked inputs: each layer's sqrt(eps) in roots, a
+    positive k0, the layer widths in gaps, all on route m."""
+    last = len(radii) - 1
     exp, smallest = m.exp, m.smallest
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
     # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import Mixed, exp, largest, positive, route, smallest
+from ._elementwise import Mixed, exp, largest, route, smallest
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -53,14 +53,6 @@ def onsager_factor(eps: complex) -> float:
     return _real_cavity(eps)[2]
 
 
-def _k0(k0):
-    """k0, once it or each of its elements is > 0: the check of the
-    medium-only functions, which run no amplitude solve to check it."""
-    if not positive(k0):
-        raise DomainError("k0 must be positive")
-    return k0
-
-
 def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
     """k0 r_c, for a positive r_c."""
     if m.smallest(r_c) <= 0:
@@ -81,7 +73,7 @@ def _warn_outside_range(x, what: str) -> None:
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
-    x = _cavity_x(_k0(k0), r_c)
+    x = _cavity_x(ml._k0(k0), r_c)
     return eps.imag / abs(eps) ** 2 / x ** 3
 
 
@@ -91,7 +83,7 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    _k0(k0)
+    ml._k0(k0)
     return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
 
 
@@ -125,7 +117,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    _cavity_x(_k0(k0), r_c)  # checks k0, then r_c
+    _cavity_x(ml._k0(k0), r_c)  # checks k0, then r_c
     return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
 
@@ -136,7 +128,7 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    x = _cavity_x(_k0(k0), r_c)
+    x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "w0_expanded")
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
@@ -151,7 +143,7 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    x = _cavity_x(_k0(k0), r_c)
+    x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
     return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
@@ -173,7 +165,7 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    x = _cavity_x(_k0(k0), r_c)
+    x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
@@ -197,15 +189,15 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
 def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
     shift Im[sqrt(eps) c1]/2, c1, its external dipole (see external_dipole),
-    sqrt(eps) and sqrt(eps_ext): each root is formed once, and the
-    amplitude recursion takes them."""
-    roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
+    sqrt(eps) and sqrt(eps_ext), after checking k0, then the radius (the
+    recursion's one width); each root is formed once."""
     m = m or route((k0, radius), (eps, eps_ext))
-    # the one width is the radius; a bad one is left to the engine, which
-    # checks k0 first
-    width = radii if m.positive(radius) else None
+    ml._k0(k0, m)
+    if not m.positive(radius):
+        raise DomainError("the radii must be positive and increasing")
+    roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
     c1, (c_out,), _, _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0, m,
-                                        width)
+                                        radii)
     root_c1 = roots[0] * c1
     return (root_c1.real, 0.5 * root_c1.imag, c1, eps / eps_ext * c_out,
             *roots)

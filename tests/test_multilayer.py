@@ -362,8 +362,8 @@ class TestGeneralSolver:
         ids=["numbers", "array_eps"])
     def test_stack_solve_reuses_its_validation(self, monkeypatch, eps):
         """A LayerStack decides its route, over the radii and eps together,
-        and checks its widths once; a solve at a float k0 repeats neither.
-        Number radii with an array eps take the Mixed route."""
+        and checks its widths once; no solve repeats either. Number radii
+        with an array eps take the Mixed route."""
         from cavrate import _elementwise
         stack = ml.LayerStack((0.5, 1.0), eps)
         plain = SimpleNamespace(radii=stack.radii, eps=stack.eps)
@@ -376,17 +376,17 @@ class TestGeneralSolver:
                 return fn(*args)
             return call
 
-        for module, name in ((_elementwise, "route"), (ml, "route"),
-                             (ml, "_widths")):
+        for module, name in ((_elementwise, "route"), (ml, "_widths")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
         assert repr(ml.coeffs_general_n(stack, 1.1)) == repr(expected)
         assert calls == []
-        # a plain object, or an array k0, is validated in the solve
+        # a plain object is validated once, by the LayerStack it becomes,
+        # and an array k0 reuses the stack's widths
         assert repr(ml.coeffs_general_n(plain, 1.1)) == repr(expected)
-        assert calls == ["route", "_widths"]
+        assert calls == ["_widths"]
         ml.coeffs_general_n(stack, np.array([1.1, 1.2]))
-        assert calls == ["route", "_widths"] * 2
+        assert calls == ["_widths"]
         if isinstance(eps[1], np.ndarray):
             for i, e in enumerate(eps[1].tolist()):
                 one = ml.coeffs_general_n(
