@@ -43,6 +43,11 @@ def positive(x) -> bool:
     return x > 0 if type(x) is float else bool(np.greater(x, 0).all())
 
 
+def nonnegative(x) -> bool:
+    """True when x, or every element of x, is >= 0; NaN is not."""
+    return x >= 0 if type(x) is float else bool(np.greater_equal(x, 0).all())
+
+
 def _peak(group) -> float:
     """The largest of a group of numbers, or its first NaN."""
     peak = group[0]

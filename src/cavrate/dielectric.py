@@ -17,7 +17,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from ._elementwise import elementwise, smallest
+import numpy as np
+
+from ._elementwise import elementwise, positive
 from .errors import DomainError
 
 
@@ -68,13 +70,13 @@ class LorentzMedium:
     gamma: float
 
     def __post_init__(self):
-        if self.eps_b < 1:
+        if not self.eps_b >= 1:
             raise DomainError(f"eps_b = {self.eps_b:g} must be >= 1")
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise DomainError(f"omega0 = {self.omega0:g} must be > 0")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise DomainError(f"gamma = {self.gamma:g} must be > 0")
-        if self.Omega < 0:
+        if not self.Omega >= 0:
             raise DomainError(f"Omega = {self.Omega:g} must be >= 0")
 
 
@@ -84,8 +86,8 @@ def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
     Im eps is strictly positive for every omega > 0 whenever Omega > 0,
     so the model is passive at all frequencies.  omega may be an array.
     """
-    if smallest(omega) <= 0:
-        raise DomainError(f"omega = {smallest(omega):g} must be > 0")
+    if not positive(omega):
+        raise DomainError(f"omega = {np.min(omega):g} must be > 0")
     den = medium.omega0 ** 2 - omega ** 2 - 1j * omega * medium.gamma
     eps = medium.eps_b + medium.Omega ** 2 / den
     return ComplexPermittivity(eps, *eta_kappa(eps))

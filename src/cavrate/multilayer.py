@@ -76,7 +76,7 @@ class LayerStack:
 
     def layer_at(self, r: float) -> int:
         """1-based index of the layer containing radius r (boundaries go out)."""
-        if r < 0:
+        if not r >= 0:
             raise DomainError("radius must be non-negative")
         for i, ri in enumerate(self.radii):
             if r < ri:
@@ -329,7 +329,7 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     and e^{-iz} for the other one (z = k_layer r); |Im z| above
     specfun.IM_GUARD raises OverflowError.
     """
-    if smallest(r) <= 0:
+    if not positive(r):
         raise DomainError("r must be positive (use field_center_limit at 0)")
     if layer is None:
         layer = stack.layer_at(smallest(r))

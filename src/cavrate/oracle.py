@@ -41,9 +41,9 @@ class QuadratureSpec:
     max_depth: int = 30
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise DomainError(f"rel_tol = {self.rel_tol:g} must be > 0")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise DomainError(f"max_depth = {self.max_depth} must be >= 1")
 
 
@@ -87,7 +87,7 @@ def flux_through_sphere(fields, r: float, k0: float) -> float:
     P = c/(8 pi) Re[E x B*]; the radial component reduces to
     Re[E_theta B_phi*] for the axisymmetric dipole field.
     """
-    if r <= 0:
+    if not r > 0:
         raise DomainError("r must be positive")
     _, e_theta, b_phi = fields(r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
@@ -107,7 +107,7 @@ def absorbed_power(fields, r_inner: float, r_outer: float, eps_local: complex,
     if not 0 < r_inner <= r_outer:
         raise DomainError("need 0 < r_inner <= r_outer")
     eps_local = complex(eps_local)
-    if eps_local.imag < 0:
+    if not eps_local.imag >= 0:
         raise DomainError("eps'' must be non-negative for a passive layer")
     if eps_local.imag == 0 or r_inner == r_outer:
         return 0.0

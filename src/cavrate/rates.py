@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import Mixed, exp, largest, route, smallest
+from ._elementwise import Mixed, exp, largest, nonnegative, route
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -55,7 +55,7 @@ def onsager_factor(eps: complex) -> float:
 
 def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
     """k0 r_c, for a positive r_c."""
-    if m.smallest(r_c) <= 0:
+    if not m.positive(r_c):
         raise DomainError("r_c must be positive")
     return k0 * r_c
 
@@ -88,7 +88,7 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
 
 
 def _gamma0(eps, eta, abs2, k0, r_m, m=Mixed):
-    if m.smallest(r_m) <= 0:
+    if not m.positive(r_m):
         raise DomainError("r_m must be positive")
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
@@ -280,9 +280,9 @@ def external_power(stack: ml.LayerStack, k0: float,
     outer_radius = stack.radii[-1]
     if r_obs is None:
         r_obs = outer_radius
-    elif smallest(r_obs - outer_radius) < 0:
+    elif not nonnegative(r_obs - outer_radius):
         raise DomainError(
-            f"r_obs = {smallest(r_obs):g} lies inside the outermost interface "
+            f"r_obs = {np.min(r_obs):g} lies inside the outermost interface "
             f"{largest(outer_radius):g}")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
     return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
@@ -296,9 +296,9 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     Units of W_free, so the full-sphere integral in a lossless exterior
     equals the radiation part of external_power.
     """
-    if smallest(r - stack.radii[-1]) < 0:
+    if not nonnegative(r - stack.radii[-1]):
         raise DomainError(
-            f"r = {smallest(r):g} lies inside the outermost interface")
+            f"r = {np.min(r):g} lies inside the outermost interface")
     eps_n = stack.eps[-1]
     eta_n, kappa_n = eta_kappa(eps_n)
     p_n = external_dipole(stack, k0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mpref
 from cavrate import multilayer as ml
-from cavrate import oracle, rates
+from cavrate import dielectric, oracle, rates
 from cavrate.errors import (DomainError, ExpansionRangeWarning,
                             SingularDenominator)
 from conftest import passive_eps_samples
@@ -780,3 +780,84 @@ def test_bare_sphere_names_its_bad_input(name, bad):
     with pytest.raises(error) as caught:
         BARE_SPHERE_FUNCTIONS[name](**inputs)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def _cavity_case():
+    """A cavity/sphere/host stack at k0 = 1, its amplitudes and fields."""
+    stack = ml.LayerStack((0.6, 2.0), (1.0, EPS_RES, 1.0))
+    return stack, ml.coefficients(stack, 1.0), ml.stack_field_evaluator(
+        stack, 1.0)
+
+
+NAN_SAMPLES = np.array([0.3, math.nan])
+MEDIUM = dict(eps_b=5.0, omega0=1.0, Omega=0.5, gamma=0.1)
+# a NaN length, frequency, tolerance or loss, as a number and as one
+# element of an array: the call and the message it raises
+NAN_ARGUMENTS = {
+    "gamma0_macroscopic": (lambda: rates.gamma0_macroscopic(
+        EPS_RES, 1.0, math.nan), "r_m must be positive"),
+    "gamma0_macroscopic_array": (lambda: rates.gamma0_macroscopic(
+        EPS_RES, 1.0, NAN_SAMPLES), "r_m must be positive"),
+    **{f"{name}_r_c": ((lambda name=name: getattr(rates, name)(
+        EPS_RES, 1.0, math.nan)), "r_c must be positive")
+       for name in ("cavity_nearfield", "w0_cutoff", "w0_expanded",
+                    "gamma0_loc", "p_eff_expansion")},
+    "rate_report_r_c": (lambda: rates.rate_report(
+        EPS_RES, 1.0, 2.0, math.nan, 0.2, 1.0), "r_c must be positive"),
+    "rate_report_r_m": (lambda: rates.rate_report(
+        EPS_RES, 1.0, 2.0, 0.2, math.nan, 1.0), "r_m must be positive"),
+    "rate_report_r_m_array": (lambda: rates.rate_report(
+        EPS_RES, 1.0, 2.0, 0.2, np.array([0.2, math.nan]), 1.0),
+        "r_m must be positive"),
+    "eval_lorentz": (lambda: dielectric.eval_lorentz(
+        dielectric.LorentzMedium(**MEDIUM), math.nan),
+        "omega = nan must be > 0"),
+    "eval_lorentz_array": (lambda: dielectric.eval_lorentz(
+        dielectric.LorentzMedium(**MEDIUM), np.array([1.0, math.nan])),
+        "omega = nan must be > 0"),
+    "field_in_layer": (lambda: ml.field_in_layer(
+        *_cavity_case()[:2], math.nan, 0.3, 1.0),
+        "r must be positive (use field_center_limit at 0)"),
+    "field_in_layer_array": (lambda: ml.field_in_layer(
+        *_cavity_case()[:2], NAN_SAMPLES, 0.3, 1.0),
+        "r must be positive (use field_center_limit at 0)"),
+    "flux_through_sphere": (lambda: oracle.flux_through_sphere(
+        _cavity_case()[2], math.nan, 1.0), "r must be positive"),
+    "external_power": (lambda: rates.external_power(
+        _cavity_case()[0], 1.0, r_obs=math.nan),
+        "r_obs = nan lies inside the outermost interface 2"),
+    "external_power_array": (lambda: rates.external_power(
+        _cavity_case()[0], 1.0, r_obs=np.array([3.0, math.nan])),
+        "r_obs = nan lies inside the outermost interface 2"),
+    "angular_radiation": (lambda: rates.angular_radiation(
+        _cavity_case()[0], 1.0, math.nan, 0.5),
+        "r = nan lies inside the outermost interface"),
+    "angular_radiation_array": (lambda: rates.angular_radiation(
+        _cavity_case()[0], 1.0, np.array([3.0, math.nan]), 0.5),
+        "r = nan lies inside the outermost interface"),
+    "layer_at": (lambda: _cavity_case()[0].layer_at(math.nan),
+                 "radius must be non-negative"),
+    **{f"lorentz_{name}": ((lambda name=name: dielectric.LorentzMedium(
+        **{**MEDIUM, name: math.nan})), message)
+       for name, message in (("eps_b", "eps_b = nan must be >= 1"),
+                             ("omega0", "omega0 = nan must be > 0"),
+                             ("Omega", "Omega = nan must be >= 0"),
+                             ("gamma", "gamma = nan must be > 0"))},
+    "quadrature_rel_tol": (lambda: oracle.QuadratureSpec(rel_tol=math.nan),
+                           "rel_tol = nan must be > 0"),
+    "absorbed_power_loss": (lambda: oracle.absorbed_power(
+        _cavity_case()[2], 0.7, 1.0, complex(5, math.nan), 1.0),
+        "eps'' must be non-negative for a passive layer"),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_ARGUMENTS))
+def test_nan_argument_is_a_domain_error(name):
+    """NaN is not a valid length, frequency, tolerance or loss: every
+    domain check rejects it, as the amplitude engine's checks do, with the
+    message of a value on the wrong side of its bound."""
+    call, message = NAN_ARGUMENTS[name]
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert type(caught.value) is DomainError \
+        and str(caught.value) == message
