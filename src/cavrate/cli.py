@@ -10,16 +10,19 @@ air), differing in the local-field cavity radius.  A sweep whose grid
 leaves the small-cavity range warns once, naming the largest k0*r_c, the
 x_c of its rate reports.
 
-Exit codes: 0 success, 1 configuration or output error (an output file
-that cannot be written, or a reader that closes the pipe; an --out in a
-missing directory, or naming one, ends the run before the sweep), 2
-verification failure (including a check that fails numerically), 3 numeric
-failure of the sweep (an --out file is then left as it was).
+Exit codes: 0 success, 1 configuration or output error (an invalid value,
+NaN and infinity among them, which leaves an --out file uncreated; an
+output file that cannot be written, or a reader that closes the pipe; an
+--out in a missing directory, or naming one, ends the run before the
+sweep), 2 verification failure (including a check that fails
+numerically), 3 numeric failure of the sweep (an --out file is then left
+as it was).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import errno
 import math
@@ -47,7 +50,8 @@ _FRACTION_LIMIT = 0.16
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Complete description of one sweep; building one never warns."""
+    """Complete description of one sweep; building one never warns, and
+    every number it holds, its medium's among them, must be finite."""
 
     medium: LorentzMedium = LorentzMedium(eps_b=5.0, omega0=1.0,
                                           Omega=0.5, gamma=0.1)
@@ -64,6 +68,10 @@ class SweepConfig:
     verify: bool = False
 
     def __post_init__(self):
+        for name, value in (*vars(self).items(), *vars(self.medium).items()):
+            if isinstance(value, (int, float, complex)) \
+                    and not cmath.isfinite(value):
+                raise ConfigError(f"{name} = {value} must be finite")
         if self.omega_min <= 0:
             raise ConfigError(f"omega_min = {self.omega_min:g} must be > 0")
         if self.omega_count < 1:
@@ -376,7 +384,8 @@ def main(argv=None) -> int:
             code = _run_verify(config) if config.verify else 0
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
+        # a DomainError here comes from a value of the configuration
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # only the output touches files

@@ -1258,6 +1258,31 @@ class TestMain:
         assert cli.main(["sweep", "--preset", "fig9"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("sweep", "[geometry]\nsphere_radius = nan\n"),
+        ("sweep", "[sweep]\nomega_max = nan\n"),
+        ("sweep", "[geometry]\neps_ext = 0\n"),
+        ("sweep", "[geometry]\nrm_mode = explicit\nrm_value = nan\n"),
+        ("sweep", "[geometry]\nsphere_radius = inf\n"),
+        ("sweep", "[geometry]\neps_ext = nan+1j\n"),
+        ("sweep", "[medium]\neps_b = inf\n"),
+        ("verify", "[geometry]\nsphere_radius = nan\n"),
+    ], ids=["sphere_radius_nan", "omega_max_nan", "eps_ext_zero",
+            "rm_value_nan", "sphere_radius_inf", "eps_ext_nan",
+            "eps_b_inf", "verify_sphere_radius_nan"])
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, command,
+                                           text):
+        """One stderr line and exit 1, before any output file exists."""
+        path, out = tmp_path / "bad.cfg", tmp_path / "bad.csv"
+        path.write_text(text)
+        args = ["--out", str(out)] if command == "sweep" else []
+        assert cli.main([command, "--config", str(path), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_bad_config_file_is_config_error(self):
         assert cli.main(["sweep", "--config", "/nope.cfg"]) == 1
 
