@@ -100,6 +100,9 @@ class SweepConfig:
             raise ConfigError("rm_value is used only with rm_mode 'explicit'")
         if complex(self.eps_ext).imag < 0:
             raise ConfigError(f"eps_ext = {self.eps_ext} is not passive")
+        if self.eps_ext == 0:
+            raise ConfigError(
+                f"eps_ext = {self.eps_ext} has no square-root branch")
         unknown = [c for c in self.columns if c not in COLUMNS]
         if unknown or not self.columns:
             raise ConfigError(f"unknown output columns: {', '.join(unknown)}"

@@ -6,8 +6,9 @@ and records the worst measured error against its tolerance.  The battery
 is deterministic: random samples come from a seeded generator, and its
 report reads the same under numpy's AVX2 and AVX-512 kernels.  A sampled
 check draws all its samples in one block, in the order of one draw after
-another, and evaluates each route once on the arrays of samples.  A NaN
-error counts as the worst: its check fails.
+another, and evaluates each route once on the arrays of samples, except
+check_oracle_power, which draws and integrates one sample at a time.  A
+NaN error counts as the worst: its check fails.
 """
 
 from __future__ import annotations
@@ -302,12 +303,36 @@ def check_quadrature_convergence(eps, k0) -> CheckResult:
     return _check("quadrature_convergence", abs(a - b) / abs(b), spec.rel_tol)
 
 
+# in report order: the names a check reports, its function's name (looked
+# up as the battery runs, so a replaced check_* runs) and the values it takes
+CHECKS = (
+    (_HANKEL_CHECKS, "check_specfun_identities", ("rng",)),
+    (("sqrt_branch_reconstruction",), "check_sqrt_branch", ("rng",)),
+    (("solver_matches_closed_forms",), "check_solver_vs_closed_forms",
+     ("rng",)),
+    (("oracle_matches_analytic_power",), "check_oracle_power", ("rng",)),
+    (("energy_balance_layers",), "check_energy_balance",
+     ("eps", "eps_ext", "radius", "r_c", "k0")),
+    (("cutoff_free_identity",), "check_cutoff_free_identity", ("rng",)),
+    (("cavity_rate_forms_agree",), "check_cavity_rate_forms", ("rng",)),
+    (("lossless_collapse",), "check_lossless_collapse", ("rng",)),
+    (_ORDER_CHECKS, "check_expansion_orders", ("eps_orders",)),
+    (("rate_decomposition_slope",), "check_decomposition",
+     ("eps_orders", "radius", "k0")),
+    (("external_field_scaling",), "check_external_scaling",
+     ("eps", "radius", "k0")),
+    (("green_function_restatement",), "check_green_restatement",
+     ("eps", "eps_ext", "radius", "k0")),
+    (("quadrature_convergence",), "check_quadrature_convergence",
+     ("eps_orders", "k0")),
+)
+CHECK_NAMES = tuple(name for names, _, _ in CHECKS for name in names)
 # the seed of the random-sample checks unless the caller names one
 DEFAULT_SEED = 20260810
 
 
 def run_battery(config=None, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Run every invariant check and collect the results.
+    """Run every check of CHECKS and collect the results.
 
     config (a SweepConfig, by default SweepConfig(), the fig3 sphere)
     supplies the medium and geometry for the system-specific checks, at
@@ -320,46 +345,23 @@ def run_battery(config=None, seed: int = DEFAULT_SEED) -> VerificationReport:
     if config is None:
         from .cli import SweepConfig  # cli imports this module
         config = SweepConfig()
-    rng = np.random.default_rng(seed)
     k0 = config.medium.omega0  # the resonance, with k0 = omega
     eps = eval_lorentz(config.medium, k0).eps
-    radius, eps_ext = config.sphere_radius, config.eps_ext
+    radius = config.sphere_radius
     r_c = config.onsager_radius(k0)
     if r_c >= radius:
         raise ConfigError(
             f"cavity radius {r_c:g} reaches the sphere radius "
             f"{radius:g} at the resonance frequency")
-    # order checks need a visibly absorbing medium (the linear residual
-    # terms carry the absorption); fall back to fig3's eps otherwise
-    eps_orders = eps if abs(eps.imag) > 0.05 * abs(eps) else 5 + 2.5j
-
-    # in report order: the names a check reports, the check, looked up
-    # now so that a replaced verify.check_* runs, and its arguments
-    table = (
-        (_HANKEL_CHECKS, check_specfun_identities, (rng,)),
-        (("sqrt_branch_reconstruction",), check_sqrt_branch, (rng,)),
-        (("solver_matches_closed_forms",), check_solver_vs_closed_forms,
-         (rng,)),
-        (("oracle_matches_analytic_power",), check_oracle_power, (rng,)),
-        (("energy_balance_layers",), check_energy_balance,
-         (eps, eps_ext, radius, r_c, k0)),
-        (("cutoff_free_identity",), check_cutoff_free_identity, (rng,)),
-        (("cavity_rate_forms_agree",), check_cavity_rate_forms, (rng,)),
-        (("lossless_collapse",), check_lossless_collapse, (rng,)),
-        (_ORDER_CHECKS, check_expansion_orders, (eps_orders,)),
-        (("rate_decomposition_slope",), check_decomposition,
-         (eps_orders, radius, k0)),
-        (("external_field_scaling",), check_external_scaling,
-         (eps, radius, k0)),
-        (("green_function_restatement",), check_green_restatement,
-         (eps, eps_ext, radius, k0)),
-        (("quadrature_convergence",), check_quadrature_convergence,
-         (eps_orders, k0)),
-    )
+    values = dict(
+        rng=np.random.default_rng(seed), eps=eps, eps_ext=config.eps_ext,
+        radius=radius, r_c=r_c, k0=k0,
+        # the order checks' residuals need absorption: else fig3's eps
+        eps_orders=eps if abs(eps.imag) > 0.05 * abs(eps) else 5 + 2.5j)
     checks: list[CheckResult] = []
-    for names, check, args in table:
+    for names, function, args in CHECKS:
         try:
-            result = check(*args)
+            result = globals()[function](*(values[arg] for arg in args))
         except (ArithmeticError, QuadratureFailure, DomainError) as exc:
             result = [CheckResult(
                 name=name, passed=False, measured=math.inf, tolerance=0.0,

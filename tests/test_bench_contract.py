@@ -72,3 +72,4 @@ def test_each_check_runs_once_per_battery(monkeypatch):
     report = verify.run_battery(None)
     assert calls == Counter(checks)
     assert tuple(c.name for c in report.checks) == BATTERY
+    assert verify.CHECK_NAMES == BATTERY

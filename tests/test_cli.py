@@ -991,12 +991,13 @@ class TestVerifyBattery:
         assert {c.name for c in failed} == oracle_checks
         assert not any(c.passed for c in failed)
         assert all("synthetic" in c.detail for c in failed)
-        assert len(others) == 13
+        assert len(others) == \
+            len(verify_mod.CHECK_NAMES) - len(oracle_checks)
         assert all(c.passed for c in others), "\n".join(report.lines())
         assert cli.main(["verify"]) == 2
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 17
-        assert out[-1] == "16 checks, 3 failed"
+        assert len(out) == len(verify_mod.CHECK_NAMES) + 1
+        assert out[-1] == f"{len(verify_mod.CHECK_NAMES)} checks, 3 failed"
 
     @pytest.mark.parametrize("error", [DomainError, OverflowError,
                                        ZeroDivisionError, IllConditioned])
@@ -1007,7 +1008,7 @@ class TestVerifyBattery:
         monkeypatch.setattr(oracle, "energy_balance", boom)
         report = verify_mod.run_battery(None)
         failed = [c for c in report.checks if not c.passed]
-        assert len(report.checks) == 16
+        assert tuple(c.name for c in report.checks) == verify_mod.CHECK_NAMES
         assert [c.name for c in failed] == ["energy_balance_layers"]
         assert failed[0].detail == "numeric failure: synthetic"
 
@@ -1026,19 +1027,18 @@ class TestVerifyBattery:
 
         monkeypatch.setattr(module, name, boom)
         report = verify_mod.run_battery(None)
-        assert len(report.checks) == 16
+        assert tuple(c.name for c in report.checks) == verify_mod.CHECK_NAMES
         failed = tuple(c.name for c in report.checks if not c.passed)
         assert failed == failing
         assert all(c.detail == "numeric failure: synthetic"
                    for c in report.checks if not c.passed)
 
     def test_numeric_failure_keeps_the_verdict_names(self, monkeypatch):
-        # each check in turn fails numerically; the report keeps the 16
+        # each check in turn fails numerically; the report keeps the
         # names of a passing run, in the same order
         names = [c.name for c in verify_mod.run_battery(None).checks]
-        checks = [name for name in vars(verify_mod)
-                  if name.startswith("check_")]
-        assert len(names) == 16 and len(checks) == 13
+        checks = [function for _, function, _ in verify_mod.CHECKS]
+        assert tuple(names) == verify_mod.CHECK_NAMES
 
         def boom(*args, **kwargs):
             raise OverflowError("synthetic")
@@ -1058,7 +1058,8 @@ class TestVerifyBattery:
         code = cli.main(["verify", "--preset", "fig3", "--config", str(path)])
         out = capsys.readouterr().out.splitlines()
         assert code == 2
-        assert len(out) == 17 and out[-1].startswith("16 checks, ")
+        assert len(out) == len(verify_mod.CHECK_NAMES) + 1
+        assert out[-1].startswith(f"{len(verify_mod.CHECK_NAMES)} checks, ")
         assert any(line.startswith("FAIL  energy_balance_layers")
                    and "numeric failure: |Im z| = " in line
                    and "overflow guard" in line for line in out), out
@@ -1283,6 +1284,15 @@ class TestMain:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_both_commands_reject_eps_ext_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text("[geometry]\neps_ext = 0\n")
+        for command in ("sweep", "verify"):
+            assert cli.main([command, "--config", str(path)]) == 1, command
+            assert capsys.readouterr() == (
+                "", "configuration error: eps_ext = 0j has no square-root "
+                "branch\n")
+
     def test_bad_config_file_is_config_error(self):
         assert cli.main(["sweep", "--config", "/nope.cfg"]) == 1
 
@@ -1328,7 +1338,8 @@ class TestMain:
             warnings.simplefilter("always")
             assert cli.main(["verify", "--preset", preset]) == 0
         assert record == []
-        assert capsys.readouterr().out.count("PASS") == 16
+        assert capsys.readouterr().out.count("PASS") == \
+            len(verify_mod.CHECK_NAMES)
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_output_is_output_error(self, tmp_path, capsys,
@@ -1506,6 +1517,8 @@ def test_every_valid_configuration_ends_in_a_verdict(tmp_path_factory,
             assert err.getvalue().startswith(
                 ("configuration error: ", "output error: ",
                  "numeric failure: "))
-        elif args[0] == "verify":  # 16 verdicts and the summary
-            assert len(lines) == 17 and lines[-1].startswith("16 checks, ")
+        elif args[0] == "verify":  # a verdict per check and the summary
+            assert len(lines) == len(verify_mod.CHECK_NAMES) + 1
+            assert lines[-1].startswith(
+                f"{len(verify_mod.CHECK_NAMES)} checks, ")
             assert ("all passed" in lines[-1]) == (code == 0)
