@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -548,6 +549,54 @@ class TestFields:
         for bad in ([0.0, 0.3], [0.3, -0.1]):
             with pytest.raises(DomainError, match="positive"):
                 ml.field_in_layer(stack, coeffs, np.array(bad), 0.3, 1.0)
+
+
+# sha256 over float.hex of the real, then imaginary parts of (E_r, E_theta,
+# B_phi) on a column of radii and a row of polar angles: in each layer of a
+# three-layer stack at k0 = 1.1, with and without the source wave (which
+# only the central layer carries), then in a homogeneous medium.  Like the
+# array digests of test_scalar_bits, they assume numpy's AVX2 dispatch or
+# above.
+FIELD_DIGESTS = {
+    (1, True):
+        "7077df7766c6306514e59b3cd6a028962bf9d59bfec6ba26e244044e6577e00f",
+    (1, False):
+        "76620e944106b259dabdef44e4a8725ab6e8b9f0d49996824a3c411521891ec5",
+    (2, True):
+        "08b3e2f4da3fd66eec7a6aa1a93ea28f21cb2e685b127cdeca8079a015a71626",
+    (2, False):
+        "08b3e2f4da3fd66eec7a6aa1a93ea28f21cb2e685b127cdeca8079a015a71626",
+    (3, True):
+        "54f8bdc8fc8874c827b3409d403f1ecdf8b66d850527ac4f1f108c614958b77f",
+    (3, False):
+        "54f8bdc8fc8874c827b3409d403f1ecdf8b66d850527ac4f1f108c614958b77f",
+    "homogeneous":
+        "df7f909d8bf2a32ef2825e60b4885d9ca892f009db9721486ed94740768d8205",
+}
+
+
+def field_digest(components):
+    digest = hashlib.sha256()
+    for x in components:
+        digest.update(" ".join(map(float.hex, np.concatenate(
+            [x.real.ravel(), x.imag.ravel()]).tolist())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", FIELD_DIGESTS, ids=str)
+def test_field_bits(case):
+    k0, theta = 1.1, np.linspace(0.1, 3.0, 5)
+    if case == "homogeneous":
+        r = np.linspace(0.2, 3.0, 9)[:, None]
+        components = ml.homogeneous_field(5 + 2.5j, k0)(r, theta)
+    else:
+        layer, source = case
+        stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.5 + 0.5j))
+        lo, hi = ((0.05, 0.59), (0.61, 1.99), (2.01, 6.0))[layer - 1]
+        r = np.linspace(lo, hi, 9)[:, None]
+        components = ml.field_in_layer(stack, ml.coefficients(stack, k0), r,
+                                       theta, k0, include_source=source)
+    assert field_digest(components) == FIELD_DIGESTS[case]
 
 
 EPS_ROUTE = (1.0, 5 + 2.5j, 1.0)

@@ -210,6 +210,38 @@ def test_unconverging_integral_fails_within_bounded_work(fields, shell,
     assert len(calls) <= spec.max_depth
 
 
+def pinned_fields():
+    """A homogeneous absorbing medium and a cavity / sphere / vacuum stack."""
+    stack = ml.LayerStack((0.628, 2.0), (1.0, 5 + 2.5j, 1.0))
+    return (ml.homogeneous_field(5 + 2.5j, 1.0),
+            ml.stack_field_evaluator(stack, 1.0))
+
+
+# float.hex of number-input results at k0 = 1; like the array digests of
+# test_scalar_bits, they assume numpy's AVX2 dispatch or above
+FLUX_BITS = {  # (field, radius)
+    (0, 0.3): "0x1.64ad6c31b822cp+2", (0, 2.3): "0x1.a7e708bb6b18ap-3",
+    (1, 0.38): "0x1.501b06c6c8ed6p+1", (1, 1.3): "0x1.f010726bb9d5cp-1",
+    (1, 3.0): "0x1.a034be96bf635p-2"}
+ABSORBED_BITS = {  # (field, r_inner, r_outer)
+    (0, 0.3, 2.3): "0x1.576e33ebdccb1p+2",
+    (0, 0.05, 5.0): "0x1.44dd628149833p+9",
+    (1, 0.7, 1.9): "0x1.cc3eff4d736dap+0"}
+BALANCE_BITS = {  # (field, r_inner, r_outer)
+    (0, 0.3, 3.0): "0x1.588351ba93c63p-49",
+    (1, 0.7, 1.9): "0x1.17b5d9498a1b9p-50"}
+
+
+def test_number_input_bits():
+    fields = pinned_fields()
+    for (i, r), bits in FLUX_BITS.items():
+        assert oracle.flux_through_sphere(fields[i], r, 1.0).hex() == bits
+    for function, table in ((oracle.absorbed_power, ABSORBED_BITS),
+                            (oracle.energy_balance, BALANCE_BITS)):
+        for (i, *shell), bits in table.items():
+            assert function(fields[i], *shell, 5 + 2.5j, 1.0).hex() == bits
+
+
 def test_shell_validation():
     fields = ml.homogeneous_field(2 + 1j, 1.0)
     with pytest.raises(DomainError):
