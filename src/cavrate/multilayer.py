@@ -319,15 +319,17 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     """Dipole field at (r, theta): spherical components (E_r, E_theta, B_phi).
 
     r and theta may be numpy arrays; the components then take their
-    broadcast shape, and all radii must lie inside one layer.  In the
-    central layer the source wave is included unless include_source is
-    False (useful for isolating the scattered field near the origin, where
-    the j1-based part stays finite).  layer overrides the automatic layer
-    lookup, which lets both sides of an interface be evaluated at exactly
-    the same radius.  The profile f and [z f]'/z come from the scaled
-    waves of the amplitude recursion, times e^{iz} for the outgoing wave
-    and e^{-iz} for the other one (z = k_layer r); |Im z| above
-    specfun.IM_GUARD raises OverflowError.
+    broadcast shape, and all radii must lie inside one layer.  A stack of
+    (S,) permittivity arrays, and its amplitudes, hold one sample per
+    entry along the first axis of r.  In the central layer the source
+    wave is included unless include_source is False (useful for isolating
+    the scattered field near the origin, where the j1-based part stays
+    finite).  layer overrides the automatic layer lookup, which lets both
+    sides of an interface be evaluated at exactly the same radius.  The
+    profile f and [z f]'/z come from the scaled waves of the amplitude
+    recursion, times e^{iz} for the outgoing wave and e^{-iz} for the
+    other one (z = k_layer r), skipping a wave whose amplitude is an
+    exact 0; |Im z| above specfun.IM_GUARD raises OverflowError.
     """
     if not positive(r):
         raise DomainError("r must be positive (use field_center_limit at 0)")
@@ -337,21 +339,31 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
             raise DomainError("radii span an interface")
     elif not 1 <= layer <= stack.n_layers:
         raise DomainError(f"layer {layer} outside 1..{stack.n_layers}")
-    eps1, eps_l = stack.eps[0], stack.eps[layer - 1]
-    k_l = sqrt_eps(eps_l) * k0
-    z = k_l * r
-    guard_im(z, sf.IM_GUARD)
     # amplitudes of the outgoing wave and of the other one (h2; j1 in layer 1)
     a, b = ((float(include_source), coeffs.c1) if layer == 1 else
             (coeffs.c_plus[layer - 2], coeffs.c_minus[layer - 2]))
-    # the scaled waves as (f, [z f]'/z): h1 e^{-iz}, h2 e^{iz} or j1 e^{iz}
+    eps1, eps_l = stack.eps[0], stack.eps[layer - 1]
+    if type(r) is np.ndarray and r.ndim > 1:
+        # a sample's values broadcast along r's first axis
+        eps1, eps_l, a, b = (
+            x.reshape(x.shape + (1,) * (r.ndim - 1))
+            if type(x) is np.ndarray else x for x in (eps1, eps_l, a, b))
+    k_l = sqrt_eps(eps_l) * k0
+    z = k_l * r
+    guard_im(z, sf.IM_GUARD)
+    # each wave's scaled (f, [z f]'/z): h1 e^{-iz}, h2 e^{iz} or j1 e^{iz};
+    # an amplitude that is an exact 0 is a number
     iz = 1j / z
-    af, h2 = (-1 - iz) / z, (iz - 1) / z
-    bf, bd = sf.j1_scaled(z) if layer == 1 else (h2, 1j - h2)
-    ad, bd = (-1j - af) / z, bd / z
-    a, b = a * exp(1j * z), b * exp(-1j * z)
-    f = a * af + b * bf
-    df_over_z = a * ad + b * bd
+    f = df_over_z = 0
+    if type(a) is np.ndarray or a != 0:
+        af = (-1 - iz) / z
+        a = a * exp(1j * z)
+        f, df_over_z = a * af, a * ((-1j - af) / z)
+    if type(b) is np.ndarray or b != 0:
+        bf, bd = sf.j1_scaled(z) if layer == 1 else (
+            h2 := (iz - 1) / z, 1j - h2)
+        b = b * exp(-1j * z)
+        f, df_over_z = f + b * bf, df_over_z + b * (bd / z)
     theta = np.asarray(theta)
     pref = 1j * k0 * k0 * (eps1 / eps_l) * k_l
     sin_theta = np.sin(theta)
@@ -372,8 +384,10 @@ def field_center_limit(coeffs: WaveCoefficients, eps1: complex,
     return 1j * k1 * k0 * k0 * coeffs.c1 * (2 / 3)
 
 
-def homogeneous_field(eps: complex, k0: float):
-    """Field evaluator (r, theta) -> components for a dipole in an infinite medium."""
+def homogeneous_field(eps, k0: float):
+    """Field evaluator (r, theta) -> components for a dipole in an infinite
+    medium; eps may be an (S,) array, one sample per entry along r's first
+    axis."""
     stack = LayerStack(radii=(1.0,), eps=(eps, eps))
     coeffs = WaveCoefficients(c1=0j, c_plus=(1 + 0j,), c_minus=(0j,))
 
@@ -385,7 +399,9 @@ def homogeneous_field(eps: complex, k0: float):
 
 
 def stack_field_evaluator(stack: LayerStack, k0: float):
-    """Field evaluator (r, theta) -> components for a layered stack."""
+    """Field evaluator (r, theta) -> components for a layered stack; a stack
+    of (S,) permittivity arrays holds one sample per entry along r's first
+    axis."""
     coeffs = coefficients(stack, k0)
 
     def fields(r, theta):

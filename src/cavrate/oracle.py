@@ -9,8 +9,12 @@ The configuration is axisymmetric, so the azimuthal integral is the exact
 factor 2 pi, and the polar integrand is a low-degree polynomial in
 cos(theta), which fixed-order Gauss-Legendre integrates exactly.  Only the
 radial integration is adaptive, with one field call per bisection level
-on the 16- and 32-node rules of every open panel.  Results are in units
-of the free-space radiated power W_free = c k0**4 / 3 of the unit dipole.
+on the 16- and 32-node rules of every open panel.  Radii, shells and
+losses may be (S,) arrays of samples, whose evaluator (a homogeneous
+medium or a stack of (S,) permittivity arrays) takes the radii with the
+sample axis first: then one field call per level serves every sample.
+Results are in units of the free-space radiated power W_free = c k0**4 / 3
+of the unit dipole.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import nonnegative, positive
 from .errors import DomainError, QuadratureFailure
 
 _GAUSS_ORDER = 8
@@ -29,6 +34,7 @@ _GL_THETA = np.array([math.acos(x) for x in _GL_NODES])
 # radial panels: the 16-node rule's nodes and weights, then the 32-node rule's
 _PANEL_NODES, _PANEL_WEIGHTS = map(np.concatenate, zip(
     np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(32)))
+_G16_WEIGHTS, _G32_WEIGHTS = np.split(_PANEL_WEIGHTS, [16])
 # more open panels at one level than this: the integral does not converge
 _MAX_OPEN_PANELS = 512
 
@@ -47,82 +53,119 @@ class QuadratureSpec:
             raise DomainError(f"max_depth = {self.max_depth} must be >= 1")
 
 
-def _adaptive_gauss(fn, a: float, b: float, quad: QuadratureSpec) -> float:
+def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
     """Breadth-first adaptive Gauss-Legendre integral of fn on [a, b].
 
-    fn maps a 1-d array of points to the integrand's values.  A panel is
-    accepted when its 16- and 32-node rules differ by at most its width's
-    share of rel_tol * |G32 over [a, b]|, and then adds its G32.
+    a and b are numbers, or (S,) arrays of samples: the result is then an
+    (S,) array of integrals, one on each [a_s, b_s].  fn maps points shaped
+    (n,), or (S, n) with row s inside [a_s, b_s], to the integrand's values.
+    Each level makes one call for the open panels of every sample, a row
+    shorter than the longest padded with repeats of its panels (of its
+    first one if none is open).  A panel is accepted when its 16- and
+    32-node rules differ by at most its width's share of rel_tol * |G32
+    over [a_s, b_s]|, and then adds its G32.  Each sample has its own
+    budget, panel limit and QuadratureFailure, and reduces its own panels
+    as a number interval would, so it keeps that interval's bits.
     """
-    lo, half = np.array([a]), 0.5 * (b - a)
-    total = 0.0
+    shape = np.shape(a)
+    a, half = np.array(a, float, ndmin=1), np.array(0.5 * (b - a), ndmin=1)
+    open_lo = [a[s:s + 1] for s in range(a.size)]  # each sample's panels
+    total, budget = np.zeros(a.size), np.empty(a.size)
     for depth in range(1, quad.max_depth + 1):
-        nodes = (lo + half)[:, None] + half * _PANEL_NODES
-        values = half * fn(nodes.ravel()).reshape(nodes.shape)
-        g16 = values[:, :16] @ _PANEL_WEIGHTS[:16]
-        g32 = values[:, 16:] @ _PANEL_WEIGHTS[16:]
-        if depth == 1:
-            # absolute budget anchored to the estimate of the whole integral
-            budget = quad.rel_tol * max(abs(g32[0]), 1e-300)
-        err = abs(g32 - g16)
-        done = err <= budget
-        total += float(g32[done].sum())
-        if done.all():
-            return total
-        if depth == quad.max_depth or 2 * (~done).sum() > _MAX_OPEN_PANELS:
-            worst = int(np.argmax(err))
-            raise QuadratureFailure(
-                f"radial integral not converged on [{lo[worst]:g}, "
-                f"{lo[worst] + 2 * half:g}] at depth {depth} (local error "
-                f"{err[worst]:.3e}, budget {budget:.3e})")
+        width = max(map(len, open_lo))
+        lo = np.array([p if len(p) == width else np.resize(
+            p if len(p) else a[s:s + 1], width)
+            for s, p in enumerate(open_lo)])
+        nodes = (lo + half[:, None])[..., None] \
+            + half[:, None, None] * _PANEL_NODES
+        values = half[:, None, None] \
+            * fn(nodes.reshape(*shape, -1)).reshape(nodes.shape)
+        for s, panels in enumerate(open_lo):
+            if not len(panels):
+                continue
+            rows = values[s, :len(panels)]
+            g16, g32 = rows[:, :16] @ _G16_WEIGHTS, rows[:, 16:] @ _G32_WEIGHTS
+            if depth == 1:
+                # absolute budget anchored to the estimate of the integral
+                budget[s] = quad.rel_tol * max(abs(g32[0]), 1e-300)
+            err = abs(g32 - g16)
+            done = err <= budget[s]
+            total[s] += float(g32[done].sum())
+            # each open panel splits in two at its midpoint
+            kept = panels[~done]
+            open_lo[s] = np.concatenate([kept, kept + half[s]])
+            if len(open_lo[s]) and (depth == quad.max_depth
+                                    or len(open_lo[s]) > _MAX_OPEN_PANELS):
+                worst = int(np.argmax(err))
+                sample = f" of sample {s}" if shape else ""
+                raise QuadratureFailure(
+                    f"radial integral{sample} not converged on "
+                    f"[{panels[worst]:g}, {panels[worst] + 2 * half[s]:g}] "
+                    f"at depth {depth} (local error {err[worst]:.3e}, "
+                    f"budget {budget[s]:.3e})")
+        if not any(map(len, open_lo)):
+            return total.reshape(shape)
         # every panel of a level has the same width, hence the same share
         budget, half = 0.5 * budget, 0.5 * half
-        lo = np.concatenate([lo[~done], lo[~done] + 2 * half])
 
 
-def flux_through_sphere(fields, r: float, k0: float) -> float:
+def flux_through_sphere(fields, r, k0: float):
     """Power crossing the sphere of radius r, in units of W_free.
 
     Integrates r**2 r_hat . P over the full solid angle, with
     P = c/(8 pi) Re[E x B*]; the radial component reduces to
-    Re[E_theta B_phi*] for the axisymmetric dipole field.
+    Re[E_theta B_phi*] for the axisymmetric dipole field.  r may be an (S,)
+    array, one sphere per sample of fields, which then gets the radii as
+    an (S, 1) array; the result is then an (S,) array.
     """
-    if not r > 0:
+    if not positive(r):
         raise DomainError("r must be positive")
-    _, e_theta, b_phi = fields(r, _GL_THETA)
+    samples = type(r) is np.ndarray
+    _, e_theta, b_phi = fields(r[..., None] if samples else r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
     # (c/8pi) * 2pi * r^2 * integral over cos(theta)
-    power = 0.25 * r * r * float(np.dot(_GL_WEIGHTS, integrand))
-    return power / (k0 ** 4 / 3)
+    power = 0.25 * r * r * (integrand @ _GL_WEIGHTS) / (k0 ** 4 / 3)
+    return power if samples else float(power)
 
 
-def absorbed_power(fields, r_inner: float, r_outer: float, eps_local: complex,
-                   k0: float, quad: QuadratureSpec | None = None) -> float:
+def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
+                   quad: QuadratureSpec | None = None):
     """Power absorbed in the shell r_inner <= r <= r_outer, units of W_free.
 
     Integrates omega eps''/(8 pi) |E|**2 over the shell volume; the shell
     must lie inside a single layer so eps_local is constant on it.  fields
     gets radii as an (n, 1) array and returns (n, len(theta)) components.
+    r_inner, r_outer and eps_local may be (S,) arrays, one shell per sample
+    of fields, which then gets radii as an (S, n, 1) array: the result is
+    then an (S,) array, and a bad element raises as a bad number would.
     """
-    if not 0 < r_inner <= r_outer:
+    if not (positive(r_inner) and nonnegative(r_outer - r_inner)):
         raise DomainError("need 0 < r_inner <= r_outer")
-    eps_local = complex(eps_local)
-    if not eps_local.imag >= 0:
+    loss = eps_local.imag if type(eps_local) is np.ndarray \
+        else complex(eps_local).imag
+    if not nonnegative(loss):
         raise DomainError("eps'' must be non-negative for a passive layer")
-    if eps_local.imag == 0 or r_inner == r_outer:
-        return 0.0
+    # a lossless or empty shell absorbs nothing; a sample's shrinks to its
+    # inner radius, where its first panel converges
+    live = (loss != 0) & (r_inner != r_outer)
+    samples = type(live) is np.ndarray
+    if not (live.any() if samples else live):
+        return np.zeros(live.shape) if samples else 0.0
+    if samples:
+        r_inner, r_outer = np.broadcast_arrays(
+            r_inner, np.where(live, r_outer, r_inner))
     if quad is None:
         quad = QuadratureSpec()
 
     def shell_density(r):
-        e_r, e_theta, _ = fields(r[:, None], _GL_THETA)
+        e_r, e_theta, _ = fields(r[..., None], _GL_THETA)
         mag = (e_r * np.conj(e_r)).real + (e_theta * np.conj(e_theta)).real
         return r * r * (mag @ _GL_WEIGHTS)
 
     integral = _adaptive_gauss(shell_density, r_inner, r_outer, quad)
     # omega eps''/(8 pi) times the 2 pi azimuthal factor, with omega = c k0
-    power = k0 * eps_local.imag / 4 * integral
-    return power / (k0 ** 4 / 3)
+    power = k0 * loss / 4 * integral / (k0 ** 4 / 3)
+    return power if samples else float(power)
 
 
 def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
@@ -130,7 +173,8 @@ def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
     """Relative defect of energy conservation across a shell.
 
     Power entering at r_inner either leaves at r_outer or is absorbed in
-    between; returns |flux(out) + absorbed - flux(in)| / flux(in).
+    between; returns |flux(out) + absorbed - flux(in)| / flux(in), an (S,)
+    array for (S,) arrays of samples.
     """
     w_in = flux_through_sphere(fields, r_inner, k0)
     w_out = flux_through_sphere(fields, r_outer, k0)

@@ -17,6 +17,7 @@ The rate functions also take numpy arrays, one entry per frequency.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,9 +49,20 @@ def _real_cavity(eps, m=Mixed):
     return den, abs_den, abs(3 * eps / den) ** 2
 
 
+def _finite(eps):
+    """eps, once it or each of its elements is finite; else DomainError
+    names it, or its first element that is NaN or infinite."""
+    if type(eps) is np.ndarray:
+        if (bad := eps[~np.isfinite(eps)]).size:
+            raise DomainError(f"eps = {bad[0]} must be finite")
+    elif not cmath.isfinite(eps):
+        raise DomainError(f"eps = {eps} must be finite")
+    return eps
+
+
 def onsager_factor(eps: complex) -> float:
     """Real-cavity local-field factor |3 eps/(2 eps + 1)|**2."""
-    return _real_cavity(eps)[2]
+    return _real_cavity(_finite(eps))[2]
 
 
 def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
@@ -73,6 +85,7 @@ def _warn_outside_range(x, what: str) -> None:
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
+    _finite(eps)
     x = _cavity_x(ml._k0(k0), r_c)
     return eps.imag / abs(eps) ** 2 / x ** 3
 
@@ -83,6 +96,7 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
+    _finite(eps)
     ml._k0(k0)
     return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
 
@@ -117,6 +131,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
+    _finite(eps)
     _cavity_x(ml._k0(k0), r_c)  # checks k0, then r_c
     return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
@@ -128,6 +143,7 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
+    _finite(eps)
     x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "w0_expanded")
     eta, kappa = eta_kappa(eps)
@@ -143,6 +159,7 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
+    _finite(eps)
     x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
@@ -165,6 +182,7 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
+    _finite(eps)
     x = _cavity_x(ml._k0(k0), r_c)
     _warn_outside_range(x, "p_eff_expansion")
     den = _real_cavity(eps)[0]

@@ -88,11 +88,10 @@ MUTANTS = {
         ("sqrt_branch_reconstruction", "expansion_order_gamma0_loc",
          "expansion_order_central_c1", "rate_decomposition_slope")),
     "external_dipole_epsN_over_eps1": (
-        # no check calls external_dipole
         rates, "external_dipole",
         lambda f: lambda stack, k0: f(stack, k0)
         * (stack.eps[-1] / stack.eps[0]) ** 2,
-        ()),
+        ("external_field_scaling",)),
     "onsager_factor_lorentz": (
         rates, "onsager_factor", lambda f: rates.lorentz_factor,
         ("external_field_scaling",)),

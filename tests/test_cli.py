@@ -922,6 +922,14 @@ def _solver_loop(rng):
     return out
 
 
+def _oracle_loop(rng):
+    out = []
+    for _ in range(4):
+        eps = complex(rng.uniform(0.5, 9), rng.uniform(0.1, 5))
+        out += [(eps, 1.0)] * 2  # one field per cutoff
+    return out
+
+
 def _lossless_loop(rng):
     return [(complex(rng.uniform(1.0, 9.0), 0.0), 1.0, rng.uniform(1, 3),
              0.05, 0.05, 1.0) for _ in range(20)]
@@ -945,6 +953,7 @@ PER_SAMPLE_LOOPS = {
     verify_mod.check_sqrt_branch: (_sqrt_loop, "sqrt_eps"),
     verify_mod.check_solver_vs_closed_forms: (_solver_loop,
                                               "coeffs_three_layer"),
+    verify_mod.check_oracle_power: (_oracle_loop, "homogeneous_field"),
     verify_mod.check_lossless_collapse: (_lossless_loop, "rate_report"),
     verify_mod.check_cutoff_free_identity: (_cutoff_loop,
                                             "identity_rep_decomposition"),

@@ -173,8 +173,9 @@ def test_convergence_check_sees_an_unconverged_rule(monkeypatch):
     nodes, weights = np.polynomial.legendre.leggauss(4)
 
     def coarse(fn, a, b, quad):
-        half = 0.5 * (b - a)
-        return half * float(fn(a + half + half * nodes) @ weights)
+        half = 0.5 * (np.asarray(b) - a)
+        points = (a + half)[..., None] + half[..., None] * nodes
+        return half * (fn(points) @ weights)
 
     monkeypatch.setattr(oracle, "_adaptive_gauss", coarse)
     result = verify.check_quadrature_convergence(5 + 2.5j, 1.0)
@@ -209,6 +210,143 @@ def test_unconverging_integral_fails_within_bounded_work(fields, shell,
     assert max(n for n, _ in calls) <= 48 * oracle._MAX_OPEN_PANELS
     assert len(calls) <= spec.max_depth
 
+
+# four samples, one shell each, that converge at different depths: in a
+# homogeneous medium and in the middle layer of a cavity / sphere / vacuum
+# stack, each evaluator made from a number or an (S,) array eps
+SAMPLE_EPS = np.array([5 + 2.5j, 2 + 0.3j, 8 + 4j, 3 + 1j])
+SAMPLE_CASES = {
+    "homogeneous": (ml.homogeneous_field,
+                    ((0.3, 0.5), (0.05, 5.0), (0.5, 2.0), (1.0, 10.0))),
+    "stack": (lambda eps, k0: ml.stack_field_evaluator(
+        ml.LayerStack((0.05, 8.0), (1.0, eps, 1.0)), k0),
+              ((0.06, 7.5), (1.0, 1.2), (0.5, 2.0), (2.0, 7.9))),
+}
+DEEPEST = {"homogeneous": 1, "stack": 0}  # the sample of the most levels
+
+
+def sample_case(name):
+    make, shells = SAMPLE_CASES[name]
+    return (make, *np.array(shells).T)
+
+
+def number_levels(make, shells, eps, spec=None):
+    """The field calls of each shell's number-input integral."""
+    out = []
+    for (r_inner, r_outer), e in zip(shells, eps.tolist()):
+        calls = []
+        oracle.absorbed_power(counting(make(e, 1.0), calls), r_inner,
+                              r_outer, e, 1.0, spec)
+        out.append(calls)
+    return out
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+def test_samples_match_their_number_results(name):
+    make, r_inner, r_outer = sample_case(name)
+    fields = make(SAMPLE_EPS, 1.0)
+    flux = oracle.flux_through_sphere(fields, r_outer, 1.0)
+    absorbed = oracle.absorbed_power(fields, r_inner, r_outer, SAMPLE_EPS,
+                                     1.0)
+    defect = oracle.energy_balance(fields, r_inner, r_outer, SAMPLE_EPS, 1.0)
+    for s, eps in enumerate(SAMPLE_EPS.tolist()):
+        one, shell = make(eps, 1.0), (r_inner[s], r_outer[s])
+        expected = oracle.flux_through_sphere(one, r_outer[s], 1.0)
+        assert abs(flux[s] - expected) <= 1e-13 * abs(expected)
+        expected = oracle.absorbed_power(one, *shell, eps, 1.0)
+        assert abs(absorbed[s] - expected) <= 1e-13 * abs(expected)
+        assert abs(defect[s] - oracle.energy_balance(one, *shell, eps, 1.0)) \
+            <= 1e-13
+    assert flux.shape == absorbed.shape == defect.shape == (4,)
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+def test_one_field_call_per_level_for_all_samples(name):
+    make, r_inner, r_outer = sample_case(name)
+    calls = []
+    oracle.absorbed_power(counting(make(SAMPLE_EPS, 1.0), calls), r_inner,
+                          r_outer, SAMPLE_EPS, 1.0)
+    levels = list(map(len, number_levels(make, SAMPLE_CASES[name][1],
+                                         SAMPLE_EPS)))
+    assert min(levels) < max(levels) == len(calls)
+    # every call holds whole panels of 16 + 32 radii for each sample
+    assert all(len(s) == 3 and s[0] == 4 and s[1] % 48 == 0 and s[2] == 1
+               for s in calls)
+
+
+def test_idle_samples_absorb_nothing():
+    fields = ml.homogeneous_field(np.array([4.0, 5 + 2.5j, 2 + 1j]), 1.0)
+    got = oracle.absorbed_power(fields, np.array([0.5, 1.0, 0.3]),
+                                np.array([2.0, 1.0, 0.6]),
+                                np.array([4.0, 5 + 2.5j, 2 + 1j]), 1.0)
+    assert got[0] == got[1] == 0.0 and got[2] > 0
+    assert np.array_equal(oracle.absorbed_power(
+        fields, np.full(3, 0.5), np.full(3, 2.0), 4.0, 1.0), np.zeros(3))
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+@pytest.mark.parametrize("function, position, bad", [
+    ("absorbed_power", 0, 0.0), ("absorbed_power", 0, math.nan),
+    ("absorbed_power", 1, 0.01), ("absorbed_power", 2, 2 - 1j),
+    ("absorbed_power", 2, complex(2, math.nan)),
+    ("flux_through_sphere", 0, 0.0), ("flux_through_sphere", 0, math.nan)])
+def test_a_bad_sample_raises_as_a_bad_number(name, function, position, bad):
+    make, r_inner, r_outer = sample_case(name)
+    args = ([r_inner, r_outer, SAMPLE_EPS] if function == "absorbed_power"
+            else [r_outer])
+    numbers = [x[2].item() for x in args]
+    args[position] = args[position].copy()
+    args[position][2], numbers[position] = bad, bad
+    errors = []
+    for fields, values in ((make(SAMPLE_EPS, 1.0), args),
+                           (make(SAMPLE_EPS[2].item(), 1.0), numbers)):
+        with pytest.raises(DomainError) as caught:
+            getattr(oracle, function)(fields, *values, 1.0)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def failure_place(message):
+    """Where a QuadratureFailure message says its integral stopped."""
+    return message.split(" (local error")[0]
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+def test_an_unconverged_sample_is_named(name):
+    make, r_inner, r_outer = sample_case(name)
+    starving = oracle.QuadratureSpec(rel_tol=1e-13, max_depth=2)
+    s = DEEPEST[name]
+    with pytest.raises(QuadratureFailure) as batched:
+        oracle.absorbed_power(make(SAMPLE_EPS, 1.0), r_inner, r_outer,
+                              SAMPLE_EPS, 1.0, starving)
+    eps = SAMPLE_EPS[s].item()
+    with pytest.raises(QuadratureFailure) as number:
+        oracle.absorbed_power(make(eps, 1.0), r_inner[s], r_outer[s], eps,
+                              1.0, starving)
+    assert failure_place(str(batched.value)) == failure_place(
+        str(number.value)).replace("integral", f"integral of sample {s}")
+
+
+@pytest.mark.parametrize("name", SAMPLE_CASES)
+def test_the_panel_limit_counts_per_sample(name):
+    # two copies of a shell that runs into the limit below rounding, in the
+    # same number-eps field: a limit on both samples' panels together would
+    # stop them before any level held more than half of it for each
+    make, r_inner, r_outer = sample_case(name)
+    s = DEEPEST[name]
+    eps, spec = SAMPLE_EPS[s].item(), oracle.QuadratureSpec(rel_tol=1e-17)
+    calls = []
+    with pytest.raises(QuadratureFailure) as batched:
+        oracle.absorbed_power(counting(make(eps, 1.0), calls),
+                              np.full(2, r_inner[s]), np.full(2, r_outer[s]),
+                              eps, 1.0, spec)
+    with pytest.raises(QuadratureFailure) as number:
+        oracle.absorbed_power(make(eps, 1.0), r_inner[s], r_outer[s], eps,
+                              1.0, spec)
+    assert str(batched.value) == str(number.value).replace(
+        "integral", "integral of sample 0")
+    assert 48 * oracle._MAX_OPEN_PANELS // 2 < max(n for _, n, _ in calls) \
+        <= 48 * oracle._MAX_OPEN_PANELS
 
 def pinned_fields():
     """A homogeneous absorbing medium and a cavity / sphere / vacuum stack."""

@@ -848,6 +848,19 @@ NAN_ARGUMENTS = {
     "absorbed_power_loss": (lambda: oracle.absorbed_power(
         _cavity_case()[2], 0.7, 1.0, complex(5, math.nan), 1.0),
         "eps'' must be non-negative for a passive layer"),
+    # a permittivity of a medium-only rate that is NaN or infinite
+    **{f"{name}_{form}": ((lambda name=name, eps=eps, args=args: getattr(
+        rates, name)(eps, *args)), message)
+       for name, args in (("onsager_factor", ()),
+                          *((name, (1.0, 0.1)) for name in (
+                              "gamma0_loc", "gamma0_macroscopic",
+                              "w0_cutoff", "w0_expanded", "p_eff_expansion",
+                              "cavity_nearfield")))
+       for form, eps, message in (
+           ("eps_nan", complex(math.nan, 1), "eps = (nan+1j) must be finite"),
+           ("eps_inf", complex(math.inf, 1), "eps = (inf+1j) must be finite"),
+           ("eps_array", np.array([EPS_RES, complex(2, math.nan)]),
+            "eps = (2+nanj) must be finite"))},
 }
 
 
