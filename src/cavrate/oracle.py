@@ -60,26 +60,24 @@ def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
     (S,) array of integrals, one on each [a_s, b_s].  fn maps points shaped
     (n,), or (S, n) with row s inside [a_s, b_s], to the integrand's values.
     Each level makes one call for the open panels of every sample, a row
-    shorter than the longest padded with repeats of its panels (of its
-    first one if none is open).  A panel is accepted when its 16- and
-    32-node rules differ by at most its width's share of rel_tol * |G32
-    over [a_s, b_s]|, and then adds its G32.  Each sample has its own
-    budget, panel limit and QuadratureFailure, and reduces its own panels
-    as a number interval would, so it keeps that interval's bits.
+    shorter than the longest padded with panels at its sample's a_s.  A
+    panel is accepted when its 16- and 32-node rules differ by at most its
+    width's share of rel_tol * |G32 over [a_s, b_s]|, and then adds its
+    G32.  Each sample has its own budget, panel limit and
+    QuadratureFailure, and reduces its own panels as a number interval
+    would, so it keeps that interval's bits.
     """
-    shape = np.shape(a)
+    shape = getattr(a, "shape", ())
     a, half = np.array(a, float, ndmin=1), np.array(0.5 * (b - a), ndmin=1)
     open_lo = [a[s:s + 1] for s in range(a.size)]  # each sample's panels
     total, budget = np.zeros(a.size), np.empty(a.size)
     for depth in range(1, quad.max_depth + 1):
-        width = max(map(len, open_lo))
-        lo = np.array([p if len(p) == width else np.resize(
-            p if len(p) else a[s:s + 1], width)
-            for s, p in enumerate(open_lo)])
-        nodes = (lo + half[:, None])[..., None] \
-            + half[:, None, None] * _PANEL_NODES
-        values = half[:, None, None] \
-            * fn(nodes.reshape(*shape, -1)).reshape(nodes.shape)
+        lo = np.repeat(a[:, None], max(map(len, open_lo)), axis=1)
+        for s, panels in enumerate(open_lo):
+            lo[s, :len(panels)] = panels
+        h = half[:, None, None]
+        nodes = (lo[..., None] + h) + h * _PANEL_NODES
+        values = h * fn(nodes.reshape(*shape, -1)).reshape(nodes.shape)
         for s, panels in enumerate(open_lo):
             if not len(panels):
                 continue
