@@ -8,10 +8,15 @@ their route, on the forms of `Numbers` or of `Mixed` alone.  A number goes
 through cmath and plain comparisons, keeping its exact bits and its cost;
 an array goes through numpy, a series runs only if some element needs it
 (`np.where` picks per element), and a guard raises if any element is bad.
+It holds the rule for a valid input, `positive` for a length or a
+frequency and `finite` for a permittivity, and `require`, which names a
+bad one.
 """
 
 import cmath
 import functools
+import math
+import operator
 
 import numpy as np
 
@@ -38,14 +43,39 @@ def largest(x) -> float:
     return x if type(x) is float else float(np.fmax.reduce(x, None))
 
 
-def positive(x) -> bool:
-    """True when x, or every element of x, is > 0; NaN is not."""
-    return x > 0 if type(x) is float else bool(np.greater(x, 0).all())
+_INF = math.inf
+K0 = "k0 must be positive"  # the messages that several modules share
+RADII = "the radii must be positive and increasing"
+FINITE_EPS = "eps = {} must be finite"
+
+
+def positive(x, above=operator.lt) -> bool:
+    """The rule for a length or a frequency: x, or each of its elements, is
+    real, finite and > 0 (>= 0 with above=operator.le)."""
+    if type(x) is float:
+        return above(0, x) and x < _INF
+    x = np.asarray(x)
+    return x.dtype.kind in "iuf" and bool((above(0, x) & (x < _INF)).all())
 
 
 def nonnegative(x) -> bool:
-    """True when x, or every element of x, is >= 0; NaN is not."""
-    return x >= 0 if type(x) is float else bool(np.greater_equal(x, 0).all())
+    return positive(x, operator.le)
+
+
+def finite(x) -> bool:
+    """The rule for a permittivity: x, or each of its elements, is finite."""
+    return bool(np.isfinite(x).all()) if type(x) is np.ndarray \
+        else cmath.isfinite(x)
+
+
+def require(x, message: str, test=positive, *context):
+    """x, once test(x) holds; else DomainError(message), formatted only then
+    with the first element of x that fails (x for a number) and context."""
+    if not test(x):
+        bad = next((v for v in x.flat if not test(v)), x) \
+            if type(x) is np.ndarray else x
+        raise DomainError(message.format(bad, *context))
+    return x
 
 
 def _peak(group) -> float:
@@ -79,20 +109,32 @@ def exp(z):
 class Numbers:
     """The forms of a call whose values are all float or complex numbers."""
     exp = cmath.exp
-    positive = (0.0).__lt__  # 0 < x
-    smallest = float  # a float is its own smallest element
+    positive = (0.0).__lt__  # 0 < x; largest(x) < inf bounds it above
+    smallest = largest = float  # a float is its own smallest element
 
 
 class Mixed:
     """The forms of a call whose values may include numpy arrays."""
-    exp, positive, smallest = exp, positive, smallest
+    exp, positive, smallest, largest = exp, positive, smallest, largest
 
 
-def route(reals, values):
-    """Numbers if every one of reals is a float and every one of values a
-    float or complex number, else Mixed: the type decision of one call."""
+def widths(radii, m=Mixed):
+    """The layer widths r_1, r_2 - r_1, ... of radii on route m, once each
+    is > 0 and the outermost radius, their sum, finite."""
+    widths = (radii[0], *map(operator.sub, radii[1:], radii))
+    if not (all(map(m.positive, widths)) and m.largest(radii[-1]) < _INF):
+        raise DomainError(RADII)
+    return widths
+
+
+def route(reals, values, messages):
+    """Numbers if every one of reals is a float in (0, inf) and every one
+    of values a float or complex number, else Mixed, once each of reals
+    passes require with the message in its place (numbers need no call)."""
     for x in reals:
-        if type(x) is not float:
+        if type(x) is not float or not 0 < x < _INF:
+            for x, message in zip(reals, messages):
+                require(x, message)
             return Mixed
     for z in values:
         if type(z) is not complex and type(z) is not float:

@@ -68,7 +68,7 @@ class SweepConfig:
     verify: bool = False
 
     def __post_init__(self):
-        for name, value in (*vars(self).items(), *vars(self.medium).items()):
+        for name, value in vars(self).items():  # the medium checks its own
             if isinstance(value, (int, float, complex)) \
                     and not cmath.isfinite(value):
                 raise ConfigError(f"{name} = {value} must be finite")

@@ -17,10 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._elementwise import elementwise, positive
-from .errors import DomainError
+from ._elementwise import elementwise, nonnegative, require
 
 
 _sqrt = elementwise(pole="square root branch undefined at eps = 0")(
@@ -70,14 +67,11 @@ class LorentzMedium:
     gamma: float
 
     def __post_init__(self):
-        if not self.eps_b >= 1:
-            raise DomainError(f"eps_b = {self.eps_b:g} must be >= 1")
-        if not self.omega0 > 0:
-            raise DomainError(f"omega0 = {self.omega0:g} must be > 0")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma = {self.gamma:g} must be > 0")
-        if not self.Omega >= 0:
-            raise DomainError(f"Omega = {self.Omega:g} must be >= 0")
+        require(self.eps_b, "eps_b = {:g} must be >= 1",
+                lambda eps_b: nonnegative(eps_b - 1))
+        require(self.omega0, "omega0 = {:g} must be > 0")
+        require(self.gamma, "gamma = {:g} must be > 0")
+        require(self.Omega, "Omega = {:g} must be >= 0", nonnegative)
 
 
 def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
@@ -86,8 +80,7 @@ def eval_lorentz(medium: LorentzMedium, omega: float) -> ComplexPermittivity:
     Im eps is strictly positive for every omega > 0 whenever Omega > 0,
     so the model is passive at all frequencies.  omega may be an array.
     """
-    if not positive(omega):
-        raise DomainError(f"omega = {np.min(omega):g} must be > 0")
+    require(omega, "omega = {:g} must be > 0")
     den = medium.omega0 ** 2 - omega ** 2 - 1j * omega * medium.gamma
     eps = medium.eps_b + medium.Omega ** 2 / den
     return ComplexPermittivity(eps, *eta_kappa(eps))

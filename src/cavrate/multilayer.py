@@ -22,13 +22,13 @@ Conventions: unit dipole moment, c = 1, lengths and 1/k0 in the same unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 
 import numpy as np
 
 from . import specfun as sf
-from ._elementwise import (Mixed, Numbers, exp, guard_im, largest,
-                           peak_ratio, positive, smallest)
+from ._elementwise import (K0, RADII, Mixed, Numbers, exp, guard_im, largest,
+                           nonnegative, peak_ratio, require, route,
+                           smallest, widths as _widths)
 from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
@@ -76,8 +76,7 @@ class LayerStack:
 
     def layer_at(self, r: float) -> int:
         """1-based index of the layer containing radius r (boundaries go out)."""
-        if not r >= 0:
-            raise DomainError("radius must be non-negative")
+        require(r, "radius must be non-negative", nonnegative)
         for i, ri in enumerate(self.radii):
             if r < ri:
                 return i + 1
@@ -123,15 +122,6 @@ def _entries(values, kind):
                  for v in values)
 
 
-def _widths(radii, m):
-    """The layer widths r_1, r_2 - r_1, ... on route m; DomainError unless
-    the radii are positive and increasing, that is every width is > 0."""
-    widths = (radii[0], *map(sub, radii[1:], radii))
-    if not all(map(m.positive, widths)):
-        raise DomainError("the radii must be positive and increasing")
-    return widths
-
-
 def _wavenumbers(eps, k0):
     return [root * k0 for root in map(sqrt_eps, eps)]
 
@@ -154,8 +144,7 @@ def coeffs_two_layer(eps1: complex, eps2: complex, r1: float,
     WaveCoefficients with the central reflection amplitude c1 and the
     transmitted outgoing amplitude in the host.
     """
-    if not (positive(r1) and positive(k0)):
-        raise DomainError("r1 and k0 must be positive")
+    route((k0, r1), (), (K0, RADII))
     k1, k2 = _wavenumbers((eps1, eps2), k0)
     z1, z2 = k1 * r1, k2 * r1
     # the first evaluation of each argument in the order of the formula,
@@ -201,8 +190,8 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     Every argument may be a numpy array (one entry per sample); they
     broadcast together, and a bad element raises as one number would.
     """
-    if not (positive(r1) and positive(r2 - r1) and positive(k0)):
-        raise DomainError("need 0 < r1 < r2 and k0 > 0")
+    require(k0, K0)
+    _widths((r1, r2))
     ((a1, a2), (b1, b2)), z11, z22, j11, (h1, h2) = _three_layer(
         eps1, eps2, eps3, r1, r2, k0)
     den = a1 * b2 - a2 * b1
@@ -215,13 +204,6 @@ def coeffs_three_layer(eps1: complex, eps2: complex, eps3: complex,
     c2m = -b1 / den
     c3p = -1j * eps3 / z22 * 2 / den
     return WaveCoefficients(c1=c1, c_plus=(c2p, c3p), c_minus=(c2m, 0j))
-
-
-def _k0(k0, m=Mixed):
-    """k0, once it or each of its elements is > 0 on route m; NaN is not."""
-    if not m.positive(k0):
-        raise DomainError("k0 must be positive")
-    return k0
 
 
 def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
@@ -240,8 +222,7 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     """
     if not isinstance(stack, LayerStack):
         stack = LayerStack(stack.radii, stack.eps)
-    m = stack._route if type(k0) is float else Mixed
-    _k0(k0, m)
+    m = stack._route if route((k0,), (), (K0,)) is Numbers else Mixed
     return WaveCoefficients(*_amplitudes(
         stack.radii, stack.eps, tuple(map(sqrt_eps, stack.eps)), k0, m,
         stack._widths))
@@ -331,8 +312,7 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     other one (z = k_layer r), skipping a wave whose amplitude is an
     exact 0; |Im z| above specfun.IM_GUARD raises OverflowError.
     """
-    if not positive(r):
-        raise DomainError("r must be positive (use field_center_limit at 0)")
+    require(r, "r must be positive (use field_center_limit at 0)")
     if layer is None:
         layer = stack.layer_at(smallest(r))
         if stack.layer_at(largest(r)) != layer:

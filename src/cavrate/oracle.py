@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import nonnegative, positive
-from .errors import DomainError, QuadratureFailure
+from ._elementwise import nonnegative, positive, require
+from .errors import QuadratureFailure
 
 _GAUSS_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
@@ -47,10 +47,8 @@ class QuadratureSpec:
     max_depth: int = 30
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol = {self.rel_tol:g} must be > 0")
-        if not self.max_depth >= 1:
-            raise DomainError(f"max_depth = {self.max_depth} must be >= 1")
+        require(self.rel_tol, "rel_tol = {:g} must be > 0")
+        require(self.max_depth, "max_depth = {} must be >= 1")
 
 
 def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
@@ -116,8 +114,7 @@ def flux_through_sphere(fields, r, k0: float):
     array, one sphere per sample of fields, which then gets the radii as
     an (S, 1) array; the result is then an (S,) array.
     """
-    if not positive(r):
-        raise DomainError("r must be positive")
+    require(r, "r must be positive")
     samples = type(r) is np.ndarray
     _, e_theta, b_phi = fields(r[..., None] if samples else r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
@@ -137,12 +134,10 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     of fields, which then gets radii as an (S, n, 1) array: the result is
     then an (S,) array, and a bad element raises as a bad number would.
     """
-    if not (positive(r_inner) and nonnegative(r_outer - r_inner)):
-        raise DomainError("need 0 < r_inner <= r_outer")
-    loss = eps_local.imag if type(eps_local) is np.ndarray \
-        else complex(eps_local).imag
-    if not nonnegative(loss):
-        raise DomainError("eps'' must be non-negative for a passive layer")
+    for x, test in ((r_inner, positive), (r_outer - r_inner, nonnegative)):
+        require(x, "need 0 < r_inner <= r_outer", test)
+    loss = require(eps_local.imag, "eps'' must be non-negative for a "
+                   "passive layer", nonnegative)
     # a lossless or empty shell absorbs nothing; a sample's shrinks to its
     # inner radius, where its first panel converges
     live = (loss != 0) & (r_inner != r_outer)

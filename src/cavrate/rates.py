@@ -17,7 +17,6 @@ The rate functions also take numpy arrays, one entry per frequency.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import Mixed, exp, largest, nonnegative, route
+from ._elementwise import (FINITE_EPS, K0, RADII, Mixed, exp, finite, largest,
+                           require, route)
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -49,44 +49,35 @@ def _real_cavity(eps, m=Mixed):
     return den, abs_den, abs(3 * eps / den) ** 2
 
 
-def _finite(eps):
-    """eps, once it or each of its elements is finite; else DomainError
-    names it, or its first element that is NaN or infinite."""
-    if type(eps) is np.ndarray:
-        if (bad := eps[~np.isfinite(eps)]).size:
-            raise DomainError(f"eps = {bad[0]} must be finite")
-    elif not cmath.isfinite(eps):
-        raise DomainError(f"eps = {eps} must be finite")
-    return eps
-
-
 def onsager_factor(eps: complex) -> float:
     """Real-cavity local-field factor |3 eps/(2 eps + 1)|**2."""
-    return _real_cavity(_finite(eps))[2]
+    return _real_cavity(require(eps, FINITE_EPS, finite))[2]
 
 
-def _cavity_x(k0: float, r_c: float, m=Mixed) -> float:
-    """k0 r_c, for a positive r_c."""
-    if not m.positive(r_c):
-        raise DomainError("r_c must be positive")
-    return k0 * r_c
-
-
-def _warn_outside_range(x, what: str) -> None:
+def _warn_outside_range(x, what: str, stacklevel=3) -> None:
     """Warn, as what, if k0 r_c = x or its largest element is outside the
     small-cavity range; the warning names the line that called the caller."""
     if (x_max := largest(x)) >= EXPANSION_LIMIT:
         warnings.warn(
             f"{what}: k0*r_c = {x_max:.3g} is outside the small-cavity range "
             f"(< {EXPANSION_LIMIT:g}); omitted orders may reach percents",
-            ExpansionRangeWarning, stacklevel=3)
+            ExpansionRangeWarning, stacklevel=stacklevel)
+
+
+def _medium_x(eps, k0, r, what=None, name="r_c"):
+    """k0 r of a medium-only rate, once eps, then k0, then r (named name)
+    pass their checks; warns as what, if given, outside the expansion."""
+    require(eps, FINITE_EPS, finite)
+    x = require(k0, K0) * require(r, name + " must be positive")
+    if what:
+        _warn_outside_range(x, what, 4)
+    return x
 
 
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
-    _finite(eps)
-    x = _cavity_x(ml._k0(k0), r_c)
+    x = _medium_x(eps, k0, r_c)
     return eps.imag / abs(eps) ** 2 / x ** 3
 
 
@@ -96,14 +87,11 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    _finite(eps)
-    ml._k0(k0)
+    _medium_x(eps, k0, r_m, name="r_m")
     return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
 
 
-def _gamma0(eps, eta, abs2, k0, r_m, m=Mixed):
-    if not m.positive(r_m):
-        raise DomainError("r_m must be positive")
+def _gamma0(eps, eta, abs2, k0, r_m):
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
@@ -131,8 +119,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    _finite(eps)
-    _cavity_x(ml._k0(k0), r_c)  # checks k0, then r_c
+    _medium_x(eps, k0, r_c)
     return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
 
 
@@ -143,9 +130,7 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    _finite(eps)
-    x = _cavity_x(ml._k0(k0), r_c)
-    _warn_outside_range(x, "w0_expanded")
+    x = _medium_x(eps, k0, r_c, "w0_expanded")
     eta, kappa = eta_kappa(eps)
     bracket = x ** -3 + eps.real / x \
         - (2 / 3) * (eta * eps.imag + kappa * eps.real)
@@ -159,9 +144,7 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    _finite(eps)
-    x = _cavity_x(ml._k0(k0), r_c)
-    _warn_outside_range(x, "gamma0_loc")
+    x = _medium_x(eps, k0, r_c, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
     return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
 
@@ -182,9 +165,7 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    _finite(eps)
-    x = _cavity_x(ml._k0(k0), r_c)
-    _warn_outside_range(x, "p_eff_expansion")
+    x = _medium_x(eps, k0, r_c, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
     cubic = (2 / 3) * (eps * sqrt_eps(eps)) * (eps - 1) / den  # eps^{3/2}
@@ -208,11 +189,8 @@ def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
     shift Im[sqrt(eps) c1]/2, c1, its external dipole (see external_dipole),
     sqrt(eps) and sqrt(eps_ext), after checking k0, then the radius (the
-    recursion's one width); each root is formed once."""
-    m = m or route((k0, radius), (eps, eps_ext))
-    ml._k0(k0, m)
-    if not m.positive(radius):
-        raise DomainError("the radii must be positive and increasing")
+    recursion's one width), unless route m did; each root is formed once."""
+    m = m or route((k0, radius), (eps, eps_ext), (K0, RADII))
     roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
     c1, (c_out,), _, _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0, m,
                                         radii)
@@ -298,10 +276,11 @@ def external_power(stack: ml.LayerStack, k0: float,
     outer_radius = stack.radii[-1]
     if r_obs is None:
         r_obs = outer_radius
-    elif not nonnegative(r_obs - outer_radius):
-        raise DomainError(
-            f"r_obs = {np.min(r_obs):g} lies inside the outermost interface "
-            f"{largest(outer_radius):g}")
+    else:  # NaN lies inside
+        require(r_obs, "r_obs = {:g} lies inside the outermost interface {:g}",
+                lambda r: np.greater_equal(np.real(r), outer_radius).all(),
+                largest(outer_radius))
+        require(r_obs, "r_obs = {:g} must be real and finite")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
     return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
 
@@ -314,9 +293,9 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     Units of W_free, so the full-sphere integral in a lossless exterior
     equals the radiation part of external_power.
     """
-    if not nonnegative(r - stack.radii[-1]):
-        raise DomainError(
-            f"r = {np.min(r):g} lies inside the outermost interface")
+    require(r, "r = {:g} lies inside the outermost interface",
+            lambda r: np.greater_equal(np.real(r), stack.radii[-1]).all())
+    require(r, "r = {:g} must be real and finite")
     eps_n = stack.eps[-1]
     eta_n, kappa_n = eta_kappa(eps_n)
     p_n = external_dipole(stack, k0)
@@ -359,14 +338,15 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     the regularization distance of the macroscopic rate.  It issues no
     ExpansionRangeWarning, however large k0 r_c (its x_c) is.
     """
-    m = route((radius, r_c, r_m, k0), (eps, eps_ext))
+    m = route((k0, radius, r_m, r_c), (eps, eps_ext),
+              (K0, RADII, "r_m must be positive", "r_c must be positive"))
     g_sc, d_sc, c1, p_ext, root, root_ext = _bare_sphere(eps, eps_ext,
                                                          radius, k0, m)
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps, m)
     g_sc_loc = (_c1_weight(eps, root, den) * c1).real
-    g0 = _gamma0(eps, root.real, abs2, k0, r_m, m)
-    x = _cavity_x(k0, r_c, m)
+    g0 = _gamma0(eps, root.real, abs2, k0, r_m)
+    x = k0 * r_c
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     w_ext = _power_beyond(eps_ext, root_ext, k0, radius, p_ext, m)
     # positional, in field order
