@@ -8,9 +8,8 @@ their route, on the forms of `Numbers` or of `Mixed` alone.  A number goes
 through cmath and plain comparisons, keeping its exact bits and its cost;
 an array goes through numpy, a series runs only if some element needs it
 (`np.where` picks per element), and a guard raises if any element is bad.
-It holds the rule for a valid input, `positive` for a length or a
-frequency and `finite` for a permittivity, and `require`, which names a
-bad one.
+The input rule is here too: `positive` for a length or a frequency,
+`finite` for a permittivity, and `require`, which names a bad input.
 """
 
 import cmath
@@ -44,6 +43,7 @@ def largest(x) -> float:
 
 
 _INF = math.inf
+X_MIN, X_MAX = 2.0 ** -340, 2.0 ** 340  # k0 r with normal cube and 1/cube
 K0 = "k0 must be positive"  # the messages that several modules share
 RADII = "the radii must be positive and increasing"
 FINITE_EPS = "eps = {} must be finite"
@@ -72,8 +72,7 @@ def require(x, message: str, test=positive, *context):
     """x, once test(x) holds; else DomainError(message), formatted only then
     with the first element of x that fails (x for a number) and context."""
     if not test(x):
-        bad = next((v for v in x.flat if not test(v)), x) \
-            if type(x) is np.ndarray else x
+        bad = next((v for v in np.ravel(x) if not test(v)), x)
         raise DomainError(message.format(bad, *context))
     return x
 
@@ -116,6 +115,15 @@ class Numbers:
 class Mixed:
     """The forms of a call whose values may include numpy arrays."""
     exp, positive, smallest, largest = exp, positive, smallest, largest
+
+
+def scaled(x, name: str):
+    """x = k0 r, once it or each of its elements lies in [X_MIN, X_MAX]."""
+    for bad in (smallest(x), largest(x)):
+        if not X_MIN <= bad <= X_MAX:
+            raise DomainError(f"k0*{name} = {bad:g} must lie in [2**-340, "
+                              "2**340], where its cube is a normal float")
+    return x
 
 
 def widths(radii, m=Mixed):

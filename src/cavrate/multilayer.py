@@ -56,9 +56,10 @@ class LayerStack:
 
     def __init__(self, radii, eps):
         radii, eps = tuple(radii), tuple(eps)
-        if np.ndarray in {*map(type, radii), *map(type, eps)}:
-            radii, eps = _entries(radii, float), _entries(eps, complex)
-            m = Mixed
+        if not {np.ndarray, complex}.isdisjoint(map(type, radii)) \
+                or np.ndarray in map(type, eps):  # a complex radius raises
+            radii = _entries((require(r, RADII) for r in radii), float)
+            eps, m = _entries(eps, complex), Mixed
         else:
             radii, eps = tuple(map(float, radii)), tuple(map(complex, eps))
             m = Numbers
@@ -312,7 +313,8 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     other one (z = k_layer r), skipping a wave whose amplitude is an
     exact 0; |Im z| above specfun.IM_GUARD raises OverflowError.
     """
-    require(r, "r must be positive (use field_center_limit at 0)")
+    route((k0, r), (), (
+        K0, "r must be positive (use field_center_limit at 0)"))
     if layer is None:
         layer = stack.layer_at(smallest(r))
         if stack.layer_at(largest(r)) != layer:
@@ -360,7 +362,7 @@ def field_center_limit(coeffs: WaveCoefficients, eps1: complex,
     The scattered wave of the central layer is regular at the origin and
     parallel to the dipole there; its value is i k_1 k0**2 c1 * 2/3.
     """
-    k1 = sqrt_eps(eps1) * k0
+    k1 = sqrt_eps(eps1) * require(k0, K0)
     return 1j * k1 * k0 * k0 * coeffs.c1 * (2 / 3)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import nonnegative, positive, require
+from ._elementwise import K0, nonnegative, require, route
 from .errors import QuadratureFailure
 
 _GAUSS_ORDER = 8
@@ -114,7 +114,7 @@ def flux_through_sphere(fields, r, k0: float):
     array, one sphere per sample of fields, which then gets the radii as
     an (S, 1) array; the result is then an (S,) array.
     """
-    require(r, "r must be positive")
+    route((k0, r), (), (K0, "r must be positive"))
     samples = type(r) is np.ndarray
     _, e_theta, b_phi = fields(r[..., None] if samples else r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
@@ -134,8 +134,8 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     of fields, which then gets radii as an (S, n, 1) array: the result is
     then an (S,) array, and a bad element raises as a bad number would.
     """
-    for x, test in ((r_inner, positive), (r_outer - r_inner, nonnegative)):
-        require(x, "need 0 < r_inner <= r_outer", test)
+    route((k0, r_inner), (), (K0, "need 0 < r_inner <= r_outer"))
+    require(r_outer - r_inner, "need 0 < r_inner <= r_outer", nonnegative)
     loss = require(eps_local.imag, "eps'' must be non-negative for a "
                    "passive layer", nonnegative)
     # a lossless or empty shell absorbs nothing; a sample's shrinks to its

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilayer as ml
-from ._elementwise import (FINITE_EPS, K0, RADII, Mixed, exp, finite, largest,
-                           require, route)
+from ._elementwise import (FINITE_EPS, K0, RADII, X_MAX, X_MIN, Mixed, exp,
+                           finite, largest, require, route, scaled)
 from .dielectric import eta_kappa, sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
@@ -57,7 +57,7 @@ def onsager_factor(eps: complex) -> float:
 def _warn_outside_range(x, what: str, stacklevel=3) -> None:
     """Warn, as what, if k0 r_c = x or its largest element is outside the
     small-cavity range; the warning names the line that called the caller."""
-    if (x_max := largest(x)) >= EXPANSION_LIMIT:
+    if what and (x_max := largest(x)) >= EXPANSION_LIMIT:
         warnings.warn(
             f"{what}: k0*r_c = {x_max:.3g} is outside the small-cavity range "
             f"(< {EXPANSION_LIMIT:g}); omitted orders may reach percents",
@@ -65,12 +65,11 @@ def _warn_outside_range(x, what: str, stacklevel=3) -> None:
 
 
 def _medium_x(eps, k0, r, what=None, name="r_c"):
-    """k0 r of a medium-only rate, once eps, then k0, then r (named name)
-    pass their checks; warns as what, if given, outside the expansion."""
+    """k0 r of a medium-only rate, once eps, k0, r (named name) and k0 r pass
+    their checks in turn; warns as what, if given, outside the expansion."""
     require(eps, FINITE_EPS, finite)
-    x = require(k0, K0) * require(r, name + " must be positive")
-    if what:
-        _warn_outside_range(x, what, 4)
+    x = scaled(require(k0, K0) * require(r, name + " must be positive"), name)
+    _warn_outside_range(x, what, 4)
     return x
 
 
@@ -274,13 +273,11 @@ def external_power(stack: ml.LayerStack, k0: float,
     expression for the effective external dipole.
     """
     outer_radius = stack.radii[-1]
-    if r_obs is None:
-        r_obs = outer_radius
-    else:  # NaN lies inside
-        require(r_obs, "r_obs = {:g} lies inside the outermost interface {:g}",
-                lambda r: np.greater_equal(np.real(r), outer_radius).all(),
-                largest(outer_radius))
-        require(r_obs, "r_obs = {:g} must be real and finite")
+    r_obs = outer_radius if r_obs is None else r_obs
+    require(r_obs, "r_obs = {:g} lies inside the outermost interface {:g}",
+            lambda r: np.greater_equal(np.real(r), outer_radius).all(),
+            largest(outer_radius))  # so does NaN
+    require(r_obs, "r_obs = {:g} must be real and finite")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
     return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
 
@@ -345,8 +342,10 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps, m)
     g_sc_loc = (_c1_weight(eps, root, den) * c1).real
+    x_m, x = k0 * r_m, k0 * r_c
+    if m is Mixed or not (X_MIN <= x_m <= X_MAX and X_MIN <= x <= X_MAX):
+        scaled(x_m, "r_m"), scaled(x, "r_c")
     g0 = _gamma0(eps, root.real, abs2, k0, r_m)
-    x = k0 * r_c
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
     w_ext = _power_beyond(eps_ext, root_ext, k0, radius, p_ext, m)
     # positional, in field order
