@@ -848,6 +848,22 @@ NAN_ARGUMENTS = {
     "absorbed_power_loss": (lambda: oracle.absorbed_power(
         _cavity_case()[2], 0.7, 1.0, complex(5, math.nan), 1.0),
         "eps'' must be non-negative for a passive layer"),
+    # the k0 of the fields and of the oracle, which took any k0 before
+    **{f"{name}_k0": (call, "k0 must be positive") for name, call in (
+        ("field_in_layer", lambda: ml.field_in_layer(
+            *_cavity_case()[:2], 1.0, 0.3, math.nan)),
+        ("field_in_layer_array", lambda: ml.field_in_layer(
+            *_cavity_case()[:2], 1.0, 0.3, np.array([1.0, math.nan]))),
+        ("field_center_limit", lambda: ml.field_center_limit(
+            _cavity_case()[1], 1.0, math.nan)),
+        ("homogeneous_field", lambda: oracle.flux_through_sphere(
+            ml.homogeneous_field(EPS_RES, math.nan), 1.0, 1.0)),
+        ("flux_through_sphere", lambda: oracle.flux_through_sphere(
+            _cavity_case()[2], 1.0, math.nan)),
+        ("absorbed_power", lambda: oracle.absorbed_power(
+            _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)),
+        ("energy_balance", lambda: oracle.energy_balance(
+            _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)))},
     # a permittivity of a medium-only rate that is NaN or infinite
     **{f"{name}_{form}": ((lambda name=name, eps=eps, args=args: getattr(
         rates, name)(eps, *args)), message)
