@@ -129,10 +129,10 @@ def scaled(x, name: str):
 def widths(radii, m=Mixed):
     """The layer widths r_1, r_2 - r_1, ... of radii on route m, once each
     is > 0 and the outermost radius, their sum, finite."""
-    widths = (radii[0], *map(operator.sub, radii[1:], radii))
-    if not (all(map(m.positive, widths)) and m.largest(radii[-1]) < _INF):
+    gaps = (radii[0], *map(operator.sub, radii[1:], radii))
+    if not (all(map(m.positive, gaps)) and m.largest(radii[-1]) < _INF):
         raise DomainError(RADII)
-    return widths
+    return gaps
 
 
 def route(reals, values, messages):

@@ -276,7 +276,7 @@ def external_power(stack: ml.LayerStack, k0: float,
     r_obs = outer_radius if r_obs is None else r_obs
     require(r_obs, "r_obs = {:g} lies inside the outermost interface {:g}",
             lambda r: np.greater_equal(np.real(r), outer_radius).all(),
-            largest(outer_radius))  # so does NaN
+            largest(outer_radius))  # NaN lies inside too
     require(r_obs, "r_obs = {:g} must be real and finite")
     p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
     return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
