@@ -52,10 +52,11 @@ FINITE_EPS = "eps = {} must be finite"
 def positive(x, above=operator.lt) -> bool:
     """The rule for a length or a frequency: x, or each of its elements, is
     real, finite and > 0 (>= 0 with above=operator.le)."""
-    if type(x) is float:
+    if type(x) is float or type(x) is int:
         return above(0, x) and x < _INF
-    x = np.asarray(x)
-    return x.dtype.kind in "iuf" and bool((above(0, x) & (x < _INF)).all())
+    x = np.asarray(x)  # min and max keep NaN
+    return x.dtype.kind in "iuf" and (not x.size or bool(
+        above(0, x.min()) and x.max() < _INF))
 
 
 def nonnegative(x) -> bool:
