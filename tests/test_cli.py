@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -824,6 +825,23 @@ verify = false
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             cli.load_config_file("/nonexistent/sweep.cfg")
+
+    # sha256 of the fig3 CSV at a fixed r_m = 0.21, at numpy's AVX-512,
+    # AVX2 and X86_V2 dispatch: the array (k0 r_m)**3 of gamma0_hat moves
+    # last bits between them
+    FIXED_RM_DIGESTS = {
+        "4e571e6e68faecfd5a4e8a496a14a0947e8aae0ba29a238fac8afdecc52907b1",
+        "82c2bd53ac7904c452e16c29b6230216bbef07493f987fc6478eabe3b3769522",
+        "0339ec2ac319c5e2f6916104d85aa73ab66281d092e0056970e40798937ab2a3",
+    }
+
+    def test_fixed_rm_over_a_preset_digest(self, tmp_path):
+        path, out = tmp_path / "rm.cfg", tmp_path / "rows.csv"
+        path.write_text("[geometry]\nrm_mode = explicit\nrm_value = 0.21\n")
+        assert cli.main(["sweep", "--preset", "fig3", "--config", str(path),
+                         "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest in self.FIXED_RM_DIGESTS
 
     def test_unknown_key_identified(self, tmp_path):
         path = tmp_path / "bad.cfg"
