@@ -59,8 +59,7 @@ class SweepConfig:
     sphere_radius: float = 2.0
     onsager_fraction: float = 0.1
     lambda_reference: str = "transition"
-    rm_mode: str = "equal_to_rc"
-    rm_value: float | None = None
+    rm_value: float | None = None  # r_m; None ties it to r_c
     omega_min: float = 0.2
     omega_max: float = 2.0
     omega_count: int = 601
@@ -89,15 +88,8 @@ class SweepConfig:
             raise ConfigError(
                 f"lambda_reference = {self.lambda_reference!r} must be "
                 f"'transition' or 'resonance'")
-        if self.rm_mode not in ("equal_to_rc", "explicit"):
-            raise ConfigError(
-                f"rm_mode = {self.rm_mode!r} must be 'equal_to_rc' or "
-                f"'explicit'")
-        if self.rm_mode == "explicit" and (self.rm_value is None
-                                           or self.rm_value <= 0):
-            raise ConfigError("rm_mode 'explicit' needs rm_value > 0")
-        if self.rm_mode != "explicit" and self.rm_value is not None:
-            raise ConfigError("rm_value is used only with rm_mode 'explicit'")
+        if self.rm_value is not None and self.rm_value <= 0:
+            raise ConfigError(f"rm_value = {self.rm_value:g} must be > 0")
         if complex(self.eps_ext).imag < 0:
             raise ConfigError(f"eps_ext = {self.eps_ext} is not passive")
         if self.eps_ext == 0:
@@ -134,9 +126,8 @@ class SweepConfig:
         return self.onsager_fraction * 2 * math.pi / ref
 
     def rm_radius(self, omega: float) -> float:
-        if self.rm_mode == "equal_to_rc":
-            return self.onsager_radius(omega)
-        return self.rm_value
+        return self.onsager_radius(omega) if self.rm_value is None \
+            else self.rm_value
 
 
 # standard parameter sets; the cavity radius is the only difference
@@ -260,7 +251,7 @@ _CONFIG_SCHEMA = {
     "medium": {"eps_b": float, "Omega": float, "gamma": float},
     "geometry": {"eps_ext": complex, "sphere_radius": float,
                  "onsager_fraction": float, "lambda_reference": str.strip,
-                 "rm_mode": str.strip, "rm_value": float},
+                 "rm_value": float},
     "sweep": {"omega_min": float, "omega_max": float, "omega_count": int},
     "output": {"columns": _parse_columns, "verify": _parse_bool},
 }
@@ -270,7 +261,7 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
     """Read a key = value configuration file over an optional base config.
 
     Sections: [medium] (eps_b, Omega, gamma), [geometry] (eps_ext,
-    sphere_radius, onsager_fraction, lambda_reference, rm_mode, rm_value),
+    sphere_radius, onsager_fraction, lambda_reference, rm_value),
     [sweep] (omega_min, omega_max, omega_count), [output] (columns, verify).
     """
     if base is None:

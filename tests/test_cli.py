@@ -70,10 +70,9 @@ class TestSweepConfig:
         {"omega_max": 0.4}, {"omega_count": 0},
         {"sphere_radius": 0.0}, {"onsager_fraction": 0.0},
         {"onsager_fraction": 0.2}, {"lambda_reference": "vacuum"},
-        {"rm_mode": "fixed"}, {"rm_mode": "explicit"},
-        {"rm_mode": "explicit", "rm_value": -1.0},
+        {"rm_value": -1.0}, {"rm_value": 0.0}, {"rm_value": math.nan},
         {"eps_ext": 1 - 0.5j}, {"columns": ("omega", "bogus")},
-        {"rm_value": 0.5}, {"rm_mode": "equal_to_rc", "rm_value": 0.5},
+        {"rm_value": math.inf}, {"rm_value": -0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -101,22 +100,27 @@ class TestSweepConfig:
                              lambda_reference="resonance")
         assert fixed.onsager_radius(0.5) == fixed.onsager_radius(2.0)
 
-    def test_rm_modes(self):
+    def test_rm_value_decides_r_m(self):
         config = quick_config(onsager_fraction=0.04)
+        assert config.rm_value is None
         assert config.rm_radius(1.0) == config.onsager_radius(1.0)
-        explicit = quick_config(onsager_fraction=0.04, rm_mode="explicit",
-                                rm_value=0.3)
-        assert explicit.rm_radius(1.0) == 0.3
+        fixed = quick_config(onsager_fraction=0.04, rm_value=0.3)
+        assert fixed.rm_radius(0.5) == fixed.rm_radius(1.0) == 0.3
 
-    def test_rm_value_over_a_preset_needs_explicit_mode(self, tmp_path):
-        # rm_value would otherwise be dropped: r_m stays equal to r_c
-        path = tmp_path / "rm.cfg"
+    def test_rm_value_message(self):
+        with pytest.raises(ConfigError) as caught:
+            quick_config(rm_value=0.0)
+        assert str(caught.value) == "rm_value = 0 must be > 0"
+
+    def test_rm_value_over_a_preset_fixes_r_m(self, tmp_path):
+        path, out = tmp_path / "rm.cfg", tmp_path / "rows.csv"
         path.write_text("[geometry]\nrm_value = 0.5\n")
-        with pytest.raises(ConfigError, match="rm_value"):
-            cli.load_config_file(str(path), cli.get_preset("fig3"))
+        config = cli.load_config_file(str(path), cli.get_preset("fig3"))
+        assert config.onsager_fraction == 0.1
+        assert config.rm_radius(0.2) == config.rm_radius(2.0) == 0.5
         assert cli.main(["sweep", "--preset", "fig3", "--config", str(path),
-                         "--out", str(tmp_path / "rows.csv")]) == 1
-        assert not (tmp_path / "rows.csv").exists()
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 602
 
 
 class TestPresets:
@@ -794,7 +798,6 @@ gamma = 0.05
 eps_ext = 1.5+0.2j
 sphere_radius = 1.7
 onsager_fraction = 0.03
-rm_mode = explicit
 rm_value = 0.21
 
 [sweep]
@@ -814,6 +817,16 @@ verify = false
         assert config.rm_value == 0.21
         assert config.omega_count == 7
         assert config.columns == ("omega", "gamma_loc_hat")
+
+    def test_readme_example_is_fig3(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        example = readme.read_text(encoding="utf-8").split("```ini\n")[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example.split("```")[0])
+        assert cli.load_config_file(str(path)) == cli.get_preset("fig3")
+        path.write_text(example.split("```")[0].replace("; rm_value",
+                                                        "rm_value"))
+        assert cli.load_config_file(str(path)).rm_radius(1.0) == 0.2
 
     def test_preset_plus_file(self, tmp_path):
         path = tmp_path / "tweak.cfg"
@@ -837,7 +850,7 @@ verify = false
 
     def test_fixed_rm_over_a_preset_digest(self, tmp_path):
         path, out = tmp_path / "rm.cfg", tmp_path / "rows.csv"
-        path.write_text("[geometry]\nrm_mode = explicit\nrm_value = 0.21\n")
+        path.write_text("[geometry]\nrm_value = 0.21\n")
         assert cli.main(["sweep", "--preset", "fig3", "--config", str(path),
                          "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -848,6 +861,16 @@ verify = false
         path.write_text("[geometry]\nsphere_diameter = 2\n")
         with pytest.raises(ConfigError, match="sphere_diameter"):
             cli.load_config_file(str(path))
+
+    def test_rm_mode_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text("[geometry]\nrm_mode = explicit\nrm_value = 0.3\n")
+        for command in ("sweep", "verify"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ("configuration error: unknown key "
+                                    "'rm_mode' in section [geometry]\n")
+            assert captured.out == ""
 
     def test_unknown_section_identified(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -1290,13 +1313,14 @@ class TestMain:
         ("sweep", "[geometry]\nsphere_radius = nan\n"),
         ("sweep", "[sweep]\nomega_max = nan\n"),
         ("sweep", "[geometry]\neps_ext = 0\n"),
-        ("sweep", "[geometry]\nrm_mode = explicit\nrm_value = nan\n"),
+        ("sweep", "[geometry]\nrm_value = nan\n"),
+        ("sweep", "[geometry]\nrm_value = 0\n"),
         ("sweep", "[geometry]\nsphere_radius = inf\n"),
         ("sweep", "[geometry]\neps_ext = nan+1j\n"),
         ("sweep", "[medium]\neps_b = inf\n"),
         ("verify", "[geometry]\nsphere_radius = nan\n"),
     ], ids=["sphere_radius_nan", "omega_max_nan", "eps_ext_zero",
-            "rm_value_nan", "sphere_radius_inf", "eps_ext_nan",
+            "rm_value_nan", "rm_value_zero", "sphere_radius_inf", "eps_ext_nan",
             "eps_b_inf", "verify_sphere_radius_nan"])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, command,
                                            text):
@@ -1491,12 +1515,10 @@ class TestMain:
 
 
 # the validated configuration space, as config file sections: absorbing
-# hosts, spheres up to 2000 c/omega0, both cavity references and both r_m
-# modes (rm_value only with 'explicit'), grids of up to 20 frequencies
+# hosts, spheres up to 2000 c/omega0, both cavity references, r_m tied to
+# r_c (no rm_value) or fixed, grids of up to 20 frequencies
 rm_settings = st.one_of(
-    st.fixed_dictionaries({"rm_mode": st.just("equal_to_rc")}),
-    st.fixed_dictionaries({"rm_mode": st.just("explicit"),
-                           "rm_value": st.floats(1e-3, 2.0)}))
+    st.just({}), st.fixed_dictionaries({"rm_value": st.floats(1e-3, 2.0)}))
 valid_configs = st.fixed_dictionaries({
     "medium": st.fixed_dictionaries({
         "eps_b": st.floats(1.0, 20.0), "Omega": st.floats(0.0, 3.0),
