@@ -134,8 +134,7 @@ def finite(result) -> bool:
 # a RuntimeWarning or a foreign exception (ROADMAP item 18)
 ENGINE = "an array k0 r near 1e-300 overflows 1/z in the amplitude engine"
 FIELD = "the field at k0 r near 1e-300 leaves the double range"
-ORACLE = ("k0**4 leaves the double range, and an array k0 is not one "
-          "frequency")
+ORACLE = "k0**4 leaves the double range"
 OPEN = {
     **{(name, argument): ENGINE for name, arguments_ in (
         ("rate_report", ("radius", "k0")), ("gamma_sc", ("radius", "k0")),
@@ -223,6 +222,27 @@ PROBES = {
     "stack_complex_radius": (lambda: stack(r2=2 + 0.1j), RADII),
     "stack_complex_radius_array": (lambda: stack(
         r2=np.array([2.0, 2 + 0.1j])), RADII),
+    **{f"stack_{kind.__name__}_radius": ((lambda kind=kind: stack(
+        r2=kind(2 + 0.1j))), RADII) for kind in (np.complex128, np.complex64)},
+    # the oracle integrates one field, at one frequency
+    **{f"{name}_array_k0": (call, "k0 must be one frequency, not an array")
+       for name, call in (
+           ("flux_through_sphere", lambda: oracle.flux_through_sphere(
+               ml.homogeneous_field(EPS, 1.1), 1.0, np.array([1.1, 1.1]))),
+           ("absorbed_power", lambda: oracle.absorbed_power(
+               ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS,
+               np.array([1.1, 1.1]))),
+           ("energy_balance", lambda: oracle.energy_balance(
+               ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS,
+               np.array([1.1, 1.1]))))},
+    # k r of the amplitude engine underflows to 0
+    **{f"{name}_k0_r_underflow": (call, "k0*r underflows to 0 at r = 1e-300")
+       for name, call in (
+        ("gamma_sc", lambda: rates.gamma_sc(EPS, 1.0, 1e-300, 1e-300)),
+        ("rate_report", lambda: rates.rate_report(
+            EPS, 1.0, 1e-300, 0.2, 0.2, 1e-300)),
+        ("coefficients", lambda: ml.coefficients(
+            stack(1e-300, 1.0), 1e-300)))},
     # k0 r whose cube underflows, or whose inverse cube overflows
     **{f"{name}_{k0:g}": ((lambda name=name, k0=k0, r=r: getattr(
         rates, name)(EPS, k0, r)), _cube(
