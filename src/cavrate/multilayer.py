@@ -248,41 +248,39 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
     ratio, qf, qd, steps = 0j, 0j, 0j, []
     defects, norms, amps = [], [], [1.0 if last else 0.0]
     k_out = roots[-1] * k0
-    try:
-        for i in range(last, -1, -1):
-            k_in = roots[i] * k0
-            zin, zout = k_in * radii[i], k_out * radii[i]
-            iz = 1j / zin
-            af = (-1 - iz) / zin
-            bf, bd = ((h2 := (iz - 1) / zin), 1j - h2) if i \
-                else sf.j1_scaled(zin)
-            ad, bd = (-1j - af) / eps[i], bd / eps[i]
-            iz = 1j / zout
-            pf = (-1 - iz) / zout
-            if i < last:
-                qf = (iz - 1) / zout
-                qd = (1j - qf) / eps[i + 1]
-            pd = (-1j - pf) / eps[i + 1]
-            shift = exp(2j * k_in * gaps[i]) if i else 0j
-            phase, across = exp(2j * zin), exp(1j * (zin - zout))
-            f, d = pf + ratio * qf, pd + ratio * qd
-            den = bf * d - bd * f
-            if (small := smallest(abs(den))) < _DENOMINATOR_FLOOR:
-                raise IllConditioned(f"recursion denominator |D| = {small:g}")
-            r_in = (ad * f - af * d) / den
-            gf, gd = af + r_in * bf, ad + r_in * bd
-            fc, dc = f.conjugate(), d.conjugate()
-            t = (gf * fc + gd * dc) / (f * fc + d * dc)
-            defects += abs(gf - t * f), abs(gd - t * d)
-            # the source terms of the first interface belong to b, not A
-            norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
-                      (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
-            amps += abs(r_in), abs(t), abs(t * ratio)
-            steps.append((r_in * phase, across, t))
-            ratio, k_out = r_in * shift, k_in
-    except ZeroDivisionError:  # a number z = k r is 0
-        raise DomainError(
-            f"k0*r underflows to 0 at r = {radii[i]:g}") from None
+    for i in range(last, -1, -1):
+        k_in = roots[i] * k0
+        zin, zout = k_in * radii[i], k_out * radii[i]
+        try:
+            iz, iz_out = 1j / zin, 1j / zout
+        except ZeroDivisionError:  # a number z = k r is 0
+            raise DomainError(
+                f"k0*r underflows to 0 at r = {radii[i]:g}") from None
+        af = (-1 - iz) / zin
+        bf, bd = ((h2 := (iz - 1) / zin), 1j - h2) if i else sf.j1_scaled(zin)
+        ad, bd = (-1j - af) / eps[i], bd / eps[i]
+        pf = (-1 - iz_out) / zout
+        if i < last:
+            qf = (iz_out - 1) / zout
+            qd = (1j - qf) / eps[i + 1]
+        pd = (-1j - pf) / eps[i + 1]
+        shift = exp(2j * k_in * gaps[i]) if i else 0j
+        phase, across = exp(2j * zin), exp(1j * (zin - zout))
+        f, d = pf + ratio * qf, pd + ratio * qd
+        den = bf * d - bd * f
+        if (small := smallest(abs(den))) < _DENOMINATOR_FLOOR:
+            raise IllConditioned(f"recursion denominator |D| = {small:g}")
+        r_in = (ad * f - af * d) / den
+        gf, gd = af + r_in * bf, ad + r_in * bd
+        fc, dc = f.conjugate(), d.conjugate()
+        t = (gf * fc + gd * dc) / (f * fc + d * dc)
+        defects += abs(gf - t * f), abs(gd - t * d)
+        # the source terms of the first interface belong to b, not A
+        norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
+                  (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+        amps += abs(r_in), abs(t), abs(t * ratio)
+        steps.append((r_in * phase, across, t))
+        ratio, k_out = r_in * shift, k_in
 
     residual = peak_ratio(defects, norms, amps, (abs(af), abs(ad)))
     if not residual <= _RESIDUAL_LIMIT:

@@ -37,7 +37,7 @@ _PANEL_NODES, _PANEL_WEIGHTS = map(np.concatenate, zip(
 _G16_WEIGHTS, _G32_WEIGHTS = np.split(_PANEL_WEIGHTS, [16])
 # more open panels at one level than this: the integral does not converge
 _MAX_OPEN_PANELS = 512
-ONE_K0 = "k0 must be one frequency, not an array"  # fields take one k0
+_ONE_K0 = "k0 must be one frequency, not an array"  # fields take one k0
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def flux_through_sphere(fields, r, k0: float):
     array, one sphere per sample of fields, which then gets the radii as
     an (S, 1) array; the result is then an (S,) array.
     """
-    require(k0, ONE_K0, np.isscalar)
     route((k0, r), (), (K0, "r must be positive"))
+    require(k0, _ONE_K0, np.isscalar)
     samples = type(r) is np.ndarray
     _, e_theta, b_phi = fields(r[..., None] if samples else r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
@@ -136,8 +136,8 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     of fields, which then gets radii as an (S, n, 1) array: the result is
     then an (S,) array, and a bad element raises as a bad number would.
     """
-    require(k0, ONE_K0, np.isscalar)
     route((k0, r_inner), (), (K0, "need 0 < r_inner <= r_outer"))
+    require(k0, _ONE_K0, np.isscalar)
     require(r_outer - r_inner, "need 0 < r_inner <= r_outer", nonnegative)
     loss = require(eps_local.imag, "eps'' must be non-negative for a "
                    "passive layer", nonnegative)
