@@ -12,8 +12,7 @@ from .errors import (ConfigError, DomainError, ExpansionRangeWarning,
 from .multilayer import (LayerStack, WaveCoefficients, coefficients,
                          coeffs_general_n, field_center_limit, field_in_layer,
                          homogeneous_field, stack_field_evaluator)
-from .oracle import (QuadratureSpec, absorbed_power, energy_balance,
-                     flux_through_sphere)
+from .oracle import absorbed_power, energy_balance, flux_through_sphere
 from .rates import (RateReport, angular_radiation, external_dipole,
                     external_power, gamma0_loc, gamma0_macroscopic,
                     gamma_hat_total, gamma_sc, gamma_sc_loc,
@@ -32,8 +31,7 @@ __all__ = [
     "LayerStack", "WaveCoefficients", "coefficients", "coeffs_general_n",
     "field_center_limit", "field_in_layer", "homogeneous_field",
     "stack_field_evaluator",
-    "QuadratureSpec", "absorbed_power", "energy_balance",
-    "flux_through_sphere",
+    "absorbed_power", "energy_balance", "flux_through_sphere",
     "RateReport", "angular_radiation", "external_dipole",
     "external_power", "gamma0_loc", "gamma0_macroscopic",
     "gamma_hat_total", "gamma_sc", "gamma_sc_loc",

@@ -20,8 +20,6 @@ of the unit dipole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._elementwise import K0, nonnegative, require, route
@@ -37,22 +35,12 @@ _PANEL_NODES, _PANEL_WEIGHTS = map(np.concatenate, zip(
 _G16_WEIGHTS, _G32_WEIGHTS = np.split(_PANEL_WEIGHTS, [16])
 # more open panels at one level than this: the integral does not converge
 _MAX_OPEN_PANELS = 512
+_MAX_DEPTH = 30  # bisection levels of a radial integral
+REL_TOL = 1e-10  # the radial integral's default relative tolerance
 _ONE_K0 = "k0 must be one frequency, not an array"  # fields take one k0
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Radial integration tolerances; max_depth counts bisection levels."""
-
-    rel_tol: float = 1e-10
-    max_depth: int = 30
-
-    def __post_init__(self):
-        require(self.rel_tol, "rel_tol = {:g} must be > 0")
-        require(self.max_depth, "max_depth = {} must be >= 1")
-
-
-def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
+def _adaptive_gauss(fn, a, b, rel_tol: float):
     """Breadth-first adaptive Gauss-Legendre integral of fn on [a, b].
 
     a and b are numbers, or (S,) arrays of samples: the result is then an
@@ -70,7 +58,7 @@ def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
     a, half = np.array(a, float, ndmin=1), np.array(0.5 * (b - a), ndmin=1)
     open_lo = [a[s:s + 1] for s in range(a.size)]  # each sample's panels
     total, budget = np.zeros(a.size), np.empty(a.size)
-    for depth in range(1, quad.max_depth + 1):
+    for depth in range(1, _MAX_DEPTH + 1):
         lo = np.repeat(a[:, None], max(map(len, open_lo)), axis=1)
         for s, panels in enumerate(open_lo):
             lo[s, :len(panels)] = panels
@@ -84,14 +72,14 @@ def _adaptive_gauss(fn, a, b, quad: QuadratureSpec):
             g16, g32 = rows[:, :16] @ _G16_WEIGHTS, rows[:, 16:] @ _G32_WEIGHTS
             if depth == 1:
                 # absolute budget anchored to the estimate of the integral
-                budget[s] = quad.rel_tol * max(abs(g32[0]), 1e-300)
+                budget[s] = rel_tol * max(abs(g32[0]), 1e-300)
             err = abs(g32 - g16)
             done = err <= budget[s]
             total[s] += float(g32[done].sum())
             # each open panel splits in two at its midpoint
             kept = panels[~done]
             open_lo[s] = np.concatenate([kept, kept + half[s]])
-            if len(open_lo[s]) and (depth == quad.max_depth
+            if len(open_lo[s]) and (depth == _MAX_DEPTH
                                     or len(open_lo[s]) > _MAX_OPEN_PANELS):
                 worst = int(np.argmax(err))
                 sample = f" of sample {s}" if shape else ""
@@ -126,7 +114,7 @@ def flux_through_sphere(fields, r, k0: float):
 
 
 def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
-                   quad: QuadratureSpec | None = None):
+                   rel_tol: float = REL_TOL):
     """Power absorbed in the shell r_inner <= r <= r_outer, units of W_free.
 
     Integrates omega eps''/(8 pi) |E|**2 over the shell volume; the shell
@@ -135,9 +123,12 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     r_inner, r_outer and eps_local may be (S,) arrays, one shell per sample
     of fields, which then gets radii as an (S, n, 1) array: the result is
     then an (S,) array, and a bad element raises as a bad number would.
+    rel_tol, one number, is the radial integral's relative tolerance.
     """
-    route((k0, r_inner), (), (K0, "need 0 < r_inner <= r_outer"))
+    route((k0, r_inner, rel_tol), (), (K0, "need 0 < r_inner <= r_outer",
+                                       "rel_tol = {:g} must be > 0"))
     require(k0, _ONE_K0, np.isscalar)
+    require(rel_tol, "rel_tol must be one number, not an array", np.isscalar)
     require(r_outer - r_inner, "need 0 < r_inner <= r_outer", nonnegative)
     loss = require(eps_local.imag, "eps'' must be non-negative for a "
                    "passive layer", nonnegative)
@@ -150,22 +141,20 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     if samples:
         r_inner, r_outer = np.broadcast_arrays(
             r_inner, np.where(live, r_outer, r_inner))
-    if quad is None:
-        quad = QuadratureSpec()
 
     def shell_density(r):
         e_r, e_theta, _ = fields(r[..., None], _GL_THETA)
         mag = (e_r * np.conj(e_r)).real + (e_theta * np.conj(e_theta)).real
         return r * r * (mag @ _GL_WEIGHTS)
 
-    integral = _adaptive_gauss(shell_density, r_inner, r_outer, quad)
+    integral = _adaptive_gauss(shell_density, r_inner, r_outer, rel_tol)
     # omega eps''/(8 pi) times the 2 pi azimuthal factor, with omega = c k0
     power = k0 * loss / 4 * integral / (k0 ** 4 / 3)
     return power if samples else float(power)
 
 
 def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
-                   k0: float, quad: QuadratureSpec | None = None) -> float:
+                   k0: float) -> float:
     """Relative defect of energy conservation across a shell.
 
     Power entering at r_inner either leaves at r_outer or is absorbed in
@@ -174,5 +163,5 @@ def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
     """
     w_in = flux_through_sphere(fields, r_inner, k0)
     w_out = flux_through_sphere(fields, r_outer, k0)
-    w_abs = absorbed_power(fields, r_inner, r_outer, eps_local, k0, quad)
+    w_abs = absorbed_power(fields, r_inner, r_outer, eps_local, k0)
     return abs(w_out + w_abs - w_in) / abs(w_in)

@@ -295,15 +295,13 @@ def check_green_restatement(eps, eps_ext, radius, k0) -> CheckResult:
 
 def check_quadrature_convergence(eps, k0) -> CheckResult:
     fields = ml.homogeneous_field(eps, k0)
-    spec = oracle.QuadratureSpec()
-    a = oracle.absorbed_power(fields, 0.5 / k0, 2.0 / k0, eps, k0, spec)
-    tight = oracle.QuadratureSpec(rel_tol=spec.rel_tol / 16,
-                                  max_depth=spec.max_depth + 4)
+    a = oracle.absorbed_power(fields, 0.5 / k0, 2.0 / k0, eps, k0)
     # no bisection of [0.5, 2]/k0 reaches 1/k0: b shares no panel with a
     b = np.sum(oracle.absorbed_power(fields, np.array([0.5, 1.0]) / k0,
                                      np.array([1.0, 2.0]) / k0, eps, k0,
-                                     tight))
-    return _check("quadrature_convergence", abs(a - b) / abs(b), spec.rel_tol)
+                                     oracle.REL_TOL / 16))
+    return _check("quadrature_convergence", abs(a - b) / abs(b),
+                  oracle.REL_TOL)
 
 
 # in report order: the names a check reports, its function's name (looked

@@ -2,7 +2,9 @@
 frequency (after Claessen & Hughes, "QuickCheck", ICFP 2000).
 
 A length or a frequency is valid when it is real, finite and > 0 (eps_b of
-a LorentzMedium when >= 1, Omega when >= 0).  For each such argument, the
+a LorentzMedium when >= 1, Omega when >= 0), and so is the oracle's
+rel_tol, which must also be one number (an array of valid values raises
+DomainError, as the call allows).  For each such argument, the
 other arguments kept valid, the draws are fixed by a seed and never
 filtered by outcome:
 
@@ -81,9 +83,10 @@ CASES = {
         ml.stack_field_evaluator(stack(), k0)(r, 0.3),
     "flux_through_sphere": lambda k0=1.1, r=1.0: oracle.flux_through_sphere(
         ml.homogeneous_field(EPS, 1.1), r, k0),
-    "absorbed_power": lambda k0=1.1, r_inner=0.5, r_outer=1.0:
+    "absorbed_power": (
+        lambda k0=1.1, r_inner=0.5, r_outer=1.0, rel_tol=1e-10:
         oracle.absorbed_power(ml.homogeneous_field(EPS, 1.1), r_inner,
-                              r_outer, EPS, k0),
+                              r_outer, EPS, k0, rel_tol)),
     "energy_balance": lambda k0=1.1, r_inner=0.5, r_outer=1.0:
         oracle.energy_balance(ml.homogeneous_field(EPS, 1.1), r_inner,
                               r_outer, EPS, k0),
@@ -235,6 +238,9 @@ PROBES = {
            ("energy_balance", lambda: oracle.energy_balance(
                ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS,
                np.array([1.1, 1.1]))))},
+    "absorbed_power_array_rel_tol": (lambda: oracle.absorbed_power(
+        ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS, 1.1,
+        np.array([1e-10, 1e-10])), "rel_tol must be one number, not an array"),
     # k r of the amplitude engine underflows to 0
     **{f"{name}_k0_r_underflow": (call, "k0*r underflows to 0 at r = 1e-300")
        for name, call in (

@@ -9,13 +9,20 @@ from cavrate.errors import DomainError, QuadratureFailure
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        oracle.QuadratureSpec(rel_tol=0)
-    with pytest.raises(DomainError):
-        oracle.QuadratureSpec(max_depth=0)
-    spec = oracle.QuadratureSpec()
-    assert spec.rel_tol == 1e-10
-    assert spec.max_depth >= 1
+    # rel_tol takes the rule of a length: real, finite and > 0, one number
+    fields = ml.homogeneous_field(5 + 2.5j, 1.0)
+    for rel_tol, message in (
+            (0.0, "rel_tol = 0 must be > 0"),
+            (math.nan, "rel_tol = nan must be > 0"),
+            (math.inf, "rel_tol = inf must be > 0"),
+            (-1e-10, "rel_tol = -1e-10 must be > 0"),
+            (1e-10 + 0j, "rel_tol = 1e-10+0j must be > 0"),
+            (np.array([1e-10, 1e-12]),
+             "rel_tol must be one number, not an array")):
+        with pytest.raises(DomainError) as caught:
+            oracle.absorbed_power(fields, 0.5, 2.0, 5 + 2.5j, 1.0, rel_tol)
+        assert str(caught.value) == message
+    assert oracle.REL_TOL == 1e-10
 
 
 def test_polar_nodes_do_not_depend_on_the_simd_level():
@@ -74,13 +81,13 @@ def counting(fields, calls):
 
 
 @pytest.mark.parametrize("max_depth", [30, 12])
-def test_one_field_call_per_bisection_level(max_depth):
+def test_one_field_call_per_bisection_level(monkeypatch, max_depth):
     eps, k0 = 5 + 2.5j, 1.0
-    spec = oracle.QuadratureSpec(max_depth=max_depth)
+    monkeypatch.setattr(oracle, "_MAX_DEPTH", max_depth)
     for shell in ((0.05, 5.0), (0.3, 10.0), (1.0, 1.0002)):
         calls = []
         oracle.absorbed_power(counting(ml.homogeneous_field(eps, k0), calls),
-                              *shell, eps, k0, spec)
+                              *shell, eps, k0)
         assert 1 <= len(calls) <= max_depth
         # every call holds whole panels of 16 + 32 radii
         assert all(s[0] % 48 == 0 and s[1:] == (1,) for s in calls)
@@ -159,20 +166,19 @@ def test_cavity_flux_equals_total_rate():
 def test_tighter_tolerance_changes_nothing():
     eps, k0 = 5 + 2.5j, 1.0
     fields = ml.homogeneous_field(eps, k0)
-    spec = oracle.QuadratureSpec()
-    a = oracle.absorbed_power(fields, 0.5, 2.0, eps, k0, spec)
-    tight = oracle.QuadratureSpec(rel_tol=spec.rel_tol / 16, max_depth=36)
+    a = oracle.absorbed_power(fields, 0.5, 2.0, eps, k0)
+    tight = oracle.REL_TOL / 16
     # no bisection of [0.5, 2] reaches 1, so b shares no panel with a
     b = (oracle.absorbed_power(fields, 0.5, 1.0, eps, k0, tight)
          + oracle.absorbed_power(fields, 1.0, 2.0, eps, k0, tight))
-    assert 0 < abs(a - b) <= spec.rel_tol * abs(b)
+    assert 0 < abs(a - b) <= oracle.REL_TOL * abs(b)
 
 
 def test_convergence_check_sees_an_unconverged_rule(monkeypatch):
     # one 4-node panel per integral; a reference on the same panels agrees
     nodes, weights = np.polynomial.legendre.leggauss(4)
 
-    def coarse(fn, a, b, quad):
+    def coarse(fn, a, b, rel_tol):
         half = 0.5 * (np.asarray(b) - a)
         points = (a + half)[..., None] + half[..., None] * nodes
         return half * (fn(points) @ weights)
@@ -182,12 +188,12 @@ def test_convergence_check_sees_an_unconverged_rule(monkeypatch):
     assert not result.passed and result.measured > 1e3 * result.tolerance
 
 
-def test_quadrature_failure_reported():
+def test_quadrature_failure_reported(monkeypatch):
     eps, k0 = 5 + 2.5j, 1.0
     fields = ml.homogeneous_field(eps, k0)
-    starving = oracle.QuadratureSpec(rel_tol=1e-13, max_depth=2)
-    with pytest.raises(QuadratureFailure):
-        oracle.absorbed_power(fields, 0.05, 5.0, eps, k0, starving)
+    monkeypatch.setattr(oracle, "_MAX_DEPTH", 2)
+    with pytest.raises(QuadratureFailure, match="at depth 2 "):
+        oracle.absorbed_power(fields, 0.05, 5.0, eps, k0, 1e-13)
 
 
 def nan_fields(r, theta):
@@ -201,14 +207,13 @@ def nan_fields(r, theta):
     (nan_fields, (0.5, 2.0), 1e-10)])
 def test_unconverging_integral_fails_within_bounded_work(fields, shell,
                                                          rel_tol):
-    spec = oracle.QuadratureSpec(rel_tol=rel_tol)
     calls = []
     with pytest.raises(QuadratureFailure):
         oracle.absorbed_power(counting(fields, calls), *shell, 5 + 2.5j, 1.0,
-                              spec)
-    # no level evaluates more panels than the limit, nor runs past max_depth
+                              rel_tol)
+    # no level evaluates more panels than the limit, nor runs past the depth
     assert max(n for n, _ in calls) <= 48 * oracle._MAX_OPEN_PANELS
-    assert len(calls) <= spec.max_depth
+    assert len(calls) <= oracle._MAX_DEPTH
 
 
 # four samples, one shell each, that converge at different depths: in a
@@ -230,13 +235,13 @@ def sample_case(name):
     return (make, *np.array(shells).T)
 
 
-def number_levels(make, shells, eps, spec=None):
+def number_levels(make, shells, eps):
     """The field calls of each shell's number-input integral."""
     out = []
     for (r_inner, r_outer), e in zip(shells, eps.tolist()):
         calls = []
         oracle.absorbed_power(counting(make(e, 1.0), calls), r_inner,
-                              r_outer, e, 1.0, spec)
+                              r_outer, e, 1.0)
         out.append(calls)
     return out
 
@@ -312,17 +317,17 @@ def failure_place(message):
 
 
 @pytest.mark.parametrize("name", SAMPLE_CASES)
-def test_an_unconverged_sample_is_named(name):
+def test_an_unconverged_sample_is_named(monkeypatch, name):
     make, r_inner, r_outer = sample_case(name)
-    starving = oracle.QuadratureSpec(rel_tol=1e-13, max_depth=2)
+    monkeypatch.setattr(oracle, "_MAX_DEPTH", 2)
     s = DEEPEST[name]
     with pytest.raises(QuadratureFailure) as batched:
         oracle.absorbed_power(make(SAMPLE_EPS, 1.0), r_inner, r_outer,
-                              SAMPLE_EPS, 1.0, starving)
+                              SAMPLE_EPS, 1.0, 1e-13)
     eps = SAMPLE_EPS[s].item()
     with pytest.raises(QuadratureFailure) as number:
         oracle.absorbed_power(make(eps, 1.0), r_inner[s], r_outer[s], eps,
-                              1.0, starving)
+                              1.0, 1e-13)
     assert failure_place(str(batched.value)) == failure_place(
         str(number.value)).replace("integral", f"integral of sample {s}")
 
@@ -334,15 +339,15 @@ def test_the_panel_limit_counts_per_sample(name):
     # stop them before any level held more than half of it for each
     make, r_inner, r_outer = sample_case(name)
     s = DEEPEST[name]
-    eps, spec = SAMPLE_EPS[s].item(), oracle.QuadratureSpec(rel_tol=1e-17)
+    eps = SAMPLE_EPS[s].item()
     calls = []
     with pytest.raises(QuadratureFailure) as batched:
         oracle.absorbed_power(counting(make(eps, 1.0), calls),
                               np.full(2, r_inner[s]), np.full(2, r_outer[s]),
-                              eps, 1.0, spec)
+                              eps, 1.0, 1e-17)
     with pytest.raises(QuadratureFailure) as number:
         oracle.absorbed_power(make(eps, 1.0), r_inner[s], r_outer[s], eps,
-                              1.0, spec)
+                              1.0, 1e-17)
     assert str(batched.value) == str(number.value).replace(
         "integral", "integral of sample 0")
     assert 48 * oracle._MAX_OPEN_PANELS // 2 < max(n for _, n, _ in calls) \

@@ -843,8 +843,9 @@ NAN_ARGUMENTS = {
                              ("omega0", "omega0 = nan must be > 0"),
                              ("Omega", "Omega = nan must be >= 0"),
                              ("gamma", "gamma = nan must be > 0"))},
-    "quadrature_rel_tol": (lambda: oracle.QuadratureSpec(rel_tol=math.nan),
-                           "rel_tol = nan must be > 0"),
+    "quadrature_rel_tol": (lambda: oracle.absorbed_power(
+        _cavity_case()[2], 0.7, 1.0, EPS_RES, 1.0, rel_tol=math.nan),
+        "rel_tol = nan must be > 0"),
     "absorbed_power_loss": (lambda: oracle.absorbed_power(
         _cavity_case()[2], 0.7, 1.0, complex(5, math.nan), 1.0),
         "eps'' must be non-negative for a passive layer"),
