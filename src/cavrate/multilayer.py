@@ -80,6 +80,9 @@ class LayerStack:
     def layer_at(self, r: float) -> int:
         """1-based index of the layer containing radius r (boundaries go out)."""
         require(r, "radius must be non-negative", nonnegative)
+        if np.ndarray in map(type, self.radii):
+            raise DomainError("the layer lookup takes permittivity samples "
+                              "only: pass layer= for radius arrays")
         for i, ri in enumerate(self.radii):
             if r < ri:
                 return i + 1

@@ -186,6 +186,13 @@ def _cube(name, x):
 
 
 RADII = "the radii must be positive and increasing"
+
+
+def radius_samples():
+    """A sphere of EPS in vacuum whose radius is an array of samples."""
+    return ml.LayerStack((np.array([1.0, 1.1]),), (EPS, 1.0))
+
+
 # inputs that a function took, or failed on with a foreign exception,
 # before the one rule: the call and the DomainError message it raises
 PROBES = {
@@ -241,6 +248,15 @@ PROBES = {
     "absorbed_power_array_rel_tol": (lambda: oracle.absorbed_power(
         ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS, 1.1,
         np.array([1e-10, 1e-10])), "rel_tol must be one number, not an array"),
+    # the fields find a radius's layer in a stack of number radii only
+    **{f"{name}_radius_arrays": (call, "the layer lookup takes permittivity "
+                                 "samples only: pass layer= for radius arrays")
+       for name, call in (
+           ("field_in_layer", lambda: ml.field_in_layer(
+               radius_samples(), ml.coefficients(radius_samples(), 1.0), 0.5,
+               0.3, 1.0)),
+           ("stack_field_evaluator", lambda: ml.stack_field_evaluator(
+               radius_samples(), 1.0)(0.5, 0.3)))},
     # k r of the amplitude engine underflows to 0
     **{f"{name}_k0_r_underflow": (call, "k0*r underflows to 0 at r = 1e-300")
        for name, call in (
