@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import verify as verify_mod
+from ._elementwise import positive, require
 from .dielectric import LorentzMedium, eval_lorentz
 from .errors import ConfigError, DomainError, QuadratureFailure
 from .rates import _warn_outside_range, rate_report
@@ -50,8 +51,9 @@ _FRACTION_LIMIT = 0.16
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Complete description of one sweep; building one never warns, and
-    every number it holds, its medium's among them, must be finite."""
+    """Complete description of one sweep; building one never warns.  Every
+    value it holds, its medium's among them, is one finite number, and the
+    medium's omega0, the unit of frequency, is 1."""
 
     medium: LorentzMedium = LorentzMedium(eps_b=5.0, omega0=1.0,
                                           Omega=0.5, gamma=0.1)
@@ -68,28 +70,34 @@ class SweepConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():  # the medium checks its own
+            if type(value) is np.ndarray:
+                raise ConfigError(f"{name} must be one number, not an array")
             if isinstance(value, (int, float, complex)) \
                     and not cmath.isfinite(value):
                 raise ConfigError(f"{name} = {value} must be finite")
-        if self.omega_min <= 0:
-            raise ConfigError(f"omega_min = {self.omega_min:g} must be > 0")
+        if self.medium.omega0 != 1:  # k0 = omega, lengths in c/omega0
+            raise ConfigError(f"omega0 = {self.medium.omega0:g} must be 1: "
+                              "frequencies are in units of omega0")
         if self.omega_count < 1:
             raise ConfigError(f"omega_count = {self.omega_count} must be >= 1")
-        if self.omega_count > 1 and self.omega_max <= self.omega_min:
-            raise ConfigError("omega_max must exceed omega_min")
-        if self.sphere_radius <= 0:
-            raise ConfigError(
-                f"sphere_radius = {self.sphere_radius:g} must be > 0")
-        if not 0 < self.onsager_fraction < _FRACTION_LIMIT:
-            raise ConfigError(
-                f"onsager_fraction = {self.onsager_fraction:g} must lie in "
-                f"(0, {_FRACTION_LIMIT:g})")
+        try:  # the lengths and frequencies take the rule of the rates
+            for name in ("omega_min", "sphere_radius", "rm_value"):
+                if getattr(self, name) is not None:
+                    require(getattr(self, name), name + " = {:g} must be > 0")
+            require(self.onsager_fraction, "onsager_fraction = {:g} must lie "
+                    f"in (0, {_FRACTION_LIMIT:g})",
+                    lambda x: positive(x) and x < _FRACTION_LIMIT)
+            require(self.omega_max, "omega_max = {:g} must be real",
+                    np.isrealobj)
+            if self.omega_count > 1:
+                require(self.omega_max - self.omega_min,
+                        "omega_max must exceed omega_min")
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if self.lambda_reference not in ("transition", "resonance"):
             raise ConfigError(
                 f"lambda_reference = {self.lambda_reference!r} must be "
                 f"'transition' or 'resonance'")
-        if self.rm_value is not None and self.rm_value <= 0:
-            raise ConfigError(f"rm_value = {self.rm_value:g} must be > 0")
         if complex(self.eps_ext).imag < 0:
             raise ConfigError(f"eps_ext = {self.eps_ext} is not passive")
         if self.eps_ext == 0:
@@ -336,13 +344,6 @@ def _emit(rows, config, out_path) -> None:
             write_csv(rows, config, stream)
 
 
-def _run_verify(config, seed=verify_mod.DEFAULT_SEED) -> int:
-    report = verify_mod.run_battery(config, seed=seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.all_passed else 2
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cavrate",
@@ -358,7 +359,9 @@ def main(argv=None) -> int:
                                        "default stdout CSV")
     p_sweep.add_argument("--columns", help="comma-separated columns or 'all'")
     p_sweep.add_argument("--verify", action="store_true",
-                         help="run the invariant battery after the sweep")
+                         help="run the invariant battery too; its verdicts "
+                              "follow the rows")
+    p_sweep.set_defaults(seed=verify_mod.DEFAULT_SEED)  # the battery's
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")
     p_verify.add_argument("--config", help="key = value configuration file")
@@ -369,15 +372,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        if args.command == "verify":
-            code = _run_verify(config, args.seed)
-        else:
-            if args.out is not None:
-                _check_out(args.out)
+        sweep = args.command == "sweep"
+        if sweep and args.out is not None:
+            _check_out(args.out)
+        # the battery runs before the sweep, so that its configuration error
+        # leaves --out uncreated; its verdicts follow the rows
+        report = verify_mod.run_battery(config, args.seed) \
+            if config.verify or not sweep else None
+        if sweep:
             _emit(run_sweep(config), config, args.out)
-            code = _run_verify(config) if config.verify else 0
+        if report is not None:
+            print(*report.lines(), sep="\n")
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return code
+        return 0 if report is None or report.all_passed else 2
     except (ConfigError, DomainError) as exc:
         # a DomainError here comes from a value of the configuration
         print(f"configuration error: {exc}", file=sys.stderr)

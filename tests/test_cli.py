@@ -24,7 +24,7 @@ from cavrate import multilayer as ml
 from cavrate import oracle, rates
 from cavrate import specfun
 from cavrate import verify as verify_mod
-from cavrate.dielectric import eval_lorentz
+from cavrate.dielectric import LorentzMedium, eval_lorentz
 from cavrate.errors import (ConfigError, DomainError, ExpansionRangeWarning,
                             IllConditioned, QuadratureFailure)
 from conftest import passive_eps_samples
@@ -73,10 +73,22 @@ class TestSweepConfig:
         {"rm_value": -1.0}, {"rm_value": 0.0}, {"rm_value": math.nan},
         {"eps_ext": 1 - 0.5j}, {"columns": ("omega", "bogus")},
         {"rm_value": math.inf}, {"rm_value": -0.0},
+        # a complex value in a real field
+        {"rm_value": 0.3 + 0.1j}, {"sphere_radius": 2 + 0j},
+        {"omega_min": 0.5 + 0.1j}, {"onsager_fraction": 0.1 + 0.01j},
+        {"omega_max": 1.5 + 0.1j}, {"omega_max": 1.5j, "omega_count": 1},
+        {"sphere_radius": np.array([2.0, 3.0])},
+        # the sweep takes k0 = omega: frequencies are in units of omega0
+        {"medium": LorentzMedium(eps_b=5.0, omega0=2.0, Omega=1.0,
+                                 gamma=0.2)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             quick_config(**kwargs)
+
+    def test_a_single_point_grid_takes_any_real_omega_max(self):
+        assert quick_config(omega_count=1, omega_max=-3.0).omega_grid() \
+            == [0.5]
 
     @pytest.mark.parametrize("kwargs", [
         {"onsager_fraction": 0.04}, {"onsager_fraction": 0.1},
@@ -326,7 +338,7 @@ class TestSweep:
         # with the smaller cavity the nonradiative part of the corrected
         # rate grows to the size of the radiative one
         from cavrate import rates
-        from cavrate.dielectric import eval_lorentz
+        from cavrate.dielectric import LorentzMedium, eval_lorentz
         config = cli.get_preset("fig4")
         omega = 1.0
         eps = eval_lorentz(config.medium, omega).eps
@@ -1330,6 +1342,30 @@ class TestMain:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_battery_config_error_comes_before_the_sweep(self, tmp_path,
+                                                          capsys):
+        # the battery refuses a cavity that reaches the sphere, which a
+        # sweep allows: sweep --verify ends before it creates --out
+        path, out = tmp_path / "small.cfg", tmp_path / "rows.csv"
+        path.write_text("[geometry]\nsphere_radius = 0.5\n")
+        assert cli.main(["sweep", "--config", str(path), "--verify",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "configuration error: cavity radius 0.628319 reaches the "
+            "sphere radius 0.5 at the resonance frequency\n")
+        assert not out.exists()
+
+    def test_sweep_verdicts_follow_the_rows(self, monkeypatch, capsys):
+        report = verify_mod.VerificationReport(checks=(
+            verify_mod.CheckResult("broken", False, 2.0, 1.0),))
+        monkeypatch.setattr(verify_mod, "run_battery",
+                            lambda config, seed=0: report)
+        assert cli.main(["sweep", "--preset", "fig4"]) == 0
+        rows = capsys.readouterr().out
+        assert cli.main(["sweep", "--preset", "fig4", "--verify"]) == 2
+        assert capsys.readouterr().out == rows + "".join(
+            line + "\n" for line in report.lines())
 
     def test_both_commands_reject_eps_ext_zero(self, tmp_path, capsys):
         path = tmp_path / "zero.cfg"
