@@ -20,6 +20,7 @@ of the unit dipole.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from ._elementwise import K0, nonnegative, require, route
