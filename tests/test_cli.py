@@ -338,7 +338,7 @@ class TestSweep:
         # with the smaller cavity the nonradiative part of the corrected
         # rate grows to the size of the radiative one
         from cavrate import rates
-        from cavrate.dielectric import LorentzMedium, eval_lorentz
+        from cavrate.dielectric import eval_lorentz
         config = cli.get_preset("fig4")
         omega = 1.0
         eps = eval_lorentz(config.medium, omega).eps
