@@ -78,8 +78,10 @@ class SweepConfig:
         if self.medium.omega0 != 1:  # k0 = omega, lengths in c/omega0
             raise ConfigError(f"omega0 = {self.medium.omega0:g} must be 1: "
                               "frequencies are in units of omega0")
-        if self.omega_count < 1:
-            raise ConfigError(f"omega_count = {self.omega_count} must be >= 1")
+        if not isinstance(self.omega_count, (int, np.integer)) \
+                or self.omega_count < 1:  # a fraction runs past omega_max
+            raise ConfigError(
+                f"omega_count = {self.omega_count} must be an integer >= 1")
         try:  # the lengths and frequencies take the rule of the rates
             for name in ("omega_min", "sphere_radius", "rm_value"):
                 if getattr(self, name) is not None:
@@ -336,12 +338,9 @@ def _emit(rows, config, out_path) -> None:
     if out_path is None:
         write_csv(rows, config, sys.stdout)
         return
-    is_json = out_path.lower().endswith(".json")
+    write = write_json if out_path.lower().endswith(".json") else write_csv
     with open(out_path, "w", encoding="ascii", newline="") as stream:
-        if is_json:
-            write_json(rows, config, stream)
-        else:
-            write_csv(rows, config, stream)
+        write(rows, config, stream)
 
 
 def main(argv=None) -> int:

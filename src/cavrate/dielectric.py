@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from ._elementwise import elementwise, nonnegative, require
+from ._elementwise import FINITE_EPS, elementwise, finite, nonnegative, require
 
 
 _sqrt = elementwise(pole="square root branch undefined at eps = 0")(
@@ -29,10 +29,12 @@ def sqrt_eps(eps):
 
     The real part is the refraction coefficient eta, the imaginary part
     the extinction coefficient kappa; (eta + i kappa)**2 reconstructs eps.
-    For real positive eps the positive real root is returned.
+    For real positive eps the positive real root is returned.  A NaN or
+    infinite part of eps raises DomainError.
     """
-    # a nonzero complex number, the scalar stacks' case, takes one call
-    return cmath.sqrt(eps) if type(eps) is complex and eps else _sqrt(eps)
+    if type(eps) is complex and eps and cmath.isfinite(eps):  # fast path
+        return cmath.sqrt(eps)
+    return _sqrt(require(eps, FINITE_EPS, finite))
 
 
 def eta_kappa(eps: complex) -> tuple[float, float]:

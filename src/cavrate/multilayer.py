@@ -29,7 +29,7 @@ from . import specfun as sf
 from ._elementwise import (K0, RADII, Mixed, Numbers, exp, guard_im, largest,
                            nonnegative, peak_ratio, require, route,
                            smallest, widths as _widths)
-from .dielectric import sqrt_eps
+from .dielectric import _sqrt, sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
 # guards against literal division blow-up; passive media never get close
@@ -229,9 +229,12 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     if not isinstance(stack, LayerStack):
         stack = LayerStack(stack.radii, stack.eps)
     m = stack._route if route((k0,), (), (K0,)) is Numbers else Mixed
-    return WaveCoefficients(*_amplitudes(
-        stack.radii, stack.eps, tuple(map(sqrt_eps, stack.eps)), k0, m,
-        stack._widths))
+    try:
+        roots = tuple(map(sqrt_eps, stack.eps))
+    except DomainError:  # a NaN or infinite eps: its unchecked root fails
+        roots = tuple(map(_sqrt, stack.eps))  # the residual check instead
+    return WaveCoefficients(*_amplitudes(stack.radii, stack.eps, roots, k0, m,
+                                         stack._widths))
 
 
 def _amplitudes(radii, eps, roots, k0, m, gaps):

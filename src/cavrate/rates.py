@@ -37,7 +37,7 @@ _ONSAGER_POLE_TOL = 1e-12
 
 def lorentz_factor(eps: complex) -> float:
     """Virtual-cavity local-field factor |(eps + 2)/3|**2."""
-    return abs((eps + 2) / 3) ** 2
+    return abs((require(eps, FINITE_EPS, finite) + 2) / 3) ** 2
 
 
 # the _kernels take root = sqrt(eps), abs2 = |eps|**2 and _real_cavity(eps)
@@ -94,22 +94,15 @@ def _gamma0(eps, eta, abs2, k0, r_m):
     return 1.5 * eps.imag / abs2 / (k0 * r_m) ** 3 + eta
 
 
-def _power_beyond(eps: complex, root: complex, k0: float, r: float,
-                  p=1, m=Mixed) -> float:
-    """Analytic power crossing radius r in an infinite medium from a dipole
-    of moment p (the unit dipole by default), root = sqrt(eps), on route m.
-
-    Equals the flux through the sphere of radius r, or equivalently the
-    total power dissipated beyond r (flux out plus downstream absorption).
-    """
-    weight = abs(p) ** 2
-    eta, kappa = root.real, root.imag
-    k = root * k0
-    x = k0 * r
-    envelope = abs((1 - 1j * k * r) * m.exp(1j * k * r)) ** 2
-    absorption = eps.imag / abs(eps) ** 2 * envelope / x ** 3
-    radiation = eta * m.exp(-2 * kappa * x).real
-    return weight * (absorption + radiation)
+def _power_beyond(eps, root, k0, r, moment) -> float:
+    """Power crossing radius r in an infinite medium eps (root = sqrt(eps)),
+    the flux out plus all absorption beyond, from a dipole whose outgoing
+    amplitude at r is moment (the dipole moment times e^{i root k0 r}).
+    That amplitude carries the decay, so the power needs no exponential and
+    is finite wherever c_outer is; a host that overflows the engine raises."""
+    return abs(moment) ** 2 * (eps.imag / abs(eps) ** 2
+                               * abs(1 - 1j * root * k0 * r) ** 2
+                               / (k0 * r) ** 3 + root.real)
 
 
 def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
@@ -119,7 +112,8 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     plus the absorption in the shell between r_c and r, independent of r.
     """
     _medium_x(eps, k0, r_c)
-    return _power_beyond(eps, sqrt_eps(eps), k0, r_c)
+    root = sqrt_eps(eps)
+    return _power_beyond(eps, root, k0, r_c, exp(1j * root * k0 * r_c))
 
 
 def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
@@ -180,8 +174,7 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     if largest(abs(stack.eps[0] - 1)) > 1e-12:
         raise DomainError(
             f"innermost layer must be vacuum, got eps1 = {stack.eps[0]}")
-    coeffs = ml.coefficients(stack, k0)
-    return 1 + coeffs.c1.real
+    return 1 + ml.coefficients(stack, k0).c1.real
 
 
 def _bare_sphere(eps, eps_ext, radius, k0, m=None):
@@ -263,6 +256,18 @@ def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
     return stack.eps[0] / stack.eps[-1] * c_outer
 
 
+def _moment_at(stack: ml.LayerStack, k0: float, r, name: str):
+    """eps_N, sqrt(eps_N) and the external dipole times e^{i k_N r}, once
+    r (named name) is real, finite and not inside the outermost radius."""
+    outer_radius = stack.radii[-1]
+    require(r, name + " = {:g} lies inside the outermost interface {:g}",
+            lambda r: np.greater_equal(np.real(r), outer_radius).all(),
+            largest(outer_radius))  # NaN lies inside too
+    require(r, name + " = {:g} must be real and finite")
+    p_n, root = external_dipole(stack, k0), sqrt_eps(stack.eps[-1])
+    return stack.eps[-1], root, p_n * exp(1j * root * k0 * r)
+
+
 def external_power(stack: ml.LayerStack, k0: float,
                    r_obs: float | None = None) -> float:
     """Power lost to the region beyond radius r_obs (units of W_free).
@@ -272,14 +277,9 @@ def external_power(stack: ml.LayerStack, k0: float,
     absorption beyond, which the analytic form combines into a single
     expression for the effective external dipole.
     """
-    outer_radius = stack.radii[-1]
-    r_obs = outer_radius if r_obs is None else r_obs
-    require(r_obs, "r_obs = {:g} lies inside the outermost interface {:g}",
-            lambda r: np.greater_equal(np.real(r), outer_radius).all(),
-            largest(outer_radius))  # NaN lies inside too
-    require(r_obs, "r_obs = {:g} must be real and finite")
-    p_n, eps_n = external_dipole(stack, k0), stack.eps[-1]
-    return _power_beyond(eps_n, sqrt_eps(eps_n), k0, r_obs, p_n)
+    r_obs = stack.radii[-1] if r_obs is None else r_obs
+    eps_n, root, moment = _moment_at(stack, k0, r_obs, "r_obs")
+    return _power_beyond(eps_n, root, k0, r_obs, moment)
 
 
 def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
@@ -290,14 +290,9 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     Units of W_free, so the full-sphere integral in a lossless exterior
     equals the radiation part of external_power.
     """
-    require(r, "r = {:g} lies inside the outermost interface",
-            lambda r: np.greater_equal(np.real(r), stack.radii[-1]).all())
-    require(r, "r = {:g} must be real and finite")
-    eps_n = stack.eps[-1]
-    eta_n, kappa_n = eta_kappa(eps_n)
-    p_n = external_dipole(stack, k0)
-    density = (3 / (8 * math.pi)) * eta_n * abs(p_n) ** 2 \
-        * exp(-2 * kappa_n * k0 * r).real * np.sin(theta) ** 2
+    _, root, moment = _moment_at(stack, k0, r, "r")
+    density = (3 / (8 * math.pi)) * root.real * abs(moment) ** 2 \
+        * np.sin(theta) ** 2
     # np.sin makes a numpy scalar of a number
     return density if isinstance(density, np.ndarray) else float(density)
 
@@ -347,7 +342,8 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
         scaled(x_m, "r_m"), scaled(x, "r_c")
     g0 = _gamma0(eps, root.real, abs2, k0, r_m)
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
-    w_ext = _power_beyond(eps_ext, root_ext, k0, radius, p_ext, m)
+    w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
+                          p_ext * m.exp(1j * root_ext * k0 * radius))
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
                       w_ext, factor * w_ext, factor, lorentz_factor(eps), x)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavrate import _gformat, cli
@@ -67,7 +67,8 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"omega_min": 0.0}, {"omega_min": -1.0},
-        {"omega_max": 0.4}, {"omega_count": 0},
+        {"omega_max": 0.4}, {"omega_count": 0}, {"omega_count": 2.5},
+        {"omega_count": 3.0},
         {"sphere_radius": 0.0}, {"onsager_fraction": 0.0},
         {"onsager_fraction": 0.2}, {"lambda_reference": "vacuum"},
         {"rm_value": -1.0}, {"rm_value": 0.0}, {"rm_value": math.nan},
@@ -851,9 +852,9 @@ verify = false
     # sha256 of the fig3 CSV at a fixed r_m = 0.21 under numpy's AVX-512,
     # AVX2 and X86_V2 dispatch, whose kernels move last bits of the sweep
     FIXED_RM_DIGESTS = {
-        "4e571e6e68faecfd5a4e8a496a14a0947e8aae0ba29a238fac8afdecc52907b1",
-        "82c2bd53ac7904c452e16c29b6230216bbef07493f987fc6478eabe3b3769522",
-        "0339ec2ac319c5e2f6916104d85aa73ab66281d092e0056970e40798937ab2a3",
+        "cb8629dd71739a1be37519248028f2f3f6fc7ccfaac44b7d2b60a5aa7779b56c",
+        "08490a753c77c814651053f0046771992dd2a04793c0a9f85e3af610281a2402",
+        "a45a3ea3288864deb940182a08106edbf68c6d4dfe8f7dd9dd44eca089caae1b",
     }
 
     def test_fixed_rm_over_a_preset_digest(self, tmp_path):
@@ -1570,7 +1571,19 @@ valid_configs = st.fixed_dictionaries({
 })
 
 
+# ROADMAP's bugs (a) and (b), absorbing hosts around large spheres, each
+# with the exit code of its sweep: (a)'s external dipole of 1e155 writes
+# finite powers, and (b)'s host still overflows the amplitude engine
+BUG_A = {"geometry": {"eps_ext": 1 + 1j, "sphere_radius": 196.0},
+         "sweep": {"omega_min": 4.0, "omega_max": 4.1, "omega_count": 11}}
+BUG_B = {"geometry": {"eps_ext": 1 + 0.5j, "sphere_radius": 300.0},
+         "sweep": {"omega_min": 1.0, "omega_max": 11.0}}
+SWEEP_CODES = ((BUG_A, 0), (BUG_B, 3))
+
+
 @settings(max_examples=60, deadline=None)
+@example(sections=BUG_A)
+@example(sections=BUG_B)
 @given(valid_configs)
 def test_every_valid_configuration_ends_in_a_verdict(tmp_path_factory,
                                                      sections):
@@ -1585,14 +1598,19 @@ def test_every_valid_configuration_ends_in_a_verdict(tmp_path_factory,
                   "--out", str(folder / "rows.csv")],
                  ["verify", "--config", str(path)]):
         out, err = io.StringIO(), io.StringIO()
-        # an exception that escapes main fails the test; a RuntimeWarning
-        # stays a warning, as for the command, not an error as in this suite
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.filterwarnings("default", category=RuntimeWarning)
+        # an exception that escapes main fails the test, and so does a
+        # RuntimeWarning, which this suite makes an error
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(args)
         lines = out.getvalue().splitlines()
         assert code in (0, 1, 2, 3), (args[0], code)
+        if args[0] == "sweep":
+            assert code == next((known for example, known in SWEEP_CODES
+                                 if example == sections), code)
+            if code == 0:  # every value it writes is finite
+                rows = np.loadtxt(folder / "rows.csv", delimiter=",",
+                                  skiprows=1, ndmin=2)
+                assert np.isfinite(rows).all()
         # every drawn configuration is valid, so its sweep runs (verify may
         # still refuse a cavity that reaches the sphere)
         assert args[0] == "verify" or not err.getvalue().startswith(

@@ -133,6 +133,16 @@ class TestW0:
         with pytest.warns(ExpansionRangeWarning):
             rates.gamma0_loc(EPS_RES, 1.0, 0.7)
 
+    @pytest.mark.parametrize("r_c, warns", [(0.3, True),
+                                            (math.nextafter(0.3, 0), False)])
+    def test_expansion_range_excludes_its_limit(self, r_c, warns):
+        # k0 r_c = EXPANSION_LIMIT itself lies outside the range
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rates.gamma0_loc(EPS_RES, 1.0, r_c)
+        assert [w.category for w in record] \
+            == [ExpansionRangeWarning] * warns
+
 
 class TestGamma0Loc:
     def test_lossless_collapse(self, rng):
@@ -850,10 +860,10 @@ NAN_ARGUMENTS = {
         "r_obs = nan lies inside the outermost interface 2"),
     "angular_radiation": (lambda: rates.angular_radiation(
         _cavity_case()[0], 1.0, math.nan, 0.5),
-        "r = nan lies inside the outermost interface"),
+        "r = nan lies inside the outermost interface 2"),
     "angular_radiation_array": (lambda: rates.angular_radiation(
         _cavity_case()[0], 1.0, np.array([3.0, math.nan]), 0.5),
-        "r = nan lies inside the outermost interface"),
+        "r = nan lies inside the outermost interface 2"),
     "layer_at": (lambda: _cavity_case()[0].layer_at(math.nan),
                  "radius must be non-negative"),
     **{f"lorentz_{name}": ((lambda name=name: dielectric.LorentzMedium(
@@ -884,14 +894,16 @@ NAN_ARGUMENTS = {
             _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)),
         ("energy_balance", lambda: oracle.energy_balance(
             _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)))},
-    # a permittivity of a medium-only rate that is NaN or infinite
-    **{f"{name}_{form}": ((lambda name=name, eps=eps, args=args: getattr(
-        rates, name)(eps, *args)), message)
-       for name, args in (("onsager_factor", ()),
-                          *((name, (1.0, 0.1)) for name in (
-                              "gamma0_loc", "gamma0_macroscopic",
-                              "w0_cutoff", "w0_expanded", "p_eff_expansion",
-                              "cavity_nearfield")))
+    # a permittivity of a medium-only entry that is NaN or infinite
+    **{f"{name}_{form}": ((lambda module=module, name=name, eps=eps,
+                           args=args: getattr(module, name)(eps, *args)),
+                          message)
+       for module, name, args in (
+           (dielectric, "sqrt_eps", ()), (dielectric, "eta_kappa", ()),
+           (rates, "lorentz_factor", ()), (rates, "onsager_factor", ()),
+           *((rates, name, (1.0, 0.1)) for name in (
+               "gamma0_loc", "gamma0_macroscopic", "w0_cutoff",
+               "w0_expanded", "p_eff_expansion", "cavity_nearfield")))
        for form, eps, message in (
            ("eps_nan", complex(math.nan, 1), "eps = (nan+1j) must be finite"),
            ("eps_inf", complex(math.inf, 1), "eps = (inf+1j) must be finite"),

@@ -49,7 +49,7 @@ REPORTS = {
         "0x1.68fa6196bba5bp+2", "0x1.3bbd35d66b042p+4",
         "-0x1.443a04bb56256p-6", "0x1.1f8a14356059fp-4",
         "-0x1.db5497d89d59bp-5", "0x1.3acf8b8a7eb57p+4",
-        "0x1.c8def5210c27ap-3", "0x1.b80d1b023de65p-2",
+        "0x1.c8def5210c278p-3", "0x1.b80d1b023de63p-2",
         "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
         "0x1.c28f5c28f5c2ap-3"),
     (4.07 + 0.49j, 1 + 0j, 300.0, 0.15, 0.15, 1.1): (
@@ -70,14 +70,14 @@ REPORTS = {
         "0x1.e1268a9d2e312p+9", "0x1.365067f1b7dd9p+10",
         "0x1.3dc7484886289p+6", "0x1.578d81bc9bbd2p+7",
         "0x1.9ea895cc72ad2p+6", "0x1.503af14e7f086p+10",
-        "0x1.5393ac1007c2bp-3", "0x1.471346d2f26f2p-2",
+        "0x1.5393ac1007c2dp-3", "0x1.471346d2f26f4p-2",
         "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
         "0x1.999999999999ap-5"),
     (4 + 0j, 1.5 + 0.1j, 2.0, 0.2, 0.3, 1.1): (
         "0x1.0000000000000p+1", "0x1.c71c71c71c71cp+1",
         "0x1.04b21247a2665p+0", "-0x1.6bb8c4375502cp-4",
         "0x1.cf7575d4aeeecp+0", "0x1.576b9658b9f49p+2",
-        "0x1.82590923d1334p+1", "0x1.576b9658b9f4ap+2",
+        "0x1.82590923d1332p+1", "0x1.576b9658b9f49p+2",
         "0x1.c71c71c71c71cp+0", "0x1.0000000000000p+2",
         "0x1.c28f5c28f5c2ap-3"),
 }
@@ -201,6 +201,9 @@ RAISING = {
         DomainError, "k0 must be positive"),
     "nan_permittivity": (
         ((0.3, 1.0), (2 + 1j, NAN, 1 + 0j), 1.0),
+        IllConditioned, "recursion residual nan exceeds 1e-08"),
+    "inf_permittivity": (
+        ((0.3, 1.0), (2 + 1j, complex(math.inf, 1), 1 + 0j), 1.0),
         IllConditioned, "recursion residual nan exceeds 1e-08"),
     "nan_permittivity_array": (
         ((0.3, 1.0), (2 + 1j, np.array([3 + 0j, NAN]), 1 + 0j),
