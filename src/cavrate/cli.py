@@ -66,7 +66,6 @@ class SweepConfig:
     omega_max: float = 2.0
     omega_count: int = 601
     columns: tuple[str, ...] = COLUMNS
-    verify: bool = False
 
     def __post_init__(self):
         for name, value in vars(self).items():  # the medium checks its own
@@ -248,13 +247,6 @@ def _parse_columns(text: str):
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
-def _parse_bool(text: str) -> bool:
-    try:  # the eight strings of configparser's getboolean
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 # section -> key -> converter; [medium] keys are LorentzMedium fields, the
 # others SweepConfig fields
 _CONFIG_SCHEMA = {
@@ -263,7 +255,7 @@ _CONFIG_SCHEMA = {
                  "onsager_fraction": float, "lambda_reference": str.strip,
                  "rm_value": float},
     "sweep": {"omega_min": float, "omega_max": float, "omega_count": int},
-    "output": {"columns": _parse_columns, "verify": _parse_bool},
+    "output": {"columns": _parse_columns},
 }
 
 
@@ -272,7 +264,7 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
 
     Sections: [medium] (eps_b, Omega, gamma), [geometry] (eps_ext,
     sphere_radius, onsager_fraction, lambda_reference, rm_value),
-    [sweep] (omega_min, omega_max, omega_count), [output] (columns, verify).
+    [sweep] (omega_min, omega_max, omega_count), [output] (columns).
     """
     if base is None:
         base = SweepConfig()
@@ -315,12 +307,9 @@ def build_config(args) -> SweepConfig:
     base = get_preset(args.preset) if args.preset else SweepConfig()
     if args.config:
         base = load_config_file(args.config, base)
-    overrides = {}
     if getattr(args, "columns", None):
-        overrides["columns"] = _parse_columns(args.columns)
-    if getattr(args, "verify", False):
-        overrides["verify"] = True
-    return replace(base, **overrides) if overrides else base
+        return replace(base, columns=_parse_columns(args.columns))
+    return base
 
 
 def _check_out(out_path) -> None:
@@ -377,7 +366,7 @@ def main(argv=None) -> int:
         # the battery runs before the sweep, so that its configuration error
         # leaves --out uncreated; its verdicts follow the rows
         report = verify_mod.run_battery(config, args.seed) \
-            if config.verify or not sweep else None
+            if not sweep or args.verify else None
         if sweep:
             _emit(run_sweep(config), config, args.out)
         if report is not None:

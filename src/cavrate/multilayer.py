@@ -29,7 +29,7 @@ from . import specfun as sf
 from ._elementwise import (K0, RADII, Mixed, Numbers, exp, guard_im, largest,
                            nonnegative, peak_ratio, require, route,
                            smallest, widths as _widths)
-from .dielectric import _sqrt, sqrt_eps
+from .dielectric import sqrt_eps
 from .errors import DomainError, IllConditioned, SingularDenominator
 
 # guards against literal division blow-up; passive media never get close
@@ -229,18 +229,27 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     if not isinstance(stack, LayerStack):
         stack = LayerStack(stack.radii, stack.eps)
     m = stack._route if route((k0,), (), (K0,)) is Numbers else Mixed
-    try:
-        roots = tuple(map(sqrt_eps, stack.eps))
-    except DomainError:  # a NaN or infinite eps: its unchecked root fails
-        roots = tuple(map(_sqrt, stack.eps))  # the residual check instead
-    return WaveCoefficients(*_amplitudes(stack.radii, stack.eps, roots, k0, m,
-                                         stack._widths))
+    steps, residual = _amplitudes(stack.radii, stack.eps,
+                                  tuple(map(sqrt_eps, stack.eps)), k0, m,
+                                  stack._widths)
+    # outward, from the innermost interface: each c_{l-}, c1 first, then
+    # each c_{l+}
+    c_minus, c_plus, cp = [], [], 1 + 0j
+    for r_phase, zin, zout, t in steps:
+        c_minus.append(r_phase * cp)
+        cp = cp * m.exp(1j * (zin - zout)) * t
+        c_plus.append(cp)
+    return WaveCoefficients(c_minus[0], (*c_plus,), (*c_minus[1:], 0j),
+                            residual)
 
 
 def _amplitudes(radii, eps, roots, k0, m, gaps):
-    """coeffs_general_n's recursion as (c1, c_plus, c_minus, residual),
-    pure arithmetic on checked inputs: each layer's sqrt(eps) in roots, a
-    positive k0, the layer widths in gaps, all on route m."""
+    """coeffs_general_n's inward pass, pure arithmetic on checked inputs:
+    each layer's sqrt(eps) in roots, a positive k0, the layer widths in
+    gaps, all on route m.  It forms no amplitude: it returns the outward
+    step (R e^{2iz_in}, z_in, z_out, t) of each interface, innermost
+    first, and the residual, so that a caller forms e^{i(z_in - z_out)}
+    only where it needs the unreferenced amplitude."""
     last = len(radii) - 1
     exp, smallest = m.exp, m.smallest
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
@@ -248,9 +257,8 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
     # layer 1), the outer layer's h1 wave p and h2 wave q (none outermost);
     # the outer profile p + P q per unit outgoing wave (P: the outer R here)
     # fixes R, t fits the inner profile a + R b to it; row defects, sums,
-    # amplitudes 1, R, t, tP; outward steps R e^{2iz_in}, e^{i(z_in-z_out)},
-    # t; each layer's wavenumber k = sqrt(eps) k0 is formed once, as k_in,
-    # and is the next interface's k_out
+    # amplitudes 1, R, t, tP; each layer's wavenumber k = sqrt(eps) k0 is
+    # formed once, as k_in, and is the next interface's k_out
     ratio, qf, qd, steps = 0j, 0j, 0j, []
     defects, norms, amps = [], [], [1.0 if last else 0.0]
     k_out = roots[-1] * k0
@@ -271,7 +279,6 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
             qd = (1j - qf) / eps[i + 1]
         pd = (-1j - pf) / eps[i + 1]
         shift = exp(2j * k_in * gaps[i]) if i else 0j
-        phase, across = exp(2j * zin), exp(1j * (zin - zout))
         f, d = pf + ratio * qf, pd + ratio * qd
         den = bf * d - bd * f
         if (small := smallest(abs(den))) < _DENOMINATOR_FLOOR:
@@ -285,22 +292,14 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
         norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
                   (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
         amps += abs(r_in), abs(t), abs(t * ratio)
-        steps.append((r_in * phase, across, t))
+        steps.append((r_in * exp(2j * zin), zin, zout, t))
         ratio, k_out = r_in * shift, k_in
 
     residual = peak_ratio(defects, norms, amps, (abs(af), abs(ad)))
     if not residual <= _RESIDUAL_LIMIT:
         raise IllConditioned(
             f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
-    # outward, from the steps of the innermost interface: each c_{l-}, c1
-    # first, then each c_{l+}
-    c_minus, c_plus, cp = [], [], 1 + 0j
-    for r_phase, across, t in reversed(steps):
-        c_minus.append(r_phase * cp)
-        cp = cp * across * t
-        c_plus.append(cp)
-    c_minus.append(0j)
-    return c_minus.pop(0), (*c_plus,), (*c_minus,), residual
+    return steps[::-1], residual
 
 
 coefficients = coeffs_general_n

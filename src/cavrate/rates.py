@@ -98,8 +98,8 @@ def _power_beyond(eps, root, k0, r, moment) -> float:
     """Power crossing radius r in an infinite medium eps (root = sqrt(eps)),
     the flux out plus all absorption beyond, from a dipole whose outgoing
     amplitude at r is moment (the dipole moment times e^{i root k0 r}).
-    That amplitude carries the decay, so the power needs no exponential and
-    is finite wherever c_outer is; a host that overflows the engine raises."""
+    That amplitude carries the decay, so the power needs no exponential
+    and is finite wherever the amplitude is."""
     return abs(moment) ** 2 * (eps.imag / abs(eps) ** 2
                                * abs(1 - 1j * root * k0 * r) ** 2
                                / (k0 * r) ** 3 + root.real)
@@ -179,16 +179,18 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
 
 def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
-    shift Im[sqrt(eps) c1]/2, c1, its external dipole (see external_dipole),
-    sqrt(eps) and sqrt(eps_ext), after checking k0, then the radius (the
-    recursion's one width), unless route m did; each root is formed once."""
+    shift Im[sqrt(eps) c1]/2, c1, its external dipole times e^{i k_ext R}
+    (the outgoing amplitude at its surface, (eps/eps_ext) e^{iz_in} t from
+    the engine's one step), sqrt(eps) and sqrt(eps_ext), after checking
+    k0, then the radius (the recursion's one width), unless route m did;
+    each root is formed once."""
     m = m or route((k0, radius), (eps, eps_ext), (K0, RADII))
     roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
-    c1, (c_out,), _, _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0, m,
-                                        radii)
+    ((c1, z, _, t),), _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0,
+                                         m, radii)
     root_c1 = roots[0] * c1
-    return (root_c1.real, 0.5 * root_c1.imag, c1, eps / eps_ext * c_out,
-            *roots)
+    return (root_c1.real, 0.5 * root_c1.imag, c1,
+            eps / eps_ext * m.exp(1j * z) * t, *roots)
 
 
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
@@ -205,7 +207,7 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
     the infinite-medium rate, with the radiative rate replaced by the bare
     cavity rate and the extinction coefficient by twice the bare shift.
     """
-    _, abs_den, factor = _real_cavity(eps)
+    _, abs_den, factor = _real_cavity(require(eps, FINITE_EPS, finite))
     correction = 2 * eps.imag / abs(eps) ** 2 * (
         2 * (2 * abs(eps) ** 2 + eps.real) * delta_sc_hat
         + eps.imag * gamma_sc_hat) / abs_den ** 2
@@ -332,8 +334,8 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     """
     m = route((k0, radius, r_m, r_c), (eps, eps_ext),
               (K0, RADII, "r_m must be positive", "r_c must be positive"))
-    g_sc, d_sc, c1, p_ext, root, root_ext = _bare_sphere(eps, eps_ext,
-                                                         radius, k0, m)
+    g_sc, d_sc, c1, moment, root, root_ext = _bare_sphere(eps, eps_ext,
+                                                          radius, k0, m)
     abs2 = abs(eps) ** 2
     den, abs_den, factor = _real_cavity(eps, m)
     g_sc_loc = (_c1_weight(eps, root, den) * c1).real
@@ -342,8 +344,7 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
         scaled(x_m, "r_m"), scaled(x, "r_c")
     g0 = _gamma0(eps, root.real, abs2, k0, r_m)
     g0_loc = _gamma0_loc(eps, root, abs2, abs_den, factor, x)
-    w_ext = _power_beyond(eps_ext, root_ext, k0, radius,
-                          p_ext * m.exp(1j * root_ext * k0 * radius))
+    w_ext = _power_beyond(eps_ext, root_ext, k0, radius, moment)
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
                       w_ext, factor * w_ext, factor, lorentz_factor(eps), x)

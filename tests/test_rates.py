@@ -903,7 +903,8 @@ NAN_ARGUMENTS = {
            (rates, "lorentz_factor", ()), (rates, "onsager_factor", ()),
            *((rates, name, (1.0, 0.1)) for name in (
                "gamma0_loc", "gamma0_macroscopic", "w0_cutoff",
-               "w0_expanded", "p_eff_expansion", "cavity_nearfield")))
+               "w0_expanded", "p_eff_expansion", "cavity_nearfield")),
+           (rates, "gamma_sc_loc_from_bare", (0.5, 0.1)))
        for form, eps, message in (
            ("eps_nan", complex(math.nan, 1), "eps = (nan+1j) must be finite"),
            ("eps_inf", complex(math.inf, 1), "eps = (inf+1j) must be finite"),

@@ -30,7 +30,7 @@ from cavrate import multilayer as ml
 from cavrate import rates
 from cavrate.cli import get_preset
 from cavrate.dielectric import eval_lorentz
-from cavrate.errors import DomainError, IllConditioned
+from cavrate.errors import DomainError
 from test_multilayer import graded_stack
 
 EPS_RES = 5 + 2.5j
@@ -42,7 +42,7 @@ REPORTS = {
         "0x1.6476e36077366p+1", "0x1.524934605be4bp+2",
         "0x1.2bcb6697f91e2p-3", "0x1.608c2cd7482a2p-4",
         "0x1.06d90296714d6p-2", "0x1.62b6c489c2f98p+2",
-        "0x1.29d246e0d56a1p-2", "0x1.1edb698775e2fp-1",
+        "0x1.29d246e0d569ep-2", "0x1.1edb698775e2cp-1",
         "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
         "0x1.41b2f769cf0e0p-1"),
     (EPS_RES, 1.5 + 0.1j, 2.0, 0.2, 0.3, 1.1): (
@@ -70,7 +70,7 @@ REPORTS = {
         "0x1.e1268a9d2e312p+9", "0x1.365067f1b7dd9p+10",
         "0x1.3dc7484886289p+6", "0x1.578d81bc9bbd2p+7",
         "0x1.9ea895cc72ad2p+6", "0x1.503af14e7f086p+10",
-        "0x1.5393ac1007c2dp-3", "0x1.471346d2f26f4p-2",
+        "0x1.5393ac1007c29p-3", "0x1.471346d2f26f0p-2",
         "0x1.ed269349a4d29p+0", "0x1.88e38e38e38e4p+2",
         "0x1.999999999999ap-5"),
     (4 + 0j, 1.5 + 0.1j, 2.0, 0.2, 0.3, 1.1): (
@@ -201,14 +201,14 @@ RAISING = {
         DomainError, "k0 must be positive"),
     "nan_permittivity": (
         ((0.3, 1.0), (2 + 1j, NAN, 1 + 0j), 1.0),
-        IllConditioned, "recursion residual nan exceeds 1e-08"),
+        DomainError, "eps = (nan+0j) must be finite"),
     "inf_permittivity": (
         ((0.3, 1.0), (2 + 1j, complex(math.inf, 1), 1 + 0j), 1.0),
-        IllConditioned, "recursion residual nan exceeds 1e-08"),
+        DomainError, "eps = (inf+1j) must be finite"),
     "nan_permittivity_array": (
         ((0.3, 1.0), (2 + 1j, np.array([3 + 0j, NAN]), 1 + 0j),
          np.array([1.0, 1.5])),
-        IllConditioned, "recursion residual nan exceeds 1e-08"),
+        DomainError, "eps = (nan+0j) must be finite"),
     "outer_phase_overflow": (
         ((300.0,), *_overflowing(11.0)),
         OverflowError, "math range error"),
@@ -221,6 +221,6 @@ RAISING = {
 @pytest.mark.parametrize("name", list(RAISING))
 def test_rejected_stack_errors(name):
     (radii, eps, k0), error, message = RAISING[name]
-    with np.errstate(invalid="ignore"), pytest.raises(error) as caught:
+    with pytest.raises(error) as caught:
         ml.coeffs_general_n(SimpleNamespace(radii=radii, eps=eps), k0)
     assert type(caught.value) is error and str(caught.value) == message
