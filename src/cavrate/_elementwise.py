@@ -89,17 +89,22 @@ def _peak(group) -> float:
     return peak
 
 
-def peak_ratio(defects, norms, amps, sources) -> float:
+def peak_ratio(defects, sources, norms=(), amps=()) -> float:
     """max defects / (max norms * max amps + max sources), the maxima taken
     elementwise over arrays, then the largest element: the amplitude
-    residual.  Unlike the guards' reductions it keeps NaN, from any group.
-    The last defect, of the innermost interface, tells numbers from arrays:
-    the recursion carries an array in any layer inward to it."""
-    if type(defects[-1]) is float:
-        return _peak(defects) / (_peak(norms) * _peak(amps) + _peak(sources))
-    defect, norm, amp, source = (functools.reduce(np.maximum, g)
-                                 for g in (defects, norms, amps, sources))
-    return float(np.max(defect / (norm * amp + source)))
+    residual.  Without norms and amps, the bound B = max defects / max
+    sources, which the residual never exceeds: its denominator adds a
+    non-negative term, and rounded division is monotone.  Unlike the
+    guards' reductions it keeps NaN, from any group.  The last defect, of
+    the innermost interface, tells numbers from arrays: the recursion
+    carries an array in any layer inward to it."""
+    peak = _peak if type(defects[-1]) is float else functools.partial(
+        functools.reduce, np.maximum)
+    scale = peak(sources)
+    if norms:
+        scale = peak(norms) * peak(amps) + scale
+    ratio = peak(defects) / scale
+    return ratio if type(ratio) is float else float(np.max(ratio))
 
 
 def exp(z):

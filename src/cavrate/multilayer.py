@@ -96,11 +96,11 @@ class WaveCoefficients:
     c1 is the amplitude of the regular (j1) wave reflected back into the
     central layer; c_plus/c_minus hold the outgoing/incoming amplitudes for
     layers 2..N.  The last incoming amplitude is identically zero (outgoing
-    condition at infinity).  residual is |A c - b| / (|A| |c| + |b|)
-    (infinity norms) of the continuity equations A c = b, each row divided
-    by the outgoing wave of its inner layer; it must stay below 1e-8, and
-    a NaN anywhere in it fails that check.  A plain record: equality
-    ignores residual, and nothing assigns to a field after construction.
+    condition at infinity).  Of the continuity equations A c = b, rows
+    divided by the outgoing wave of their inner layer, residual is what
+    passed the check against 1e-8 (NaN fails): B = |A c - b| / |b|, or
+    where B fails, |A c - b| / (|A| |c| + |b|) <= B (infinity norms).
+    A plain record: equality ignores residual; no field is reassigned.
     """
 
     c1: complex
@@ -248,19 +248,19 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
     each layer's sqrt(eps) in roots, a positive k0, the layer widths in
     gaps, all on route m.  It forms no amplitude: it returns the outward
     step (R e^{2iz_in}, z_in, z_out, t) of each interface, innermost
-    first, and the residual, so that a caller forms e^{i(z_in - z_out)}
-    only where it needs the unreferenced amplitude."""
+    first, and WaveCoefficients.residual (the norms from the kept terms
+    only where B fails), so that a caller forms e^{i(z_in - z_out)} only
+    where it needs the unreferenced amplitude."""
     last = len(radii) - 1
     exp, smallest = m.exp, m.smallest
     # inward, per interface: each scaled wave as (f, [z f]'/eps), the inner
     # layer's lead wave a (h1; the source in layer 1) and wave b (h2; j1 in
     # layer 1), the outer layer's h1 wave p and h2 wave q (none outermost);
     # the outer profile p + P q per unit outgoing wave (P: the outer R here)
-    # fixes R, t fits the inner profile a + R b to it; row defects, sums,
-    # amplitudes 1, R, t, tP; each layer's wavenumber k = sqrt(eps) k0 is
-    # formed once, as k_in, and is the next interface's k_out
-    ratio, qf, qd, steps = 0j, 0j, 0j, []
-    defects, norms, amps = [], [], [1.0 if last else 0.0]
+    # fixes R, t fits the inner profile a + R b to it; row defects, and the
+    # terms of the residual's norms; each layer's wavenumber k = sqrt(eps) k0
+    # is formed once, as k_in, and is the next interface's k_out
+    ratio, qf, qd, steps, defects, terms = 0j, 0j, 0j, [], [], []
     k_out = roots[-1] * k0
     for i in range(last, -1, -1):
         k_in = roots[i] * k0
@@ -288,17 +288,22 @@ def _amplitudes(radii, eps, roots, k0, m, gaps):
         fc, dc = f.conjugate(), d.conjugate()
         t = (gf * fc + gd * dc) / (f * fc + d * dc)
         defects += abs(gf - t * f), abs(gd - t * d)
-        # the source terms of the first interface belong to b, not A
-        norms += ((i > 0) * abs(af) + abs(bf) + abs(pf) + abs(qf),
-                  (i > 0) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
-        amps += abs(r_in), abs(t), abs(t * ratio)
+        terms.append((af, bf, pf, qf, ad, bd, pd, qd, r_in, t, ratio))
         steps.append((r_in * exp(2j * zin), zin, zout, t))
         ratio, k_out = r_in * shift, k_in
 
-    residual = peak_ratio(defects, norms, amps, (abs(af), abs(ad)))
-    if not residual <= _RESIDUAL_LIMIT:
-        raise IllConditioned(
-            f"recursion residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}")
+    residual = peak_ratio(defects, sources := (abs(af), abs(ad)))  # B
+    if not residual <= _RESIDUAL_LIMIT:  # B did not decide: the residual
+        norms, amps = [], [1.0 if last else 0.0]
+        for j, (af, bf, pf, qf, ad, bd, pd, qd, r_in, t, ratio) in enumerate(
+                terms):  # the first interface's sources belong to b, not A
+            norms += ((j < last) * abs(af) + abs(bf) + abs(pf) + abs(qf),
+                      (j < last) * abs(ad) + abs(bd) + abs(pd) + abs(qd))
+            amps += abs(r_in), abs(t), abs(t * ratio)
+        residual = peak_ratio(defects, sources, norms, amps)
+        if not residual <= _RESIDUAL_LIMIT:
+            raise IllConditioned(f"recursion residual {residual:.3e} "
+                                 f"exceeds {_RESIDUAL_LIMIT:g}")
     return steps[::-1], residual
 
 

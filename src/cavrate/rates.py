@@ -37,7 +37,11 @@ _ONSAGER_POLE_TOL = 1e-12
 
 def lorentz_factor(eps: complex) -> float:
     """Virtual-cavity local-field factor |(eps + 2)/3|**2."""
-    return abs((require(eps, FINITE_EPS, finite) + 2) / 3) ** 2
+    return _lorentz(require(eps, FINITE_EPS, finite))
+
+
+def _lorentz(eps):
+    return abs((eps + 2) / 3) ** 2  # lorentz_factor of a checked eps
 
 
 # the _kernels take root = sqrt(eps), abs2 = |eps|**2 and _real_cavity(eps)
@@ -347,4 +351,4 @@ def rate_report(eps: complex, eps_ext: complex, radius: float, r_c: float,
     w_ext = _power_beyond(eps_ext, root_ext, k0, radius, moment)
     # positional, in field order
     return RateReport(g0, g0_loc, g_sc, d_sc, g_sc_loc, g0_loc + g_sc_loc,
-                      w_ext, factor * w_ext, factor, lorentz_factor(eps), x)
+                      w_ext, factor * w_ext, factor, _lorentz(eps), x)

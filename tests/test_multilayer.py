@@ -662,24 +662,28 @@ def test_closed_forms_evaluate_each_wave_once(monkeypatch, form, args,
     assert len(set(calls)) == count, "a wave evaluated twice"
 
 
-# the residual's groups for a three-layer solve: row defects, row sums,
-# amplitudes and the two source terms
-RESIDUAL_GROUPS = ([1e-17, 3e-17, 2e-17, 1e-17], [1.0, 2.0, 1.5, 0.5],
-                   [1.0, 0.3, 0.2, 0.1, 0.4, 0.5, 0.6], [0.7, 0.8])
+# the residual's groups for a three-layer solve, in peak_ratio's order:
+# row defects, the two source terms, row sums and amplitudes; the bound B
+# reads the first two alone, the residual all four
+RESIDUAL_GROUPS = ([1e-17, 3e-17, 2e-17, 1e-17], [0.7, 0.8],
+                   [1.0, 2.0, 1.5, 0.5], [1.0, 0.3, 0.2, 0.1, 0.4, 0.5, 0.6])
+GROUP_NAMES = ("defects", "sources", "norms", "amps")
 NAN_CASES = [(form, group, position) for form in ("number", "array")
              for group in range(4) for position in (0, -1)]
-NAN_IDS = [f"{form}-{name}-{'first' if position == 0 else 'later'}"
-           for form, group, position in NAN_CASES
-           for name in [("defects", "norms", "amps", "sources")[group]]]
+NAN_IDS = [f"{form}-{GROUP_NAMES[group]}-"
+           f"{'first' if position == 0 else 'later'}"
+           for form, group, position in NAN_CASES]
 
 
 def with_nan(groups, form, group, position):
     """groups with one NaN: the value itself for numbers, the second
-    sample of a (2,) array for arrays."""
+    sample of a (2,) array for arrays; groups without that group (B's
+    call) as they are."""
     groups = [list(g) for g in groups]
-    value = groups[group][position]
-    groups[group][position] = (math.nan if form == "number"
-                               else value * np.array([1.0, math.nan]))
+    if group < len(groups):
+        value = groups[group][position]
+        groups[group][position] = (math.nan if form == "number"
+                                   else value * np.array([1.0, math.nan]))
     return groups
 
 
@@ -688,25 +692,38 @@ def test_nan_in_any_residual_group_gives_nan(form, group, position):
     groups = RESIDUAL_GROUPS
     if form == "array":  # two samples, the second one slightly apart
         groups = [[v * np.array([1.0, 1.1]) for v in g] for g in groups]
-    assert ml.peak_ratio(*groups) <= ml._RESIDUAL_LIMIT
-    assert math.isnan(ml.peak_ratio(*with_nan(groups, form, group,
-                                              position)))
+    assert ml.peak_ratio(*groups) <= ml.peak_ratio(*groups[:2]) \
+        <= ml._RESIDUAL_LIMIT
+    nan_groups = with_nan(groups, form, group, position)
+    assert math.isnan(ml.peak_ratio(*nan_groups))
+    if group < 2:  # in B too
+        assert math.isnan(ml.peak_ratio(*nan_groups[:2]))
 
 
 @pytest.mark.parametrize("form, group, position", NAN_CASES, ids=NAN_IDS)
 def test_engine_rejects_nan_in_any_residual_group(monkeypatch, form, group,
                                                   position):
+    """A NaN in B's defects or sources, or in the norms and amplitudes of
+    the residual that the engine forms where B does not pass, fails."""
+    eps = (1.0, 5 + 2.5j, 1.5 + 0.2j)
+    if form == "array":
+        eps = (1.0, np.array([5 + 2.5j, 4 + 1j]), 1.5 + 0.2j)
+
+    def solve():
+        return ml.coeffs_general_n(ml.LayerStack((0.3, 1.0), eps), 1.1)
+
+    if group >= 2:  # a limit that B fails and the residual passes
+        bound = solve().residual
+        monkeypatch.setattr(ml, "_RESIDUAL_LIMIT", bound / 2)
+        assert solve().residual < bound / 2
     reduce = ml.peak_ratio
 
     def injected(*groups):
         return reduce(*with_nan(groups, form, group, position))
 
     monkeypatch.setattr(ml, "peak_ratio", injected)
-    eps = (1.0, 5 + 2.5j, 1.5 + 0.2j)
-    if form == "array":
-        eps = (1.0, np.array([5 + 2.5j, 4 + 1j]), 1.5 + 0.2j)
     with pytest.raises(IllConditioned, match="residual nan"):
-        ml.coeffs_general_n(ml.LayerStack((0.3, 1.0), eps), 1.1)
+        solve()
 
 
 def test_number_route_never_reaches_numpy(monkeypatch):

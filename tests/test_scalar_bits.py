@@ -7,16 +7,18 @@ j1_scaled's series radius, a lossless one in an absorbing host, a large
 one whose outputs are around 1e-35, and R = 1400, where the cavity terms
 underflow to exact zeros; the stacks are a three-layer cavity, whose
 total rate and external power are pinned too, and a graded N = 8 stack.
-A digest pins every amplitude and the residual of seeded stacks with 2 to
-32 layers, as numbers and, in a test of its own, as arrays, and the
-errors of a few inputs the amplitude engine rejects.
+Digests pin every amplitude of seeded stacks with 2 to 32 layers, as
+numbers and, in a test of its own, as arrays; separate digests pin their
+residuals, so that a change to the residual alone cannot hide a change to
+an amplitude.  Last come the errors of a few inputs the amplitude engine
+rejects.
 
 The number route never reaches numpy, so the number pins hold at every
 SIMD level.  The array digests assume numpy's AVX2 dispatch or above (AVX2
 and AVX-512 give the same bits).  At the X86_V2 baseline, e.g. numpy 2.4.6
 with NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR", every
-test_seeded_array_stack_amplitude_digest case fails, while every other
-test here still passes.
+case of the two array digest tests fails, while every other test here
+still passes.
 """
 
 import hashlib
@@ -89,13 +91,13 @@ STACKS = {
         (ml.LayerStack((0.2, 2.0), (1.0, EPS_RES, 1.5 + 0j)), 1.0),
         (("0x1.68c4cf3e8d692p+4", "-0x1.2ace5a647593fp+7"),
          ("-0x1.ad7f7199e6067p-2", "0x1.c392b3b7803f4p-1")),
-        "0x1.6f4bf75987c0bp-58",
+        "0x1.572a9694eb4b2p-52",
         ("0x1.78c4cf3e8d692p+4", "0x1.09d2fe9a3b02bp-1")),
     "graded_n8": (
         (graded_stack(8), 1.1),
         (("0x1.3881bf90e9ebcp+7", "-0x1.afb4e38d66510p+8"),
          ("-0x1.96936057bbc8ep-2", "0x1.b8c535c1468d6p-1")),
-        "0x1.9783cebdca9ecp-62", None),
+        "0x1.8a1d9603d6293p-53", None),
 }
 
 
@@ -113,28 +115,49 @@ def test_stack_amplitude_bits(name):
     got = tuple((z.real.hex(), z.imag.hex())
                 for z in (coeffs.c1, coeffs.c_outer))
     assert got == amplitudes
-    assert coeffs.residual.hex() == residual
     if stack_rates is not None:
         assert (rates.gamma_hat_total(stack, k0).hex(),
                 rates.external_power(stack, k0).hex()) == stack_rates
 
 
-# N -> sha256 over float.hex of c1, c_plus, c_minus and residual: of
-# DRAWS stacks of numbers, and of one stack of (DRAWS,) arrays
+@pytest.mark.parametrize("name", list(STACKS))
+def test_stack_residual_bits(name):
+    (stack, k0), _, residual, _ = STACKS[name]
+    assert ml.coefficients(stack, k0).residual.hex() == residual
+
+
+# N -> sha256 over float.hex of c1, c_plus and c_minus: of DRAWS stacks
+# of numbers, and of one stack of (DRAWS,) arrays
 DRAWS = 20
 DIGESTS = {
-    2: ("7f84eb7c0a2551cceb09a0637d9cd6f295478720f4708c243144e6b9000af987",
-        "f02107f3b78f02a18fe8dd4c25dcc2fcf549caf3bd7c3a946098827920339ee3"),
-    3: ("533a7a7f534c7e3ba252b64178052ea9f8b923757e5f5fe70f03022651a0b998",
-        "fbbfcb2713db9a54b3194fd90798125322cc047aa62f0122244458a27a6e4720"),
-    4: ("d1c24194f40262d6a958ed2d2e9c34a9bc8b19f0cf30a86650627e3a8f08ad18",
-        "4a969cfb824dff3ea6b3535018b7fa226173e7216a9a41c2a21b00a1c39f5838"),
-    8: ("0c359ac00a8a7b23929b30b895c052b8c58a2aabe8f575a3c2186c4fbcc57332",
-        "6dc11bf0755aaed404e56b0fefcbccc77f777643a12505f953a0d6dbc6941d8d"),
-    16: ("4d653d945a0f48120c91cc07d5bc910a1dacca6bd400232a8e13d39833db1569",
-         "d5461fe1d472544c04c3fad8682636df23fb27aee2139f0ebdbb1e17bb1c549b"),
-    32: ("fa6f59774cec0d43fed1d91991fd23ec827e5c0c397f26d718492c16989fcee4",
-         "cd5d111d13f3219a32d32b9ddcc79ad6347ee9c23c420946e1afcf0d5ad8852e"),
+    2: ("5822e266f053cedebf6afda88cfa4bcb99a85cf13ad30c06e48cf5c22265bd37",
+        "edba33c0382f8489056d7276dfcbccb483c26b471256860e33c1ffcebd940088"),
+    3: ("2e852b4f831e485b505d514ce7453fabdfb606aa567972d06b7836c174f76215",
+        "e315e4958d6193ee8ede993f245a8b92eeb16d5e660422a5706dfe454c0b5a20"),
+    4: ("87b17bc7ad25666cadfa2917f69db5141dafe32ee87cf30ef872b719c3c4d501",
+        "3333e772d0eb06bbb7835cd9580e6f08bc5626a6d6ce6ea4da3e2d624c18d725"),
+    8: ("2c27602c3ab5db21884fcae6cceebd48a4258476428e9986a8b1f4cce80b4c31",
+        "0871702d0c5c74ee02e916bf7221671e6af45a78dbed67067e9f858f52e681be"),
+    16: ("7ba64121a413ec345c1acbb09bf5d2d14fb4dede418f41482f5ff7e4c481470c",
+         "de77e4fa6ebf60c00b82970f4c99687e04551dfb2696c484de3fbbf574c9106f"),
+    32: ("a1f3936e1e6ae2a3728a7dba64e2cf883a9447c92188cafdb329ac9ee1675313",
+         "4284632fc5829c1c566273d55024b41ef1d73dedb6e4051bc2d89f168b7b4d4c"),
+}
+
+# N -> sha256 over the float.hex of each residual of the same solves
+RESIDUAL_DIGESTS = {
+    2: ("580f50c9efe7108001c2e40d153ade35fd27d1ebed81ef8723e07d82e7333be4",
+        "72e00a943c514452cb75ee7880a7261c8496f1fd7861d20b61772a2ef3ae3c63"),
+    3: ("d15b72a734a7efca0139e9cb2af77796f3fd42e6e45b3cfd69717840b9503a3d",
+        "78880fa7afbbb8f9abb88ef24eb41c71a83d66f89eab2f9e9427fd113c8163e7"),
+    4: ("6f3de9c5dc051662821d4acf614a28814c0c15b9eefd90a8951f9f1972fe5acb",
+        "1aa952013d917902577706e42c4e8812c27dac2c1023b11ef78d243da86196a7"),
+    8: ("841f7cd6ad29e8d52db4eb3049919d91a8f211bd7bb609d7031b12917590f86f",
+        "ee071c7b317c89bdc3b8eb974c56069bfdc7b973bf1a6fc8e56b44d3b261f2c0"),
+    16: ("b7f271611cd87ca05bf99f791aa506f452f50f86082db971379b952950b5edd0",
+         "98f74e4049431b86b9a0bdf165699bcda9dbed4c6c87606b777f8b05940937eb"),
+    32: ("c73b9b33eb976dd7a02dcc6f5987a39bd466c5eb1232c49020f8dc071b91d23a",
+         "6d934eacac2cbd9ceee051a0f6bac5b87690f43a212b00a1b39a79c1becf70d9"),
 }
 
 
@@ -156,27 +179,46 @@ def amplitude_digest(solves):
             for part in (np.real(z), np.imag(z)):
                 digest.update(" ".join(
                     map(float.hex, np.ravel(part).tolist())).encode())
-        digest.update(coeffs.residual.hex().encode())
     return digest.hexdigest()
+
+
+def residual_digest(solves):
+    return hashlib.sha256(" ".join(
+        coeffs.residual.hex() for coeffs in solves).encode()).hexdigest()
+
+
+def number_solves(n):
+    """The number half: DRAWS stacks of numbers."""
+    radii, eps, k0 = seeded_stacks(n)
+    return [ml.coeffs_general_n(ml.LayerStack(radii, e.tolist()), float(k))
+            for e, k in zip(eps, k0)]
+
+
+def array_solves(n):
+    """The array half: one stack of (DRAWS,) arrays."""
+    radii, eps, k0 = seeded_stacks(n)
+    return [ml.coeffs_general_n(
+        SimpleNamespace(radii=radii, eps=tuple(eps.T)), k0)]
 
 
 @pytest.mark.parametrize("n", list(DIGESTS))
 def test_seeded_stack_amplitude_digest(n):
-    """The number half: DRAWS stacks of numbers."""
-    radii, eps, k0 = seeded_stacks(n)
-    numbers = [ml.coeffs_general_n(ml.LayerStack(radii, e.tolist()),
-                                   float(k))
-               for e, k in zip(eps, k0)]
-    assert amplitude_digest(numbers) == DIGESTS[n][0]
+    assert amplitude_digest(number_solves(n)) == DIGESTS[n][0]
 
 
 @pytest.mark.parametrize("n", list(DIGESTS))
 def test_seeded_array_stack_amplitude_digest(n):
-    """The array half: one stack of (DRAWS,) arrays."""
-    radii, eps, k0 = seeded_stacks(n)
-    array = ml.coeffs_general_n(
-        SimpleNamespace(radii=radii, eps=tuple(eps.T)), k0)
-    assert amplitude_digest([array]) == DIGESTS[n][1]
+    assert amplitude_digest(array_solves(n)) == DIGESTS[n][1]
+
+
+@pytest.mark.parametrize("n", list(RESIDUAL_DIGESTS))
+def test_seeded_stack_residual_digest(n):
+    assert residual_digest(number_solves(n)) == RESIDUAL_DIGESTS[n][0]
+
+
+@pytest.mark.parametrize("n", list(RESIDUAL_DIGESTS))
+def test_seeded_array_stack_residual_digest(n):
+    assert residual_digest(array_solves(n)) == RESIDUAL_DIGESTS[n][1]
 
 
 def _overflowing(omega):
