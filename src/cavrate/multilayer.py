@@ -311,19 +311,19 @@ coefficients = coeffs_general_n
 
 
 def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
-                   theta, k0: float, include_source: bool = True,
+                   theta, k0, include_source: bool = True,
                    layer: int | None = None):
     """Dipole field at (r, theta): spherical components (E_r, E_theta, B_phi).
 
     r and theta may be numpy arrays; the components then take their
-    broadcast shape, and all radii must lie inside one layer.  A stack of
-    (S,) permittivity arrays, and its amplitudes, hold one sample per
-    entry along the first axis of r.  In the central layer the source
-    wave is included unless include_source is False (useful for isolating
-    the scattered field near the origin, where the j1-based part stays
-    finite).  layer overrides the automatic layer lookup, which lets both
-    sides of an interface be evaluated at exactly the same radius.  The
-    profile f and [z f]'/z come from the scaled waves of the amplitude
+    broadcast shape, and all radii must lie inside one layer.  An (S,)
+    k0, a stack of (S,) permittivity arrays and its amplitudes hold one
+    sample per entry along the first axis of r.  In the central layer the
+    source wave is included unless include_source is False (useful for
+    isolating the scattered field near the origin, where the j1-based part
+    stays finite).  layer overrides the automatic layer lookup, which lets
+    both sides of an interface be evaluated at exactly the same radius.
+    The profile f and [z f]'/z come from the scaled waves of the amplitude
     recursion, times e^{iz} for the outgoing wave and e^{-iz} for the
     other one (z = k_layer r), skipping a wave whose amplitude is an
     exact 0; |Im z| above specfun.IM_GUARD raises OverflowError.
@@ -342,9 +342,9 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     eps1, eps_l = stack.eps[0], stack.eps[layer - 1]
     if type(r) is np.ndarray and r.ndim > 1:
         # a sample's values broadcast along r's first axis
-        eps1, eps_l, a, b = (
+        eps1, eps_l, a, b, k0 = (
             x.reshape(x.shape + (1,) * (r.ndim - 1))
-            if type(x) is np.ndarray else x for x in (eps1, eps_l, a, b))
+            if type(x) is np.ndarray else x for x in (eps1, eps_l, a, b, k0))
     k_l = sqrt_eps(eps_l) * k0
     z = k_l * r
     guard_im(z, sf.IM_GUARD)
@@ -370,21 +370,21 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     return e_r, e_theta, b_phi
 
 
-def field_center_limit(coeffs: WaveCoefficients, eps1: complex,
-                       k0: float) -> complex:
+def field_center_limit(coeffs: WaveCoefficients, eps1: complex, k0):
     """z-component of the scattered field at the dipole position.
 
     The scattered wave of the central layer is regular at the origin and
     parallel to the dipole there; its value is i k_1 k0**2 c1 * 2/3.
+    eps1, k0 and c1 may be (S,) arrays, one entry per sample.
     """
     k1 = sqrt_eps(eps1) * require(k0, K0)
     return 1j * k1 * k0 * k0 * coeffs.c1 * (2 / 3)
 
 
-def homogeneous_field(eps, k0: float):
+def homogeneous_field(eps, k0):
     """Field evaluator (r, theta) -> components for a dipole in an infinite
-    medium; eps may be an (S,) array, one sample per entry along r's first
-    axis."""
+    medium; eps and k0 may be (S,) arrays, one sample per entry along r's
+    first axis."""
     stack = LayerStack(radii=(1.0,), eps=(eps, eps))
     coeffs = WaveCoefficients(c1=0j, c_plus=(1 + 0j,), c_minus=(0j,))
 
@@ -395,10 +395,10 @@ def homogeneous_field(eps, k0: float):
     return fields
 
 
-def stack_field_evaluator(stack: LayerStack, k0: float):
-    """Field evaluator (r, theta) -> components for a layered stack; a stack
-    of (S,) permittivity arrays holds one sample per entry along r's first
-    axis."""
+def stack_field_evaluator(stack: LayerStack, k0):
+    """Field evaluator (r, theta) -> components for a layered stack; an
+    (S,) k0 and a stack of (S,) permittivity arrays hold one sample per
+    entry along r's first axis."""
     coeffs = coefficients(stack, k0)
 
     def fields(r, theta):

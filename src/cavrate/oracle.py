@@ -9,10 +9,11 @@ The configuration is axisymmetric, so the azimuthal integral is the exact
 factor 2 pi, and the polar integrand is a low-degree polynomial in
 cos(theta), which fixed-order Gauss-Legendre integrates exactly.  Only the
 radial integration is adaptive, with one field call per bisection level
-on the 16- and 32-node rules of every open panel.  Radii, shells and
-losses may be (S,) arrays of samples, whose evaluator (a homogeneous
-medium or a stack of (S,) permittivity arrays) takes the radii with the
-sample axis first: then one field call per level serves every sample.
+on the 16- and 32-node rules of every open panel.  Radii, shells, losses
+and k0 may be (S,) arrays of samples, one frequency per sample, whose
+evaluator (a homogeneous medium or a stack, of (S,) permittivity arrays
+or at an (S,) k0) takes the radii with the sample axis first: then one
+field call per level serves every sample.
 Results are in units of the free-space radiated power W_free = c k0**4 / 3
 of the unit dipole.
 """
@@ -38,7 +39,6 @@ _G16_WEIGHTS, _G32_WEIGHTS = np.split(_PANEL_WEIGHTS, [16])
 _MAX_OPEN_PANELS = 512
 _MAX_DEPTH = 30  # bisection levels of a radial integral
 REL_TOL = 1e-10  # the radial integral's default relative tolerance
-_ONE_K0 = "k0 must be one frequency, not an array"  # fields take one k0
 
 
 def _adaptive_gauss(fn, a, b, rel_tol: float):
@@ -95,18 +95,19 @@ def _adaptive_gauss(fn, a, b, rel_tol: float):
         budget, half = 0.5 * budget, 0.5 * half
 
 
-def flux_through_sphere(fields, r, k0: float):
+def flux_through_sphere(fields, r, k0):
     """Power crossing the sphere of radius r, in units of W_free.
 
     Integrates r**2 r_hat . P over the full solid angle, with
     P = c/(8 pi) Re[E x B*]; the radial component reduces to
-    Re[E_theta B_phi*] for the axisymmetric dipole field.  r may be an (S,)
-    array, one sphere per sample of fields, which then gets the radii as
-    an (S, 1) array; the result is then an (S,) array.
+    Re[E_theta B_phi*] for the axisymmetric dipole field.  r and k0 may be
+    (S,) arrays, which broadcast to one sphere and one k0 per sample of
+    fields; fields then gets the radii as an (S, 1) array, and the result
+    is an (S,) array.
     """
     route((k0, r), (), (K0, "r must be positive"))
-    require(k0, _ONE_K0, np.isscalar)
-    samples = type(r) is np.ndarray
+    if samples := np.ndarray in (type(r), type(k0)):
+        r = np.broadcast_to(r, np.broadcast(r, k0).shape)
     _, e_theta, b_phi = fields(r[..., None] if samples else r, _GL_THETA)
     integrand = (e_theta * np.conj(b_phi)).real
     # (c/8pi) * 2pi * r^2 * integral over cos(theta)
@@ -114,21 +115,21 @@ def flux_through_sphere(fields, r, k0: float):
     return power if samples else float(power)
 
 
-def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
+def absorbed_power(fields, r_inner, r_outer, eps_local, k0,
                    rel_tol: float = REL_TOL):
     """Power absorbed in the shell r_inner <= r <= r_outer, units of W_free.
 
     Integrates omega eps''/(8 pi) |E|**2 over the shell volume; the shell
     must lie inside a single layer so eps_local is constant on it.  fields
     gets radii as an (n, 1) array and returns (n, len(theta)) components.
-    r_inner, r_outer and eps_local may be (S,) arrays, one shell per sample
-    of fields, which then gets radii as an (S, n, 1) array: the result is
-    then an (S,) array, and a bad element raises as a bad number would.
-    rel_tol, one number, is the radial integral's relative tolerance.
+    r_inner, r_outer, eps_local and k0 may be (S,) arrays, which broadcast
+    to one shell and one k0 per sample of fields, which then gets radii as
+    an (S, n, 1) array: the result is then an (S,) array, and a bad element
+    raises as a bad number would.  rel_tol, one number, is the radial
+    integral's relative tolerance.
     """
     route((k0, r_inner, rel_tol), (), (K0, "need 0 < r_inner <= r_outer",
                                        "rel_tol = {:g} must be > 0"))
-    require(k0, _ONE_K0, np.isscalar)
     require(rel_tol, "rel_tol must be one number, not an array", np.isscalar)
     require(r_outer - r_inner, "need 0 < r_inner <= r_outer", nonnegative)
     loss = require(eps_local.imag, "eps'' must be non-negative for a "
@@ -136,12 +137,12 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     # a lossless or empty shell absorbs nothing; a sample's shrinks to its
     # inner radius, where its first panel converges
     live = (loss != 0) & (r_inner != r_outer)
-    samples = type(live) is np.ndarray
-    if not (live.any() if samples else live):
-        return np.zeros(live.shape) if samples else 0.0
-    if samples:
+    if samples := np.ndarray in (type(live), type(k0)):
+        live = np.broadcast_to(live, np.broadcast(live, k0).shape)
         r_inner, r_outer = np.broadcast_arrays(
             r_inner, np.where(live, r_outer, r_inner))
+    if not (live.any() if samples else live):
+        return np.zeros(live.shape) if samples else 0.0
 
     def shell_density(r):
         e_r, e_theta, _ = fields(r[..., None], _GL_THETA)
@@ -154,13 +155,12 @@ def absorbed_power(fields, r_inner, r_outer, eps_local, k0: float,
     return power if samples else float(power)
 
 
-def energy_balance(fields, r_inner: float, r_outer: float, eps_local: complex,
-                   k0: float) -> float:
+def energy_balance(fields, r_inner, r_outer, eps_local, k0):
     """Relative defect of energy conservation across a shell.
 
     Power entering at r_inner either leaves at r_outer or is absorbed in
     between; returns |flux(out) + absorbed - flux(in)| / flux(in), an (S,)
-    array for (S,) arrays of samples.
+    array for (S,) arrays of samples (shells, losses or k0).
     """
     w_in = flux_through_sphere(fields, r_inner, k0)
     w_out = flux_through_sphere(fields, r_outer, k0)

@@ -26,7 +26,7 @@ import numpy as np
 from . import multilayer as ml
 from ._elementwise import (FINITE_EPS, K0, RADII, X_MAX, X_MIN, Mixed, exp,
                            finite, largest, require, route, scaled)
-from .dielectric import eta_kappa, sqrt_eps
+from .dielectric import sqrt_eps
 from .errors import DomainError, ExpansionRangeWarning
 
 # beyond k0*r_c ~ 0.3 the omitted expansion orders reach the percent level
@@ -69,18 +69,18 @@ def _warn_outside_range(x, what: str, stacklevel=3) -> None:
 
 
 def _medium_x(eps, k0, r, what=None, name="r_c"):
-    """k0 r of a medium-only rate, once eps, k0, r (named name) and k0 r pass
-    their checks in turn; warns as what, if given, outside the expansion."""
-    require(eps, FINITE_EPS, finite)
+    """sqrt(eps) and k0 r of a medium-only rate, once eps, k0, r (named
+    name) and k0 r pass their checks; warns as what, if given, out of range."""
+    root = sqrt_eps(eps)
     x = scaled(require(k0, K0) * require(r, name + " must be positive"), name)
     _warn_outside_range(x, what, 4)
-    return x
+    return root, x
 
 
 def cavity_nearfield(eps: complex, k0: float, r_c: float) -> float:
     """Real-cavity near-field term, (eps''/|eps|^2)(k0 r_c)^-3, before the
     overall local-field factor."""
-    x = _medium_x(eps, k0, r_c)
+    _, x = _medium_x(eps, k0, r_c)
     return eps.imag / abs(eps) ** 2 / x ** 3
 
 
@@ -90,8 +90,8 @@ def gamma0_macroscopic(eps: complex, k0: float, r_m: float) -> float:
     Near-field (nonradiative) transfer plus the radiative rate eta; r_m is
     the effective molecule-medium distance of the regularization.
     """
-    _medium_x(eps, k0, r_m, name="r_m")
-    return _gamma0(eps, sqrt_eps(eps).real, abs(eps) ** 2, k0, r_m)
+    root, _ = _medium_x(eps, k0, r_m, name="r_m")
+    return _gamma0(eps, root.real, abs(eps) ** 2, k0, r_m)
 
 
 def _gamma0(eps, eta, abs2, k0, r_m):
@@ -115,8 +115,7 @@ def w0_cutoff(eps: complex, k0: float, r_c: float) -> float:
     Exact energy-balance result: flux through any sphere of radius r >= r_c
     plus the absorption in the shell between r_c and r, independent of r.
     """
-    _medium_x(eps, k0, r_c)
-    root = sqrt_eps(eps)
+    root, _ = _medium_x(eps, k0, r_c)
     return _power_beyond(eps, root, k0, r_c, exp(1j * root * k0 * r_c))
 
 
@@ -127,8 +126,8 @@ def w0_expanded(eps: complex, k0: float, r_c: float) -> float:
     absorption term -(2/3)(eta eps'' + kappa eps'), and the radiative rate
     eta.  The first omitted order is linear in k0 r_c.
     """
-    x = _medium_x(eps, k0, r_c, "w0_expanded")
-    eta, kappa = eta_kappa(eps)
+    root, x = _medium_x(eps, k0, r_c, "w0_expanded")
+    eta, kappa = root.real, root.imag
     bracket = x ** -3 + eps.real / x \
         - (2 / 3) * (eta * eps.imag + kappa * eps.real)
     return eps.imag / abs(eps) ** 2 * bracket + eta
@@ -141,9 +140,9 @@ def gamma0_loc(eps: complex, k0: float, r_c: float) -> float:
     absorption terms: the near-field (k0 r_c)^-3 term, a (k0 r_c)^-1 term,
     and a cutoff-free negative contribution that survives as r_c -> 0.
     """
-    x = _medium_x(eps, k0, r_c, "gamma0_loc")
+    root, x = _medium_x(eps, k0, r_c, "gamma0_loc")
     _, abs_den, factor = _real_cavity(eps)
-    return _gamma0_loc(eps, sqrt_eps(eps), abs(eps) ** 2, abs_den, factor, x)
+    return _gamma0_loc(eps, root, abs(eps) ** 2, abs_den, factor, x)
 
 
 def _gamma0_loc(eps, root, abs2, abs_den, factor, x):
@@ -162,10 +161,10 @@ def p_eff_expansion(eps: complex, k0: float, r_c: float) -> complex:
     the leading term is the static factor 3 eps/(2 eps + 1); corrections
     start at (k0 r_c)**2 and the first omitted order is (k0 r_c)**4.
     """
-    x = _medium_x(eps, k0, r_c, "p_eff_expansion")
+    root, x = _medium_x(eps, k0, r_c, "p_eff_expansion")
     den = _real_cavity(eps)[0]
     quad = (10 * eps * eps - 9 * eps - 1) / (10 * den)
-    cubic = (2 / 3) * (eps * sqrt_eps(eps)) * (eps - 1) / den  # eps^{3/2}
+    cubic = (2 / 3) * (eps * root) * (eps - 1) / den  # eps^{3/2}
     return 3 * eps / den * (1 - quad * x ** 2 - 1j * cubic * x ** 3)
 
 
@@ -211,7 +210,8 @@ def gamma_sc_loc_from_bare(eps: complex, gamma_sc_hat: float,
     the infinite-medium rate, with the radiative rate replaced by the bare
     cavity rate and the extinction coefficient by twice the bare shift.
     """
-    _, abs_den, factor = _real_cavity(require(eps, FINITE_EPS, finite))
+    sqrt_eps(eps)  # the rule of every permittivity: finite, not 0
+    _, abs_den, factor = _real_cavity(eps)
     correction = 2 * eps.imag / abs(eps) ** 2 * (
         2 * (2 * abs(eps) ** 2 + eps.real) * delta_sc_hat
         + eps.imag * gamma_sc_hat) / abs_den ** 2

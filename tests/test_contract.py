@@ -234,17 +234,6 @@ PROBES = {
         r2=np.array([2.0, 2 + 0.1j])), RADII),
     **{f"stack_{kind.__name__}_radius": ((lambda kind=kind: stack(
         r2=kind(2 + 0.1j))), RADII) for kind in (np.complex128, np.complex64)},
-    # the oracle integrates one field, at one frequency
-    **{f"{name}_array_k0": (call, "k0 must be one frequency, not an array")
-       for name, call in (
-           ("flux_through_sphere", lambda: oracle.flux_through_sphere(
-               ml.homogeneous_field(EPS, 1.1), 1.0, np.array([1.1, 1.1]))),
-           ("absorbed_power", lambda: oracle.absorbed_power(
-               ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS,
-               np.array([1.1, 1.1]))),
-           ("energy_balance", lambda: oracle.energy_balance(
-               ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS,
-               np.array([1.1, 1.1]))))},
     "absorbed_power_array_rel_tol": (lambda: oracle.absorbed_power(
         ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS, 1.1,
         np.array([1e-10, 1e-10])), "rel_tol must be one number, not an array"),
@@ -286,3 +275,24 @@ def test_probe_names_its_argument(name):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# an (S,) k0 is one frequency per sample of the field and of the oracle:
+# each sample's value is the number call's at its k0
+ORACLE_K0 = {
+    "flux_through_sphere": lambda k0: oracle.flux_through_sphere(
+        ml.homogeneous_field(EPS, k0), 1.0, k0),
+    "absorbed_power": lambda k0: oracle.absorbed_power(
+        ml.homogeneous_field(EPS, k0), 0.5, 1.0, EPS, k0),
+    "energy_balance": lambda k0: oracle.energy_balance(
+        ml.homogeneous_field(EPS, k0), 0.5, 1.0, EPS, k0),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_K0))
+def test_array_k0_is_one_frequency_per_sample(name):
+    k0 = np.array([0.7, 1.1, 1.1, 2.3])
+    got = ORACLE_K0[name](k0)
+    expected = np.array([ORACLE_K0[name](k) for k in k0.tolist()])
+    assert got.shape == (4,)
+    assert np.all(abs(got - expected) <= 1e-14 * np.maximum(1, abs(expected)))

@@ -542,6 +542,33 @@ class TestFields:
             with pytest.raises(DomainError, match=r"layer .* outside 1\.\.3"):
                 ml.field_in_layer(stack, coeffs, 1.0, 0.3, 1.0, layer=layer)
 
+    @pytest.mark.parametrize("eps", [5 + 2.5j, np.array(
+        [5 + 2.5j, 2 + 0.1j, 3.0 + 0j])], ids=["eps_number", "eps_samples"])
+    @pytest.mark.parametrize("make", [
+        ml.homogeneous_field,
+        lambda eps, k0: ml.stack_field_evaluator(
+            ml.LayerStack((0.6, 2.0), (1.0, eps, 1.5 + 0.1j)), k0)],
+        ids=["homogeneous", "stack"])
+    def test_array_k0_matches_its_number_calls(self, make, eps):
+        """An (S,) k0 is one frequency per sample, along r's first axis
+        like the permittivity samples: each row equals its number call."""
+        k0 = np.array([0.7, 1.1, 2.3])
+        r = np.array([[0.7, 1.2, 1.9], [0.8, 1.0, 1.5], [0.65, 1.3, 1.95]])
+        theta = np.array([0.4, 1.2])
+
+        def center(eps, k0):
+            stack = ml.LayerStack((0.6, 2.0), (1.0, eps, 1.5 + 0.1j))
+            return (ml.field_center_limit(ml.coefficients(stack, k0), 1.0,
+                                          k0),)
+
+        arrays = (*make(eps, k0)(r[..., None], theta), *center(eps, k0))
+        for s, k in enumerate(k0.tolist()):
+            e = eps[s] if type(eps) is np.ndarray else eps
+            numbers = (*make(e, k)(r[s, :, None], theta), *center(e, k))
+            assert [x.shape for x in arrays] == [(3, 3, 2)] * 3 + [(3,)]
+            for x, y in zip(arrays, numbers):
+                assert np.all(abs(x[s] - y) <= 4e-15 * np.maximum(1, abs(y)))
+
     def test_radius_arrays_must_stay_in_one_layer(self):
         stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))
         coeffs = ml.coefficients(stack, 1.0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cavrate import cli, oracle, rates, verify
 from cavrate import multilayer as ml
-from cavrate import oracle, rates, verify
+from cavrate.dielectric import eval_lorentz
 from cavrate.errors import DomainError, QuadratureFailure
 
 
@@ -161,6 +162,24 @@ def test_cavity_flux_equals_total_rate():
     fields = ml.stack_field_evaluator(small, k0)
     assert oracle.flux_through_sphere(fields, 0.03, k0) \
         == pytest.approx(rates.gamma_hat_total(small, k0), rel=1e-10)
+
+
+def test_one_flux_call_checks_a_whole_sweep():
+    """fig3's 601 rows, each with its own eps and k0, as samples of one
+    bare-sphere field: the flux just outside the sphere is each row's
+    w_ext_hat (a vacuum host absorbs nothing beyond it)."""
+    config = cli.get_preset("fig3")
+    omega = config._omega_array()
+    eps = eval_lorentz(config.medium, omega).eps
+    radius = config.sphere_radius
+    fields = ml.stack_field_evaluator(
+        ml.LayerStack((radius,), (eps, config.eps_ext)), omega)
+    flux = oracle.flux_through_sphere(fields, radius * (1 + 1e-7), omega)
+    w_ext = rates.rate_report(eps, config.eps_ext, radius,
+                              config.onsager_radius(omega),
+                              config.rm_radius(omega), omega).w_ext_hat
+    assert flux.shape == (601,)
+    assert np.max(abs(flux - w_ext) / w_ext) <= 1e-14
 
 
 def test_tighter_tolerance_changes_nothing():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mpref
 from cavrate import multilayer as ml
-from cavrate import dielectric, oracle, rates
+from cavrate import cli, dielectric, oracle, rates
 from cavrate.errors import (DomainError, ExpansionRangeWarning,
                             SingularDenominator)
 from conftest import passive_eps_samples
@@ -381,6 +381,26 @@ class TestExternal:
         with pytest.raises(DomainError, match="inside the outermost"):
             rates.angular_radiation(stack, 1.0, r, 0.3)
 
+    @pytest.mark.xfail(
+        strict=True, raises=(AssertionError, OverflowError),
+        reason="external_power forms the outer moment from the unreferenced "
+        "c_outer, rate_report from the engine's referenced step; one route "
+        "is ROADMAP item 2's step B")
+    @pytest.mark.parametrize("eps_ext, radius, omega", [
+        (1.0, 2.0, cli.get_preset("fig3")._omega_array()),
+        (1 + 0.5j, 300.0, 11.0)], ids=["fig3_rows", "bug_b_omega_11"])
+    def test_external_power_is_the_reports_w_ext(self, eps_ext, radius,
+                                                 omega):
+        """A bare sphere's power beyond its surface, by either route: fig3's
+        601 rows differ in last bits, and at bug (b)'s omega = 11 c_outer
+        leaves the double range while w_ext_hat is 1.904."""
+        eps = dielectric.eval_lorentz(dielectric.LorentzMedium(**MEDIUM),
+                                      omega).eps
+        report = rates.rate_report(eps, eps_ext, radius, 0.2, 0.2, omega)
+        stack = ml.LayerStack((radius,), (eps, eps_ext))
+        assert np.array_equal(rates.external_power(stack, omega),
+                              report.w_ext_hat)
+
 
 class TestGreenRestatement:
     def test_rate_from_raw_field(self):
@@ -556,8 +576,8 @@ class TestRateReport:
                 return true_fn(*args)
             monkeypatch.setattr(module, name, fn)
 
-        for module, name in ((rates, "sqrt_eps"), (rates, "eta_kappa"),
-                             (ml, "sqrt_eps"), (dielectric, "sqrt_eps")):
+        for module, name in ((rates, "sqrt_eps"), (ml, "sqrt_eps"),
+                             (dielectric, "sqrt_eps")):
             counted(module, name)
         for eps_ext in (1.0, 1.5 + 0.1j):
             calls.clear()
@@ -819,6 +839,7 @@ def _cavity_case():
 
 
 NAN_SAMPLES = np.array([0.3, math.nan])
+NO_BRANCH = "square root branch undefined at eps = 0"
 MEDIUM = dict(eps_b=5.0, omega0=1.0, Omega=0.5, gamma=0.1)
 # a NaN length, frequency, tolerance or loss, as a number and as one
 # element of an array: the call and the message it raises
@@ -894,7 +915,8 @@ NAN_ARGUMENTS = {
             _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)),
         ("energy_balance", lambda: oracle.energy_balance(
             _cavity_case()[2], 0.7, 1.0, EPS_RES, math.nan)))},
-    # a permittivity of a medium-only entry that is NaN or infinite
+    # a permittivity of a medium-only entry that is NaN or infinite, or 0
+    # where the entry takes its square root (not the two factors)
     **{f"{name}_{form}": ((lambda module=module, name=name, eps=eps,
                            args=args: getattr(module, name)(eps, *args)),
                           message)
@@ -909,7 +931,10 @@ NAN_ARGUMENTS = {
            ("eps_nan", complex(math.nan, 1), "eps = (nan+1j) must be finite"),
            ("eps_inf", complex(math.inf, 1), "eps = (inf+1j) must be finite"),
            ("eps_array", np.array([EPS_RES, complex(2, math.nan)]),
-            "eps = (2+nanj) must be finite"))},
+            "eps = (2+nanj) must be finite"),
+           *(() if name.endswith("_factor") else (
+               ("eps_zero", 0j, NO_BRANCH),
+               ("eps_zero_array", np.array([EPS_RES, 0j]), NO_BRANCH))))},
 }
 
 
