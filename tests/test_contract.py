@@ -234,6 +234,18 @@ PROBES = {
         r2=np.array([2.0, 2 + 0.1j])), RADII),
     **{f"stack_{kind.__name__}_radius": ((lambda kind=kind: stack(
         r2=kind(2 + 0.1j))), RADII) for kind in (np.complex128, np.complex64)},
+    # the oracle checks an (S,) k0 sample by sample
+    **{f"{name}_array_k0": (call, "k0 must be positive")
+       for name, call in (
+           ("flux_through_sphere", lambda: oracle.flux_through_sphere(
+               ml.homogeneous_field(EPS, np.array([1.1, 1.1])), 1.0,
+               np.array([1.1, -1.1]))),
+           ("absorbed_power", lambda: oracle.absorbed_power(
+               ml.homogeneous_field(EPS, np.array([1.1, 1.1])), 0.5, 1.0,
+               EPS, np.array([1.1, -1.1]))),
+           ("energy_balance", lambda: oracle.energy_balance(
+               ml.homogeneous_field(EPS, np.array([1.1, 1.1])), 0.5, 1.0,
+               EPS, np.array([1.1, -1.1]))))},
     "absorbed_power_array_rel_tol": (lambda: oracle.absorbed_power(
         ml.homogeneous_field(EPS, 1.1), 0.5, 1.0, EPS, 1.1,
         np.array([1e-10, 1e-10])), "rel_tol must be one number, not an array"),
