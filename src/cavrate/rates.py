@@ -180,20 +180,30 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     return 1 + ml.coefficients(stack, k0).c1.real
 
 
+def _outer(radii, eps, roots, k0, m, gaps):
+    """c1 and the outgoing amplitude at the outermost radius R from the
+    engine's steps, (eps_1/eps_N) prod_l e^{i k_l (r_l - r_{l-1})} t_l, each
+    phase the step's z_in less the z_out (k_l r_{l-1}) of the step inside:
+    in a passive layer a factor's modulus is at most |t_l|, so it is finite
+    wherever that amplitude is.  The inputs are as _amplitudes takes them."""
+    steps, _ = ml._amplitudes(radii, eps, roots, k0, m, gaps)
+    moment, z_out = eps[0] / eps[-1], 0
+    for _, z_in, z_next, t in steps:
+        moment, z_out = moment * m.exp(1j * (z_in - z_out)) * t, z_next
+    return steps[0][0], moment
+
+
 def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     """The bare sphere's cavity-induced rate Re[sqrt(eps) c1] and level
-    shift Im[sqrt(eps) c1]/2, c1, its external dipole times e^{i k_ext R}
-    (the outgoing amplitude at its surface, (eps/eps_ext) e^{iz_in} t from
-    the engine's one step), sqrt(eps) and sqrt(eps_ext), after checking
-    k0, then the radius (the recursion's one width), unless route m did;
-    each root is formed once."""
+    shift Im[sqrt(eps) c1]/2, c1, its outgoing amplitude at its surface
+    ((eps/eps_ext) e^{iz_in} t, from _outer), sqrt(eps) and sqrt(eps_ext),
+    after checking k0, then the radius (the recursion's one width), unless
+    route m did; each root is formed once."""
     m = m or route((k0, radius), (eps, eps_ext), (K0, RADII))
     roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
-    ((c1, z, _, t),), _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0,
-                                         m, radii)
+    c1, moment = _outer(radii, (eps, eps_ext), roots, k0, m, radii)
     root_c1 = roots[0] * c1
-    return (root_c1.real, 0.5 * root_c1.imag, c1,
-            eps / eps_ext * m.exp(1j * z) * t, *roots)
+    return root_c1.real, 0.5 * root_c1.imag, c1, moment, *roots
 
 
 def gamma_sc(eps: complex, eps_ext: complex, radius: float,
@@ -264,14 +274,18 @@ def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
 
 def _moment_at(stack: ml.LayerStack, k0: float, r, name: str):
     """eps_N, sqrt(eps_N) and the external dipole times e^{i k_N r}, once
-    r (named name) is real, finite and not inside the outermost radius."""
+    r (named name) is real, finite and not inside the outermost radius R:
+    _outer's amplitude at R, as rate_report's, times e^{i k_N (r - R)}."""
     outer_radius = stack.radii[-1]
     require(r, name + " = {:g} lies inside the outermost interface {:g}",
             lambda r: np.greater_equal(np.real(r), outer_radius).all(),
             largest(outer_radius))  # NaN lies inside too
     require(r, name + " = {:g} must be real and finite")
-    p_n, root = external_dipole(stack, k0), sqrt_eps(stack.eps[-1])
-    return stack.eps[-1], root, p_n * exp(1j * root * k0 * r)
+    m = Mixed if route((k0,), (), (K0,)) is Mixed else stack._route
+    roots = tuple(map(sqrt_eps, stack.eps))
+    _, moment = _outer(stack.radii, stack.eps, roots, k0, m, stack._widths)
+    shift = exp(1j * roots[-1] * k0 * (r - outer_radius))  # 1 at r = R
+    return stack.eps[-1], roots[-1], moment * shift
 
 
 def external_power(stack: ml.LayerStack, k0: float,

@@ -381,18 +381,14 @@ class TestExternal:
         with pytest.raises(DomainError, match="inside the outermost"):
             rates.angular_radiation(stack, 1.0, r, 0.3)
 
-    @pytest.mark.xfail(
-        strict=True, raises=(AssertionError, OverflowError),
-        reason="external_power forms the outer moment from the unreferenced "
-        "c_outer, rate_report from the engine's referenced step; one route "
-        "is ROADMAP item 2's step B")
     @pytest.mark.parametrize("eps_ext, radius, omega", [
         (1.0, 2.0, cli.get_preset("fig3")._omega_array()),
         (1 + 0.5j, 300.0, 11.0)], ids=["fig3_rows", "bug_b_omega_11"])
     def test_external_power_is_the_reports_w_ext(self, eps_ext, radius,
                                                  omega):
-        """A bare sphere's power beyond its surface, by either route: fig3's
-        601 rows differ in last bits, and at bug (b)'s omega = 11 c_outer
+        """A bare sphere's power beyond its surface is the report's w_ext,
+        bit for bit: fig3's 601 rows on the array route, and bug (b)'s
+        omega = 11 on the number route, where the unreferenced c_outer
         leaves the double range while w_ext_hat is 1.904."""
         eps = dielectric.eval_lorentz(dielectric.LorentzMedium(**MEDIUM),
                                       omega).eps
@@ -400,6 +396,44 @@ class TestExternal:
         stack = ml.LayerStack((radius,), (eps, eps_ext))
         assert np.array_equal(rates.external_power(stack, omega),
                               report.w_ext_hat)
+
+    def test_angular_radiation_beyond_the_double_range_of_c_outer(self):
+        """At bug (b)'s omega = 11 the surface amplitude is finite, so the
+        density at the surface is too (c_outer times e^{ikR} overflowed)."""
+        eps = dielectric.eval_lorentz(dielectric.LorentzMedium(**MEDIUM),
+                                      11.0).eps
+        stack = ml.LayerStack((300.0,), (eps, 1 + 0.5j))
+        density = rates.angular_radiation(stack, 11.0, 300.0, math.pi / 2)
+        assert type(density) is float and 0 < density < math.inf
+
+    # N = 3 to 5, the last two with an absorbing host
+    STACKS = [
+        ((0.2, 2.0), (1.0, 5 + 2.5j, 1.5 + 0j), 1.0),
+        ((0.3, 1.0, 2.5), (1.0, 3 + 0.5j, 2 + 1j, 1.2 + 0.1j), 1.3),
+        ((0.2, 0.8, 1.5, 3.0), (1.0, 4 + 0.2j, 1.5 + 0.05j, 6 + 3j, 1.0),
+         0.9),
+        ((0.5, 6.0, 12.0), (1.0, 2 + 0.1j, 3 + 0.2j, 1 + 0.5j), 1.0),
+        ((0.4, 1.1, 1.6, 2.4), (1.0, 9 + 0.5j, 1.0, 2.5 + 0.3j, 1.8 + 0.6j),
+         2.2),
+    ]
+
+    @pytest.mark.parametrize("radii, eps, k0", STACKS,
+                             ids=["n3", "n4", "n5", "n4_host", "n5_host"])
+    def test_external_power_matches_the_twin(self, radii, eps, k0):
+        """external_power at the outer radius R against the 50-digit dense
+        solve, within ROADMAP item 16's 1000 u (1 + |z|), z the largest
+        sqrt(eps_l) k0 r_l with r_N = R."""
+        _, c_plus, _ = mpref.general_n(eps, radii, k0)
+        eps_1, eps_n = mpref.to_mpc(eps[0]), mpref.to_mpc(eps[-1])
+        k, x = mpref.sqrt_eps(eps_n) * k0, mpref.mp.mpf(k0) * radii[-1]
+        moment = eps_1 / eps_n * c_plus[-1] * mpref.mp.exp(
+            mpref.I * k * radii[-1])
+        ref = abs(moment) ** 2 * (eps_n.imag / abs(eps_n) ** 2 * abs(
+            1 - mpref.I * k * radii[-1]) ** 2 / x ** 3 + k.real / k0)
+        z = max(abs(e) ** 0.5 * k0 * r
+                for e, r in zip(eps, (*radii, radii[-1])))
+        got = rates.external_power(ml.LayerStack(radii, eps), k0)
+        assert abs(got - ref) / ref <= 1000 * 2.0 ** -53 * (1 + z)
 
 
 class TestGreenRestatement:

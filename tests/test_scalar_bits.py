@@ -92,7 +92,7 @@ STACKS = {
         (("0x1.68c4cf3e8d692p+4", "-0x1.2ace5a647593fp+7"),
          ("-0x1.ad7f7199e6067p-2", "0x1.c392b3b7803f4p-1")),
         "0x1.572a9694eb4b2p-52",
-        ("0x1.78c4cf3e8d692p+4", "0x1.09d2fe9a3b02bp-1")),
+        ("0x1.78c4cf3e8d692p+4", "0x1.09d2fe9a3b02cp-1")),
     "graded_n8": (
         (graded_stack(8), 1.1),
         (("0x1.3881bf90e9ebcp+7", "-0x1.afb4e38d66510p+8"),
