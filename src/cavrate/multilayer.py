@@ -318,7 +318,8 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     r and theta may be numpy arrays; the components then take their
     broadcast shape, and all radii must lie inside one layer.  An (S,)
     k0, a stack of (S,) permittivity arrays and its amplitudes hold one
-    sample per entry along the first axis of r.  In the central layer the
+    sample per entry along the first axis of r, and an r without that
+    axis raises DomainError.  In the central layer the
     source wave is included unless include_source is False (useful for
     isolating the scattered field near the origin, where the j1-based part
     stays finite).  layer overrides the automatic layer lookup, which lets
@@ -340,6 +341,11 @@ def field_in_layer(stack: LayerStack, coeffs: WaveCoefficients, r,
     a, b = ((float(include_source), coeffs.c1) if layer == 1 else
             (coeffs.c_plus[layer - 2], coeffs.c_minus[layer - 2]))
     eps1, eps_l = stack.eps[0], stack.eps[layer - 1]
+    samples = [x.shape[:1] for x in (eps1, eps_l, a, b, k0)
+               if type(x) is np.ndarray and x.ndim]
+    if samples and np.shape(r)[:1] != samples[0]:
+        raise DomainError(f"r must hold the sample axis first: {samples[0][0]}"
+                          f" samples, r of shape {np.shape(r)}")
     if type(r) is np.ndarray and r.ndim > 1:
         # a sample's values broadcast along r's first axis
         eps1, eps_l, a, b, k0 = (

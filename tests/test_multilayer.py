@@ -8,7 +8,7 @@ import pytest
 
 import mpref
 from cavrate import multilayer as ml
-from cavrate import rates, specfun
+from cavrate import oracle, rates, specfun
 from cavrate.dielectric import sqrt_eps
 from cavrate.errors import DomainError, IllConditioned, SingularDenominator
 
@@ -568,6 +568,30 @@ class TestFields:
             assert [x.shape for x in arrays] == [(3, 3, 2)] * 3 + [(3,)]
             for x, y in zip(arrays, numbers):
                 assert np.all(abs(x[s] - y) <= 4e-15 * np.maximum(1, abs(y)))
+
+    @pytest.mark.parametrize("samples", ["eps", "k0"])
+    @pytest.mark.parametrize("make", [
+        ml.homogeneous_field,
+        lambda eps, k0: ml.stack_field_evaluator(
+            ml.LayerStack((0.6, 2.0), (1.0, eps, 1.5 + 0.1j)), k0)],
+        ids=["homogeneous", "stack"])
+    def test_radii_without_the_sample_axis_rejected(self, make, samples):
+        """An evaluator of (S,) samples takes r with the sample axis first:
+        a number r, or a first axis of another length, names that axis
+        (numpy's broadcast error did not)."""
+        eps, k0 = 5 + 2.5j, 1.1
+        if samples == "eps":
+            eps = np.array([5 + 2.5j, 2 + 0.1j, 3.0 + 0j])
+        else:
+            k0 = np.array([0.7, 1.1, 2.3])
+        fields, theta = make(eps, k0), np.linspace(0.1, 3.0, 8)
+        for r in (2.5, np.full(8, 2.5), np.full((2, 1), 2.5)):
+            with pytest.raises(DomainError, match=r"sample axis first: 3 "):
+                fields(r, theta)
+        with pytest.raises(DomainError, match=r"sample axis first: 3 "):
+            oracle.flux_through_sphere(fields, 2.5, 1.1)
+        assert fields(np.full(3, 2.5), 0.3)[0].shape == (3,)
+        assert fields(np.full((3, 1), 2.5), theta)[0].shape == (3, 8)
 
     def test_radius_arrays_must_stay_in_one_layer(self):
         stack = ml.LayerStack((0.6, 2.0), (1.0, 5 + 2.5j, 1.0))
