@@ -295,7 +295,10 @@ def external_power(stack: ml.LayerStack, k0: float,
     r_obs defaults to the outermost interface, giving the total external
     power loss; any larger radius gives the flux crossing it plus all
     absorption beyond, which the analytic form combines into a single
-    expression for the effective external dipole.
+    expression for the effective external dipole.  That dipole comes from
+    the outgoing amplitude at the outermost radius, as rate_report's does:
+    a bare sphere's value at r_obs = R is its w_ext_hat, bit for bit, and
+    is finite where the unreferenced c_outer leaves the double range.
     """
     r_obs = stack.radii[-1] if r_obs is None else r_obs
     eps_n, root, moment = _moment_at(stack, k0, r_obs, "r_obs")
@@ -308,7 +311,7 @@ def angular_radiation(stack: ml.LayerStack, k0: float, r: float, theta):
     Only the far-field (1/r) part of the external field contributes; the
     density carries the sin**2 dipole pattern and the exterior attenuation.
     Units of W_free, so the full-sphere integral in a lossless exterior
-    equals the radiation part of external_power.
+    equals the radiation part of external_power, whose moment it shares.
     """
     _, root, moment = _moment_at(stack, k0, r, "r")
     density = (3 / (8 * math.pi)) * root.real * abs(moment) ** 2 \
