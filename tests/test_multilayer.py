@@ -577,8 +577,8 @@ class TestFields:
         ids=["homogeneous", "stack"])
     def test_radii_without_the_sample_axis_rejected(self, make, samples):
         """An evaluator of (S,) samples takes r with the sample axis first:
-        a number r, or a first axis of another length, names that axis
-        (numpy's broadcast error did not)."""
+        a number r, or a first axis of another length, raises a DomainError
+        that names the sample count, in the fields and in the oracle."""
         eps, k0 = 5 + 2.5j, 1.1
         if samples == "eps":
             eps = np.array([5 + 2.5j, 2 + 0.1j, 3.0 + 0j])

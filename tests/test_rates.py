@@ -398,15 +398,16 @@ class TestExternal:
                               report.w_ext_hat)
 
     def test_angular_radiation_beyond_the_double_range_of_c_outer(self):
-        """At bug (b)'s omega = 11 the surface amplitude is finite, so the
-        density at the surface is too (c_outer times e^{ikR} overflowed)."""
+        """At bug (b)'s omega = 11, where c_outer leaves the double range,
+        the surface amplitude is finite, so the density at the surface is
+        too."""
         eps = dielectric.eval_lorentz(dielectric.LorentzMedium(**MEDIUM),
                                       11.0).eps
         stack = ml.LayerStack((300.0,), (eps, 1 + 0.5j))
         density = rates.angular_radiation(stack, 11.0, 300.0, math.pi / 2)
         assert type(density) is float and 0 < density < math.inf
 
-    # N = 3 to 5, the last two with an absorbing host
+    # N = 3 to 5, the last two in strongly absorbing hosts
     STACKS = [
         ((0.2, 2.0), (1.0, 5 + 2.5j, 1.5 + 0j), 1.0),
         ((0.3, 1.0, 2.5), (1.0, 3 + 0.5j, 2 + 1j, 1.2 + 0.1j), 1.3),
