@@ -13,12 +13,11 @@ from .multilayer import (LayerStack, WaveCoefficients, coefficients,
                          coeffs_general_n, field_center_limit, field_in_layer,
                          homogeneous_field, stack_field_evaluator)
 from .oracle import absorbed_power, energy_balance, flux_through_sphere
-from .rates import (RateReport, angular_radiation, external_dipole,
-                    external_power, gamma0_loc, gamma0_macroscopic,
-                    gamma_hat_total, gamma_sc, gamma_sc_loc,
-                    identity_rep_decomposition, lorentz_factor,
-                    onsager_factor, p_eff_expansion, rate_report, w0_cutoff,
-                    w0_expanded)
+from .rates import (RateReport, angular_radiation, external_power,
+                    gamma0_loc, gamma0_macroscopic, gamma_hat_total,
+                    gamma_sc, gamma_sc_loc, identity_rep_decomposition,
+                    lorentz_factor, onsager_factor, p_eff_expansion,
+                    rate_report, w0_cutoff, w0_expanded)
 from .verify import run_battery
 
 __version__ = "0.1.0"
@@ -32,9 +31,8 @@ __all__ = [
     "field_center_limit", "field_in_layer", "homogeneous_field",
     "stack_field_evaluator",
     "absorbed_power", "energy_balance", "flux_through_sphere",
-    "RateReport", "angular_radiation", "external_dipole",
-    "external_power", "gamma0_loc", "gamma0_macroscopic",
-    "gamma_hat_total", "gamma_sc", "gamma_sc_loc",
+    "RateReport", "angular_radiation", "external_power", "gamma0_loc",
+    "gamma0_macroscopic", "gamma_hat_total", "gamma_sc", "gamma_sc_loc",
     "identity_rep_decomposition", "lorentz_factor", "onsager_factor",
     "p_eff_expansion", "rate_report", "w0_cutoff", "w0_expanded",
     "run_battery",

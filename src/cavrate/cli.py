@@ -108,6 +108,9 @@ class SweepConfig:
         if unknown or not self.columns:
             raise ConfigError(f"unknown output columns: {', '.join(unknown)}"
                               if unknown else "no output columns selected")
+        twice = sorted({c for c in self.columns if self.columns.count(c) > 1})
+        if twice:  # a row, like a JSON object, holds one value per name
+            raise ConfigError("repeated output columns: " + ", ".join(twice))
 
     def omega_grid(self) -> list[float]:
         """Strictly increasing grid; refinement to 2n-1 points keeps the
@@ -268,7 +271,8 @@ def load_config_file(path: str, base: SweepConfig | None = None) -> SweepConfig:
     """
     if base is None:
         base = SweepConfig()
-    parser = configparser.ConfigParser()
+    # no header names "", so [DEFAULT] is a section, and an unknown one
+    parser = configparser.ConfigParser(default_section="")
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")

@@ -228,10 +228,7 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
     """
     if not isinstance(stack, LayerStack):
         stack = LayerStack(stack.radii, stack.eps)
-    m = stack._route if route((k0,), (), (K0,)) is Numbers else Mixed
-    steps, residual = _amplitudes(stack.radii, stack.eps,
-                                  tuple(map(sqrt_eps, stack.eps)), k0, m,
-                                  stack._widths)
+    steps, residual, m, _ = _solve(stack, k0)
     # outward, from the innermost interface: each c_{l-}, c1 first, then
     # each c_{l+}
     c_minus, c_plus, cp = [], [], 1 + 0j
@@ -241,6 +238,15 @@ def coeffs_general_n(stack: LayerStack, k0) -> WaveCoefficients:
         c_plus.append(cp)
     return WaveCoefficients(c_minus[0], (*c_plus,), (*c_minus[1:], 0j),
                             residual)
+
+
+def _solve(stack: LayerStack, k0):
+    """_amplitudes' steps and residual for stack at k0, their route and
+    each layer's sqrt(eps), which every solve of a stack takes from here."""
+    m = stack._route if route((k0,), (), (K0,)) is Numbers else Mixed
+    roots = tuple(map(sqrt_eps, stack.eps))
+    return (*_amplitudes(stack.radii, stack.eps, roots, k0, m,
+                         stack._widths), m, roots)
 
 
 def _amplitudes(radii, eps, roots, k0, m, gaps):

@@ -177,16 +177,16 @@ def gamma_hat_total(stack: ml.LayerStack, k0: float) -> float:
     if largest(abs(stack.eps[0] - 1)) > 1e-12:
         raise DomainError(
             f"innermost layer must be vacuum, got eps1 = {stack.eps[0]}")
-    return 1 + ml.coefficients(stack, k0).c1.real
+    steps, _, m, _ = ml._solve(stack, k0)
+    return 1 + _outer(stack.eps, steps, m)[0].real
 
 
-def _outer(radii, eps, roots, k0, m, gaps):
+def _outer(eps, steps, m):
     """c1 and the outgoing amplitude at the outermost radius R from the
-    engine's steps, (eps_1/eps_N) prod_l e^{i k_l (r_l - r_{l-1})} t_l, each
-    phase the step's z_in less the z_out (k_l r_{l-1}) of the step inside:
-    in a passive layer a factor's modulus is at most |t_l|, so it is finite
-    wherever that amplitude is.  The inputs are as _amplitudes takes them."""
-    steps, _ = ml._amplitudes(radii, eps, roots, k0, m, gaps)
+    engine's steps on route m (eps: the permittivities), (eps_1/eps_N)
+    prod_l e^{i k_l (r_l - r_{l-1})} t_l, each phase the step's z_in less
+    the z_out (k_l r_{l-1}) of the step inside: in a passive layer a
+    factor's modulus is at most |t_l|, so it is finite wherever t_l is."""
     moment, z_out = eps[0] / eps[-1], 0
     for _, z_in, z_next, t in steps:
         moment, z_out = moment * m.exp(1j * (z_in - z_out)) * t, z_next
@@ -201,7 +201,8 @@ def _bare_sphere(eps, eps_ext, radius, k0, m=None):
     route m did; each root is formed once."""
     m = m or route((k0, radius), (eps, eps_ext), (K0, RADII))
     roots, radii = (sqrt_eps(eps), sqrt_eps(eps_ext)), (radius,)
-    c1, moment = _outer(radii, (eps, eps_ext), roots, k0, m, radii)
+    steps, _ = ml._amplitudes(radii, (eps, eps_ext), roots, k0, m, radii)
+    c1, moment = _outer((eps, eps_ext), steps, m)
     root_c1 = roots[0] * c1
     return root_c1.real, 0.5 * root_c1.imag, c1, moment, *roots
 
@@ -262,18 +263,8 @@ def identity_rep_decomposition(eps: complex) -> tuple[float, float]:
     return lhs, rhs
 
 
-def external_dipole(stack: ml.LayerStack, k0: float) -> complex:
-    """Effective moment radiating in the outermost medium.
-
-    The field there equals that of a dipole of moment (eps1/epsN) c_outer
-    immersed in the infinite outer medium.
-    """
-    c_outer = ml.coefficients(stack, k0).c_outer
-    return stack.eps[0] / stack.eps[-1] * c_outer
-
-
 def _moment_at(stack: ml.LayerStack, k0: float, r, name: str):
-    """eps_N, sqrt(eps_N) and the external dipole times e^{i k_N r}, once
+    """eps_N, sqrt(eps_N) and the outer moment times e^{i k_N r}, once
     r (named name) is real, finite and not inside the outermost radius R:
     _outer's amplitude at R, as rate_report's, times e^{i k_N (r - R)}."""
     outer_radius = stack.radii[-1]
@@ -281,9 +272,8 @@ def _moment_at(stack: ml.LayerStack, k0: float, r, name: str):
             lambda r: np.greater_equal(np.real(r), outer_radius).all(),
             largest(outer_radius))  # NaN lies inside too
     require(r, name + " = {:g} must be real and finite")
-    m = Mixed if route((k0,), (), (K0,)) is Mixed else stack._route
-    roots = tuple(map(sqrt_eps, stack.eps))
-    _, moment = _outer(stack.radii, stack.eps, roots, k0, m, stack._widths)
+    steps, _, m, roots = ml._solve(stack, k0)
+    _, moment = _outer(stack.eps, steps, m)
     shift = exp(1j * roots[-1] * k0 * (r - outer_radius))  # 1 at r = R
     return stack.eps[-1], roots[-1], moment * shift
 
@@ -298,7 +288,7 @@ def external_power(stack: ml.LayerStack, k0: float,
     expression for the effective external dipole.  That dipole comes from
     the outgoing amplitude at the outermost radius, as rate_report's does:
     a bare sphere's value at r_obs = R is its w_ext_hat, bit for bit, and
-    is finite where the unreferenced c_outer leaves the double range.
+    is finite where the unreferenced amplitude leaves the double range.
     """
     r_obs = stack.radii[-1] if r_obs is None else r_obs
     eps_n, root, moment = _moment_at(stack, k0, r_obs, "r_obs")

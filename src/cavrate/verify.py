@@ -259,13 +259,14 @@ def check_decomposition(eps, radius, k0) -> CheckResult:
 
 def check_external_scaling(eps, radius, k0) -> CheckResult:
     """Outer field with/without the empty cavity scales by 3 eps/(2 eps+1)."""
-    r_c = 1e-3 / k0
-    with_cavity = rates.external_dipole(
-        ml.LayerStack((r_c, radius), (1.0, eps, 1.0)), k0)
-    bare = rates.external_dipole(ml.LayerStack((radius,), (eps, 1.0)), k0)
+    # moments at one R and host, so e^{ikR} cancels; the bare is w_ext_hat's
+    stack = ml.LayerStack((1e-3 / k0, radius), (1.0, eps, 1.0))
+    steps, _, m, _ = ml._solve(stack, k0)
+    _, with_cavity = rates._outer(stack.eps, steps, m)
+    bare = rates._bare_sphere(eps, 1.0, radius, k0)[3]
     if bare == 0:
         raise ArithmeticError(
-            f"the bare sphere's c_outer underflows to 0 at |Im k R| = "
+            f"the bare sphere's outer moment underflows to 0 at |Im k R| = "
             f"{abs((sqrt_eps(eps) * k0 * radius).imag):.1f}")
     ratio = with_cavity / bare
     target = 3 * eps / (2 * eps + 1)

@@ -216,12 +216,14 @@ def test_criterion_07_external_field_scaling():
     residuals = []
     for x in xs:
         stack = ml.LayerStack((x / k0, radius), (1.0, eps, 1.0))
-        ratio = rates.external_dipole(stack, k0) / p_bare
+        ratio = ((stack.eps[0] / stack.eps[-1])
+                 * ml.coefficients(stack, k0).c_outer / p_bare)
         residuals.append(abs(ratio / target - 1))
     slope = float(np.polyfit(np.log(xs), np.log(residuals), 1)[0])
     assert slope == pytest.approx(2.0, abs=0.15)
     stack = ml.LayerStack((1e-3 / k0, radius), (1.0, eps, 1.0))
-    ratio = rates.external_dipole(stack, k0) / p_bare
+    ratio = ((stack.eps[0] / stack.eps[-1])
+             * ml.coefficients(stack, k0).c_outer / p_bare)
     factor_err = abs(abs(ratio) ** 2 / rates.onsager_factor(eps) - 1)
     assert factor_err < 1e-4
     _verdict(7, f"field ratio residual slope {slope:.3f}; power factor "

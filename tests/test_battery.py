@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from cavrate import cli, dielectric, rates, verify
-from cavrate import multilayer as ml
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,7 +43,6 @@ def probe():
     """Values that each mutant changes, at fig3's sphere at resonance."""
     eps = 5 + 2.5j
     return (vars(rates.rate_report(eps, 1.0, 2.0, 0.1, 0.1, 1.0)),
-            rates.external_dipole(ml.LayerStack((2.0,), (eps, 1.0)), 1.0),
             rates.w0_cutoff(eps, 1.0, 0.1), rates.onsager_factor(eps),
             dielectric.sqrt_eps(eps))
 
@@ -56,7 +54,7 @@ MUTANTS = {
         rates, "_bare_sphere", bare_sphere(
             lambda eps, eps_ext, g, d, c1, p, *roots:
             (g, d, c1, p * (eps_ext / eps) ** 2, *roots)),
-        ()),
+        ("external_field_scaling",)),
     "w_ext_loc_lorentz_factor": (
         rates, "rate_report", report_field(
             "w_ext_loc_hat", lambda r: r.lorentz_factor * r.w_ext_hat),
@@ -88,9 +86,10 @@ MUTANTS = {
         ("sqrt_branch_reconstruction", "expansion_order_gamma0_loc",
          "expansion_order_central_c1", "rate_decomposition_slope")),
     "external_dipole_epsN_over_eps1": (
-        rates, "external_dipole",
-        lambda f: lambda stack, k0: f(stack, k0)
-        * (stack.eps[-1] / stack.eps[0]) ** 2,
+        # the outer moment with eps_N/eps_1 in place of eps_1/eps_N
+        rates, "_outer",
+        lambda f: lambda eps, *args: (
+            lambda c1, p: (c1, p * (eps[-1] / eps[0]) ** 2))(*f(eps, *args)),
         ("external_field_scaling",)),
     "onsager_factor_lorentz": (
         rates, "onsager_factor", lambda f: rates.lorentz_factor,

@@ -917,6 +917,49 @@ columns = omega, gamma_loc_hat
             assert "configuration error" in captured.err
             assert captured.out == ""
 
+    def test_repeated_column_is_config_error(self, tmp_path, capsys):
+        # a JSON object keeps one member per name, and so does a row dict
+        with pytest.raises(ConfigError,
+                           match="^repeated output columns: omega$"):
+            quick_config(columns=("omega", "gamma_hat", "omega"))
+        path, out = tmp_path / "twice.cfg", tmp_path / "rows.json"
+        path.write_text("[output]\ncolumns = omega,omega\n")
+        with pytest.raises(ConfigError, match="repeated output columns"):
+            cli.load_config_file(str(path))
+        for args in (["--preset", "fig4", "--columns",
+                      "omega,gamma_hat,omega", "--out", str(out)],
+                     ["--config", str(path), "--out", str(out)]):
+            assert cli.main(["sweep", *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ("configuration error: repeated output "
+                                    "columns: omega\n")
+            assert captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("default, beside", [
+        ("sphere_radius = 3.0\n", ""),
+        ("sphere_radius = 3.0\n", "[geometry]\neps_ext = 1\n"),
+        ("sphere_radius = 3.0\n", "[sweep]\nomega_count = 3\n"),
+        ("", "[sweep]\nomega_count = 3\n"),
+    ], ids=["alone", "geometry", "sweep", "empty"])
+    def test_default_section_is_config_error(self, tmp_path, capsys,
+                                             default, beside):
+        # configparser hands the keys of [DEFAULT] to every other section:
+        # alone they would be ignored, beside [geometry] applied, and
+        # beside [sweep] reported as that section's unknown key; an empty
+        # [DEFAULT] is an unknown section as an empty [solver] is
+        path = tmp_path / "default.cfg"
+        path.write_text("[DEFAULT]\n" + default + beside)
+        with pytest.raises(ConfigError,
+                           match=r"^unknown config section \[DEFAULT\]$"):
+            cli.load_config_file(str(path))
+        for command in ("sweep", "verify"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ("configuration error: unknown config "
+                                    "section [DEFAULT]\n")
+            assert captured.out == ""
+
     def test_bad_medium_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[medium]\ngamma = -1\n")
@@ -1123,14 +1166,14 @@ class TestVerifyBattery:
                    and "overflow guard" in line for line in out), out
 
     def test_underflowing_outer_amplitude_named_in_the_detail(self):
-        # fig3 at R = 1400: the bare sphere's c_outer is an exact 0
+        # fig3 at R = 1400: the bare sphere's outer moment is an exact 0
         config = replace(cli.get_preset("fig3"), sphere_radius=1400.0)
         report = verify_mod.run_battery(config)
         [check] = [c for c in report.checks
                    if c.name == "external_field_scaling"]
         assert not check.passed
-        assert check.detail == ("numeric failure: the bare sphere's c_outer "
-                                "underflows to 0 at |Im k R| = 760.5")
+        assert check.detail == ("numeric failure: the bare sphere's outer "
+                                "moment underflows to 0 at |Im k R| = 760.5")
 
     @pytest.mark.parametrize("radius", [61.0, 100.0, 600.0])
     def test_energy_balance_for_spheres_beyond_60_over_k0(self, radius):

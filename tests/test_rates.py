@@ -224,6 +224,56 @@ class TestGammaHatTotal:
         stack = ml.LayerStack((k0_r,), (1.0, eps))
         assert rates.gamma_hat_total(stack, 1.0) > -1e-10
 
+    @pytest.mark.parametrize("samples", [None, 3], ids=["numbers", "arrays"])
+    def test_is_one_plus_the_engines_c1(self, samples):
+        """Bit for bit 1 + Re c1 of coefficients, on 400 seeded
+        vacuum-centred passive stacks (N = 3..8) per route."""
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            n = int(rng.integers(3, 9))
+            shape = (n - 1,) if samples is None else (n - 1, samples)
+            radii = np.cumsum(rng.uniform(0.05, 2.0, n - 1)).tolist()
+            layers = rng.uniform((0.5, 0.0), (9.0, 3.0),
+                                 (*shape, 2)).view(complex)[..., 0]
+            k0 = rng.uniform(0.2, 3.0, samples)
+            stack = ml.LayerStack(radii, (1.0, *(
+                layers.tolist() if samples is None else layers)))
+            got = rates.gamma_hat_total(stack, k0)
+            expected = 1 + ml.coefficients(stack, k0).c1.real
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() \
+                == np.asarray(expected).tobytes()
+
+    @staticmethod
+    def bug_b_stack(omega):
+        """A 0.2 cavity in bug (b)'s sphere of radius 300, whose host of
+        eps = 1+0.5j absorbs more than the sphere."""
+        eps = dielectric.eval_lorentz(dielectric.LorentzMedium(**MEDIUM),
+                                      omega).eps
+        return ml.LayerStack((0.2, 300.0), (1.0, eps, 1 + 0.5j))
+
+    @pytest.mark.parametrize("omega", [11.0, np.linspace(1.0, 11.0, 11)],
+                             ids=["omega_11", "omega_1_to_11"])
+    def test_finite_where_the_unreferenced_amplitude_overflows(self, omega):
+        # the outer amplitude that coefficients forms leaves the double
+        # range at omega = 11; the rate needs only c1
+        with pytest.raises(OverflowError):
+            ml.coefficients(self.bug_b_stack(11.0), 11.0)
+        total = rates.gamma_hat_total(self.bug_b_stack(omega), omega)
+        assert np.isfinite(total).all()
+
+    @pytest.mark.parametrize("omega", [4.0, 11.0])
+    def test_bug_b_stack_matches_the_twin(self, omega):
+        """Within item 16's 1000 u (1 + |z|), z the larger of sqrt(eps)
+        k0 R and sqrt(eps_ext) k0 R."""
+        stack = self.bug_b_stack(omega)
+        eps, eps_ext = stack.eps[1:]
+        ref = mpref.gamma_hat_total_three(eps, eps_ext, 300.0, omega,
+                                          0.2 * omega)
+        z = max(abs(e) ** 0.5 for e in (eps, eps_ext)) * omega * 300.0
+        error = abs(rates.gamma_hat_total(stack, omega) - ref) / abs(ref)
+        assert error <= 1000 * 2.0 ** -53 * (1 + z)
+
 
 class TestCavityRates:
     def test_no_sphere_no_rate(self):
@@ -296,8 +346,9 @@ class TestCutoffFreeIdentity:
 class TestExternal:
     def test_uniform_stack_is_bare_dipole(self):
         stack = ml.LayerStack((0.5, 1.0), (2 + 1j, 2 + 1j, 2 + 1j))
-        assert rates.external_dipole(stack, 1.0) == pytest.approx(1.0,
-                                                                  rel=1e-12)
+        moment = (stack.eps[0] / stack.eps[-1]) \
+            * ml.coefficients(stack, 1.0).c_outer
+        assert moment == pytest.approx(1.0, rel=1e-12)
 
     def test_cavity_scaling_reaches_static_factor(self):
         eps, radius, k0 = EPS_RES, 2.0, 1.0
@@ -306,13 +357,15 @@ class TestExternal:
         residuals = []
         for x in (1e-2, 1e-3, 1e-4):
             stack = ml.LayerStack((x / k0, radius), (1.0, eps, 1.0))
-            ratio = rates.external_dipole(stack, k0) / p_bare
+            ratio = ((stack.eps[0] / stack.eps[-1])
+                     * ml.coefficients(stack, k0).c_outer / p_bare)
             residuals.append(abs(ratio / (3 * eps / (2 * eps + 1)) - 1))
         slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(residuals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
         # squared modulus of the scaling gives the power factor
         stack = ml.LayerStack((1e-3 / k0, radius), (1.0, eps, 1.0))
-        ratio = rates.external_dipole(stack, k0) / p_bare
+        ratio = ((stack.eps[0] / stack.eps[-1])
+                 * ml.coefficients(stack, k0).c_outer / p_bare)
         assert abs(ratio) ** 2 == pytest.approx(rates.onsager_factor(eps),
                                                 rel=1e-4)
 
@@ -674,7 +727,6 @@ class TestRateReport:
         (lambda e, k: vars(rates.rate_report(e, 1.5, 2.0, 0.2, 0.3, k)), ()),
         # one array stack, the vacuum-cavity route of many frequencies
         (lambda e, k: rates.gamma_hat_total(cavity_stack(e), k), ()),
-        (lambda e, k: rates.external_dipole(cavity_stack(e), k), ()),
         (lambda e, k: rates.external_power(cavity_stack(e), k), ()),
     ])
     def test_functions_take_frequency_arrays(self, fn, args):
@@ -777,7 +829,6 @@ NUMBER_CALLS = {
     "gamma_sc_loc": (_BARE, float),
     "gamma_sc_loc_from_bare": ((EPS_RES, 0.2, 0.1), float),
     "identity_rep_decomposition": ((EPS_RES,), (float, float)),
-    "external_dipole": ((cavity_stack(EPS_RES), 1.0), complex),
     "external_power": ((cavity_stack(EPS_RES), 1.0, 3.0), float),
     "angular_radiation": ((cavity_stack(EPS_RES), 1.0, 3.0, 0.5), float),
     "rate_report": ((EPS_RES, 1 + 0j, 2.0, 0.1, 0.1, 1.0),
