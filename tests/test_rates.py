@@ -727,6 +727,9 @@ class TestRateReport:
         (lambda e, k: vars(rates.rate_report(e, 1.5, 2.0, 0.2, 0.3, k)), ()),
         # one array stack, the vacuum-cavity route of many frequencies
         (lambda e, k: rates.gamma_hat_total(cavity_stack(e), k), ()),
+        # the outer moment (eps_1/eps_N) c_outer that external_dipole gave
+        (lambda e, k: ml.coefficients(cavity_stack(e), k).c_outer
+         / cavity_stack(e).eps[-1], ()),
         (lambda e, k: rates.external_power(cavity_stack(e), k), ()),
     ])
     def test_functions_take_frequency_arrays(self, fn, args):
